@@ -9,6 +9,7 @@ manual-adjudication override file or reported as unresolved.
 from __future__ import annotations
 
 import logging
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -301,11 +302,26 @@ def _tally_program_dialog(dialog: Dialog) -> _Tally:
     return tally
 
 
-def _tally_dialog(args) -> _Tally:
-    dialog, kind, lexicon, overrides = args
+def _tally_dialog(dialog: Dialog, kind: DatasetKind, lexicon: Optional[Lexicon],
+                 overrides: Optional[Overrides]) -> _Tally:
     if kind is DatasetKind.SMCALFLOW:
         return _tally_program_dialog(dialog)
     return _tally_frame_dialog(dialog, lexicon, overrides)
+
+
+# set once per pool worker, so the lexicon and overrides are pickled once
+# per worker and the lexicon's match-plan cache stays warm across dialogs
+_worker_args: tuple = ()
+
+
+def _init_worker(kind: DatasetKind, lexicon: Optional[Lexicon],
+                 overrides: Optional[Overrides]) -> None:
+    global _worker_args
+    _worker_args = (kind, lexicon, overrides)
+
+
+def _tally_in_worker(dialog: Dialog) -> _Tally:
+    return _tally_dialog(dialog, *_worker_args)
 
 
 def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
@@ -314,14 +330,16 @@ def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
     """Aggregate per-turn traces into corpus-level percentages.
 
     The merge is pure counting (associative and commutative), so results
-    are identical for any worker count.
+    are identical for any worker count. The pool never exceeds the CPU count.
     """
-    jobs = [(d, corpus.dataset_kind, lexicon, overrides) for d in corpus.dialogs]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(_tally_dialog, jobs, chunksize=16))
+    kind = corpus.dataset_kind
+    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1 and len(corpus.dialogs) > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(kind, lexicon, overrides)) as pool:
+            tallies = list(pool.map(_tally_in_worker, corpus.dialogs, chunksize=16))
     else:
-        tallies = [_tally_dialog(j) for j in jobs]
+        tallies = [_tally_dialog(d, kind, lexicon, overrides) for d in corpus.dialogs]
     total = _Tally()
     for t in tallies:
         total.merge(t)

@@ -22,13 +22,17 @@ _LOADERS = {
 }
 
 
+class UsageError(Exception):
+    """An argument combination the parser cannot reject by itself; exits 2."""
+
+
 def _dataset_path(args) -> Path:
     if args.path:
         return Path(args.path)
     root = os.environ.get("DIALOSCOPE_DATA_DIR")
     if root:
         return Path(root) / args.dataset
-    raise SystemExit("--path is required (or set DIALOSCOPE_DATA_DIR)")
+    raise UsageError("--path is required (or set DIALOSCOPE_DATA_DIR)")
 
 
 def _load_corpus(args) -> corpus.Corpus:
@@ -68,12 +72,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_linearize(args) -> int:
+    if args.previous_state == "predicted" and not args.preds:
+        raise UsageError("--previous-state predicted requires --preds")
     corp = _load_corpus(args)
     repr_ = linearize.InputRepresentation(args.repr)
     predicted_states = None
     if args.previous_state == "predicted":
-        if not args.preds:
-            raise SystemExit("--previous-state predicted requires --preds")
         preds = evaluate.load_predictions(args.preds)
         predicted_states, _ = evaluate.accumulate_predicted_states(corp, preds)
     count = linearize.emit_dataset(corp, repr_, args.out,
@@ -153,6 +157,16 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dialoscope",
@@ -166,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--path", help="dataset file or directory "
                                       "(default: $DIALOSCOPE_DATA_DIR/<dataset>)")
         p.add_argument("--split", default="all")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
         if with_lexicon:
             p.add_argument("--lexicon", help="lexicon file (default: bundled seed)")
             p.add_argument("--overrides", help="manual-adjudication override file")
@@ -214,6 +228,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (corpus.CorpusError, evaluate.PredictionFileError,
             analysis.OverrideError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ and classifies how it surfaced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -71,10 +72,14 @@ class Lexicon:
     """Curated phrase mappings, immutable after load.
 
     Keys are "domain/slot/value", "slot/value" or "*/value", all lowercase.
+    `match_in_text` caches one match plan per (value, slot) on the lexicon
+    that produced it; the cache takes no part in equality.
     """
     semantic_map: Dict[str, Set[str]]
     shortcut_map: Dict[str, Set[str]]
     other_map: Dict[str, Set[str]]
+    _plans: Dict[Tuple[str, Optional[Tuple[str, str]]], "_MatchPlan"] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def empty() -> "Lexicon":
@@ -322,9 +327,25 @@ def _bounded_pattern(surface: str) -> "re.Pattern":
     return re.compile(r"(?<!\w)" + re.escape(surface) + r"(?!\w)", re.IGNORECASE)
 
 
-def _find_word_bounded(surface: str, text: str) -> Optional[Tuple[int, int]]:
-    m = _bounded_pattern(surface).search(text)
-    return (m.start(), m.end()) if m else None
+_ASCII_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_")
+
+
+def _find_word_bounded_ascii(needle: str, haystack: str) -> int:
+    """Start of the first occurrence of needle in haystack with no word
+    character on either side, or -1.
+
+    Both strings ASCII and lowered: there the case-insensitive pattern of
+    `_bounded_pattern` matches exactly these spans, and a substring search
+    is much cheaper than compiling the pattern.
+    """
+    start = haystack.find(needle)
+    while start >= 0:
+        end = start + len(needle)
+        if ((start == 0 or haystack[start - 1] not in _ASCII_WORD_CHARS)
+                and (end == len(haystack) or haystack[end] not in _ASCII_WORD_CHARS)):
+            return start
+        start = haystack.find(needle, start + 1)
+    return -1
 
 
 _EDGE_PUNCT = ".,;!?\"'()[]"
@@ -342,23 +363,56 @@ def _tokens_with_spans(text: str) -> List[Tuple[str, int, int]]:
     return toks
 
 
-def damerau_levenshtein(a: str, b: str) -> int:
-    """Optimal string alignment distance (adjacent transposition counts 1)."""
+# the backward search re-reads each utterance of a dialog for every slot of
+# every later turn; 1024 entries hold a long dialog's utterances at each of
+# the few word counts its values have
+@lru_cache(maxsize=1024)
+def _word_ngrams(text: str, n_words: int) -> Tuple[Tuple[str, int, int], ...]:
+    """(lowered candidate, start, end) for each run of n_words tokens."""
+    toks = _tokens_with_spans(text)
+    return tuple((" ".join(t[0] for t in toks[i:i + n_words]).lower(),
+                  toks[i][1], toks[i + n_words - 1][2])
+                 for i in range(len(toks) - n_words + 1))
+
+
+def damerau_levenshtein(a: str, b: str, limit: Optional[int] = None) -> int:
+    """Optimal string alignment distance (adjacent transposition counts 1).
+
+    With `limit`, a distance above it is returned as `limit + 1`, and only
+    the diagonal band |i - j| <= limit is computed (cells outside it are
+    above the limit anyway). The computation stops once the result is
+    certain: at once when the lengths differ by more than `limit`, else at
+    the first row whose minimum exceeds it; row minima never decrease
+    (Ukkonen 1985).
+    """
     la, lb = len(a), len(b)
+    if limit is not None and abs(la - lb) > limit:
+        return limit + 1
     if la == 0 or lb == 0:
         return max(la, lb)
+    width = max(la, lb) if limit is None else limit
+    cap = width + 1  # stands for every value outside the band
     prev2: List[int] = []
-    prev = list(range(lb + 1))
+    prev = [j if j <= width else cap for j in range(lb + 1)]
     for i in range(1, la + 1):
-        curr = [i] + [0] * lb
-        for j in range(1, lb + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            curr[j] = min(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost)
-            if (i > 1 and j > 1 and a[i - 1] == b[j - 2]
-                    and a[i - 2] == b[j - 1]):
-                curr[j] = min(curr[j], prev2[j - 2] + 1)
+        ca = a[i - 1]
+        curr = [cap] * (lb + 1)
+        if i <= width:
+            curr[0] = i
+        for j in range(max(1, i - width), min(lb, i + width) + 1):
+            d = prev[j - 1] + (ca != b[j - 1])
+            if prev[j] < d:
+                d = prev[j] + 1
+            if curr[j - 1] < d:
+                d = curr[j - 1] + 1
+            if (i > 1 and j > 1 and ca == b[j - 2] and a[i - 2] == b[j - 1]
+                    and prev2[j - 2] < d):
+                d = prev2[j - 2] + 1
+            curr[j] = d
+        if limit is not None and min(curr) > limit:
+            return cap
         prev2, prev = prev, curr
-    return prev[lb]
+    return min(prev[lb], cap)
 
 
 # typo matching is too noisy on very short strings; 4 chars is the floor
@@ -369,30 +423,77 @@ def _typo_threshold(target: str) -> int:
     return 2 if len(target) >= 8 else 1
 
 
-def _typo_match(targets: List[str], text: str) -> Optional[MatchResult]:
-    toks = _tokens_with_spans(text)
-    best: Optional[Tuple[int, int, MatchResult]] = None  # (distance, start, result)
-    for target in targets:
-        if len(target) < _TYPO_MIN_LEN:
-            continue
-        n_words = len(target.split())
-        threshold = _typo_threshold(target)
-        tgt = target.lower()
-        for i in range(len(toks) - n_words + 1):
-            cand = " ".join(t[0] for t in toks[i:i + n_words]).lower()
+_TypoTarget = Tuple[str, int, int]  # (lowered surface, word count, threshold)
+
+
+def _typo_match(targets: Tuple[_TypoTarget, ...], text: str) -> Optional[MatchResult]:
+    best: Optional[Tuple[int, int, int]] = None  # (distance, start, end)
+    for tgt, n_words, threshold in targets:
+        for cand, start, end in _word_ngrams(text, n_words):
             if abs(len(cand) - len(tgt)) > threshold:
                 continue
-            dist = damerau_levenshtein(tgt, cand)
+            dist = damerau_levenshtein(tgt, cand, threshold)
             if dist == 0 or dist > threshold:
                 continue
-            span = (toks[i][1], toks[i + n_words - 1][2])
-            result = MatchResult(MatchCategory.TYPO, span=span,
-                                 matched_surface=text[span[0]:span[1]],
-                                 distance=dist)
-            key = (dist, span[0], result)
-            if best is None or key[:2] < best[:2]:
-                best = key
-    return best[2] if best else None
+            if best is None or (dist, start) < best[:2]:
+                best = (dist, start, end)
+    if best is None:
+        return None
+    dist, start, end = best
+    return MatchResult(MatchCategory.TYPO, span=(start, end),
+                       matched_surface=text[start:end], distance=dist)
+
+
+# (category, sub-kind, surface, needle); the needle, the lowered surface, is
+# searched for directly in ASCII text, and is None for a non-ASCII surface,
+# which is always searched for with its pattern
+_Probe = Tuple[MatchCategory, Optional[EntityKind], str, Optional[str]]
+
+
+@dataclass(frozen=True)
+class _MatchPlan:
+    """The part of matching a (value, slot) that does not depend on the text."""
+    # the value itself, then every other generated surface, in precedence
+    # order: entity, semantic, other; longest surfaces first within a
+    # category so the most specific phrase claims the span
+    probes: Tuple[_Probe, ...]
+    # every surface long enough for the typo pass (whitespace-only ones
+    # have no words and can never match)
+    typo_targets: Tuple[_TypoTarget, ...]
+
+
+_PROBE_ORDER = (MatchCategory.ENTITY_RECOGNITION,
+                MatchCategory.SEMANTIC_UNDERSTANDING,
+                MatchCategory.OTHER)
+_PLAN_CACHE_MAX = 65536
+_EMPTY_LEXICON = Lexicon.empty()
+
+
+def _probe(category: MatchCategory, sub_kind: Optional[EntityKind],
+           surface: str) -> _Probe:
+    return (category, sub_kind, surface,
+            surface.lower() if surface.isascii() else None)
+
+
+def _match_plan(value: str, slot: Optional[Tuple[str, str]],
+                lexicon: Lexicon) -> _MatchPlan:
+    plan = lexicon._plans.get((value, slot))
+    if plan is not None:
+        return plan
+    vlist = variants(value, slot, lexicon)
+    probes = [_probe(MatchCategory.VERBATIM, None, value)]
+    for category in _PROBE_ORDER:
+        group = sorted((v for v in vlist if v.category is category),
+                       key=lambda v: -len(v.surface))
+        probes += [_probe(category, v.sub_kind, v.surface) for v in group]
+    targets = tuple((v.surface.lower(), len(v.surface.split()), _typo_threshold(v.surface))
+                    for v in vlist
+                    if len(v.surface) >= _TYPO_MIN_LEN and v.surface.split())
+    plan = _MatchPlan(tuple(probes), targets)
+    if len(lexicon._plans) >= _PLAN_CACHE_MAX:
+        lexicon._plans.clear()
+    lexicon._plans[(value, slot)] = plan
+    return plan
 
 
 def match_in_text(value: str, slot: Optional[Tuple[str, str]], text: str,
@@ -401,30 +502,25 @@ def match_in_text(value: str, slot: Optional[Tuple[str, str]], text: str,
 
     Precedence: verbatim, then entity recognition, then semantic
     understanding, then curated-other phrases, then typo (bounded
-    Damerau-Levenshtein against the value or any variant).
+    Damerau-Levenshtein against the value or any variant). Only the text
+    scan runs per call; the surfaces to look for are planned once per
+    (value, slot) and cached on the lexicon.
     """
     if not value or not text:
         return UNRESOLVED
-    lexicon = lexicon or Lexicon.empty()
-    vlist = variants(value, slot, lexicon)
-
-    span = _find_word_bounded(value, text)
-    if span:
-        return MatchResult(MatchCategory.VERBATIM, span=span,
+    plan = _match_plan(value, slot, lexicon or _EMPTY_LEXICON)
+    haystack = text.lower() if text.isascii() else None
+    for category, sub_kind, surface, needle in plan.probes:
+        if haystack is not None and needle is not None:
+            start = _find_word_bounded_ascii(needle, haystack)
+            if start < 0:
+                continue
+            span = (start, start + len(needle))
+        else:
+            m = _bounded_pattern(surface).search(text)
+            if not m:
+                continue
+            span = m.span()
+        return MatchResult(category, sub_kind=sub_kind, span=span,
                            matched_surface=text[span[0]:span[1]])
-    order = (MatchCategory.ENTITY_RECOGNITION,
-             MatchCategory.SEMANTIC_UNDERSTANDING,
-             MatchCategory.OTHER)
-    for category in order:
-        group = [v for v in vlist if v.category is category]
-        # longest surfaces first so the most specific phrase claims the span
-        group.sort(key=lambda v: -len(v.surface))
-        for var in group:
-            span = _find_word_bounded(var.surface, text)
-            if span:
-                return MatchResult(category, sub_kind=var.sub_kind, span=span,
-                                   matched_surface=text[span[0]:span[1]])
-    typo = _typo_match([v.surface for v in vlist], text)
-    if typo:
-        return typo
-    return UNRESOLVED
+    return _typo_match(plan.typo_targets, text) or UNRESOLVED

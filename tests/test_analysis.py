@@ -1,5 +1,6 @@
 import pytest
 
+from dialoscope import analysis
 from dialoscope.analysis import (ContextClass, OverrideError, TurnKind,
                                  analyze_corpus, apply_overrides, histogram,
                                  trace_turn)
@@ -181,6 +182,34 @@ class TestAnalyzeCorpus:
         corpus, _ = planted
         assert analyze_corpus(corpus, lexicon, workers=1) == \
             analyze_corpus(corpus, lexicon, workers=4)
+
+    def test_pool_is_clamped_to_cpu_count(self, planted, lexicon, monkeypatch):
+        # a stand-in executor records the pool size and runs in-process, so
+        # no large pool is ever started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(analysis, "_worker_args", ())
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
+        corpus, _ = planted
+        pooled = analyze_corpus(corpus, lexicon, workers=64)
+        assert sizes == [3]
+        assert pooled == analyze_corpus(corpus, lexicon, workers=1)
+        assert sizes == [3]  # one worker runs serially, without a pool
 
     def test_normalization_denominator_is_tracked_turns(self, planted, lexicon):
         corpus, _ = planted

@@ -194,3 +194,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--dataset", "cornell-movies"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_is_usage_error(self, capsys, mwz_path, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--dataset", "multiwoz", "--path", str(mwz_path),
+                  "--workers", workers])
+        assert exc.value.code == EXIT_USAGE
+        assert "--workers" in capsys.readouterr().err
+
+    def test_missing_path_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("DIALOSCOPE_DATA_DIR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--dataset", "multiwoz"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--path is required" in capsys.readouterr().err
+
+    def test_predicted_previous_state_needs_preds(self, capsys, mwz_path,
+                                                  tmp_path):
+        out = tmp_path / "records.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["linearize", "--dataset", "multiwoz", "--path", str(mwz_path),
+                  "--repr", "prev-state", "--previous-state", "predicted",
+                  "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "requires --preds" in capsys.readouterr().err
+        assert not out.exists()

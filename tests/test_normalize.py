@@ -1,10 +1,160 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dialoscope.normalize import (EntityKind, Lexicon, LexiconError,
-                                  MatchCategory, damerau_levenshtein,
-                                  default_lexicon, load_lexicon, match_in_text,
-                                  variants)
+                                  MatchCategory, MatchResult, UNRESOLVED,
+                                  damerau_levenshtein, default_lexicon,
+                                  load_lexicon, match_in_text, variants)
+
+DEFAULT_LEXICON = default_lexicon()
+
+
+# ---------------------------------------------------------------------------
+# reference matcher: the straightforward per-call version, frozen here so the
+# cached match plans and the bounded distance are checked verdict for verdict
+# ---------------------------------------------------------------------------
+
+def _ref_find(surface, text):
+    m = re.search(r"(?<!\w)" + re.escape(surface) + r"(?!\w)", text, re.IGNORECASE)
+    return (m.start(), m.end()) if m else None
+
+
+def _ref_tokens(text):
+    toks = []
+    for m in re.finditer(r"\S+", text):
+        tok, start = m.group(), m.start()
+        stripped = tok.strip(".,;!?\"'()[]")
+        if not stripped:
+            continue
+        offset = tok.index(stripped[0])
+        toks.append((stripped, start + offset, start + offset + len(stripped)))
+    return toks
+
+
+def _ref_distance(a, b):
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return max(la, lb)
+    prev2 = []
+    prev = list(range(lb + 1))
+    for i in range(1, la + 1):
+        curr = [i] + [0] * lb
+        for j in range(1, lb + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            curr[j] = min(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost)
+            if (i > 1 and j > 1 and a[i - 1] == b[j - 2]
+                    and a[i - 2] == b[j - 1]):
+                curr[j] = min(curr[j], prev2[j - 2] + 1)
+        prev2, prev = prev, curr
+    return prev[lb]
+
+
+def _ref_typo(targets, text):
+    toks = _ref_tokens(text)
+    best = None
+    for target in targets:
+        if len(target) < 4:
+            continue
+        n_words = len(target.split())
+        threshold = 2 if len(target) >= 8 else 1
+        tgt = target.lower()
+        for i in range(len(toks) - n_words + 1):
+            cand = " ".join(t[0] for t in toks[i:i + n_words]).lower()
+            if abs(len(cand) - len(tgt)) > threshold:
+                continue
+            dist = _ref_distance(tgt, cand)
+            if dist == 0 or dist > threshold:
+                continue
+            span = (toks[i][1], toks[i + n_words - 1][2])
+            result = MatchResult(MatchCategory.TYPO, span=span,
+                                 matched_surface=text[span[0]:span[1]],
+                                 distance=dist)
+            if best is None or (dist, span[0]) < best[:2]:
+                best = (dist, span[0], result)
+    return best[2] if best else None
+
+
+def reference_match_in_text(value, slot, text, lexicon=None):
+    if not value or not text:
+        return UNRESOLVED
+    vlist = variants(value, slot, lexicon or Lexicon.empty())
+    span = _ref_find(value, text)
+    if span:
+        return MatchResult(MatchCategory.VERBATIM, span=span,
+                           matched_surface=text[span[0]:span[1]])
+    for category in (MatchCategory.ENTITY_RECOGNITION,
+                     MatchCategory.SEMANTIC_UNDERSTANDING, MatchCategory.OTHER):
+        group = [v for v in vlist if v.category is category]
+        group.sort(key=lambda v: -len(v.surface))
+        for var in group:
+            span = _ref_find(var.surface, text)
+            if span:
+                return MatchResult(category, sub_kind=var.sub_kind, span=span,
+                                   matched_surface=text[span[0]:span[1]])
+    return _ref_typo([v.surface for v in vlist], text) or UNRESOLVED
+
+
+MATCH_VALUES = [
+    ("harpsichord", ("test", "instrument")),
+    ("guesthouse", ("hotel", "type")),
+    ("university arms hotel", ("hotel", "name")),
+    ("16:30", ("train", "arriveby")),
+    ("4:30 pm", None),
+    ("3", ("restaurant", "people")),
+    ("$30", None),
+    ("saturday", ("train", "day")),
+    ("centre", ("attraction", "area")),
+    ("inexpensive", ("restaurant", "pricerange")),
+    ("cheap", ("restaurant", "pricerange")),
+    ("cheap", ("hotel", "stars")),
+    ("dontcare", ("restaurant", "food")),
+    ("san francisco", None),
+    ("    ", None),
+    ("café crème", ("restaurant", "name")),
+    ("straße", None),
+]
+FILLER = ["please", "a", "table", "for", "at", "the", "in", "town", "okay",
+          "I", "need", "to", "leave", "cheap", "centre", "arms", "budget",
+          "naïve", "_", "x_"]
+PUNCT = [".", ",", "!", "?", "'", "(", ")", "\"", ":", "-", " , ", " . "]
+# non-ASCII letters that case-fold onto ASCII ones (Kelvin sign, long s,
+# dotted capital I) take the texts off the ASCII fast path
+EDIT_CHARS = "aeiourstn019:!. _\u212a\u017f\u0130é"
+
+
+@st.composite
+def typo(draw, surface):
+    chars = list(surface)
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["delete", "insert", "substitute", "swap"]))
+        i = draw(st.integers(0, max(len(chars) - 1, 0)))
+        c = draw(st.sampled_from(EDIT_CHARS))
+        if op == "insert":
+            chars.insert(i, c)
+        elif not chars:
+            continue
+        elif op == "delete":
+            del chars[i]
+        elif op == "substitute":
+            chars[i] = c
+        elif i + 1 < len(chars):
+            chars[i], chars[i + 1] = chars[i + 1], chars[i]
+    text = "".join(chars)
+    return text.upper() if draw(st.booleans()) else text
+
+
+@st.composite
+def value_and_text(draw):
+    value, slot = draw(st.sampled_from(MATCH_VALUES))
+    surfaces = [v.surface for v in variants(value, slot, DEFAULT_LEXICON)]
+    piece = st.one_of(st.sampled_from(surfaces).flatmap(typo),
+                      st.sampled_from(FILLER), st.sampled_from(PUNCT))
+    pieces = draw(st.lists(piece, min_size=1, max_size=6))
+    seps = draw(st.lists(st.sampled_from([" ", "", "  "]),
+                         min_size=len(pieces), max_size=len(pieces)))
+    return value, slot, "".join(p + s for p, s in zip(pieces, seps))
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +273,44 @@ class TestMatchInText:
                 "come at half past 4 or half past 4", lexicon)
         assert match_in_text(*args) == match_in_text(*args)
 
+    @pytest.mark.parametrize("value,text", [
+        ("centre", "centrea"),
+        ("centre", "centre_ or _centre"),
+        ("centre", "centrecentre, then the CENTRE."),
+        ("centre", "\u00e9centre or centre\u00e9 centre"),
+        ("kings", "\u212aings"),
+        ("\u017ftation", "station"),
+        ("istanbul", "\u0130stanbul or istanbul"),
+        ("3", "room 13, 3a or 3"),
+    ])
+    def test_word_bounds_as_reference(self, value, text):
+        assert match_in_text(value, None, text) == \
+            reference_match_in_text(value, None, text)
+
+    @settings(max_examples=400)
+    @given(value_and_text(), st.booleans())
+    def test_same_verdict_as_reference(self, case, with_lexicon):
+        value, slot, text = case
+        lex = DEFAULT_LEXICON if with_lexicon else None
+        assert match_in_text(value, slot, text, lex) == \
+            reference_match_in_text(value, slot, text, lex)
+
+    def test_plan_cache_is_per_lexicon_and_slot(self):
+        key = "restaurant/pricerange/cheapish"
+        semantic = Lexicon({key: {"a bargain"}}, {}, {})
+        other = Lexicon({}, {}, {key: {"a bargain"}})
+        slot, text = ("restaurant", "pricerange"), "we want a bargain tonight"
+        assert match_in_text("cheapish", slot, text, semantic).category is \
+            MatchCategory.SEMANTIC_UNDERSTANDING
+        assert match_in_text("cheapish", ("hotel", "pricerange"), text,
+                             semantic).category is MatchCategory.UNRESOLVED
+        assert match_in_text("cheapish", slot, text, other).category is \
+            MatchCategory.OTHER
+        assert match_in_text("cheapish", slot, text).category is \
+            MatchCategory.UNRESOLVED
+        # the cache takes no part in equality
+        assert semantic == Lexicon({key: {"a bargain"}}, {}, {})
+
     @given(st.text(max_size=40))
     def test_verbatim_precedence_property(self, text):
         # if the value occurs word-bounded, the category is always verbatim
@@ -151,6 +339,13 @@ class TestDamerauLevenshtein:
     @given(st.text(max_size=10))
     def test_identity(self, a):
         assert damerau_levenshtein(a, a) == 0
+
+    @given(st.text(alphabet="abcd", max_size=10),
+           st.text(alphabet="abcd", max_size=10), st.sampled_from([1, 2]))
+    def test_limit_caps_the_distance(self, a, b, k):
+        full = damerau_levenshtein(a, b)
+        assert full == _ref_distance(a, b)
+        assert damerau_levenshtein(a, b, limit=k) == min(full, k + 1)
 
 
 class TestLoadLexicon:
