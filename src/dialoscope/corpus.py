@@ -8,6 +8,7 @@ via a versioned mapping table.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,6 +66,7 @@ def _load_slot_map() -> Dict[str, str]:
 _SLOT_MAP: Optional[Dict[str, str]] = None
 
 
+@functools.lru_cache(maxsize=4096)
 def canonical_slot(name: str) -> str:
     """Lowercase, fold separators and the 'book ' prefix, apply the shipped
     exception table. Keeps the three public eval scripts' namings mergeable."""
@@ -233,31 +235,8 @@ def apply_update(prev: DialogState, update: StateUpdate) -> DialogState:
 
 
 # ---------------------------------------------------------------------------
-# MultiWOZ
+# reading input files
 # ---------------------------------------------------------------------------
-
-def _parse_multiwoz_state(metadata: dict, dialog_id: str) -> DialogState:
-    entries: Dict[Tuple[str, str], List[str]] = {}
-    for domain, frame in metadata.items():
-        if not isinstance(frame, dict):
-            raise ParseError(f"{dialog_id}: malformed metadata for domain {domain!r}")
-        for section, prefix in (("semi", ""), ("book", "book ")):
-            for slot, value in frame.get(section, {}).items():
-                if slot == "booked":
-                    continue
-                if isinstance(value, list):
-                    value = value[0] if value else ""
-                if not isinstance(value, str):
-                    value = str(value)
-                if value.strip().lower() in _ABSENT_VALUES:
-                    continue
-                vals = [v.strip() for v in value.split("|") if v.strip()]
-                if not vals:
-                    continue
-                key = (domain.lower(), canonical_slot(prefix + slot))
-                entries.setdefault(key, []).extend(vals)
-    return DialogState.from_dict(entries)
-
 
 def _read_json(path: Path):
     try:
@@ -269,25 +248,88 @@ def _read_json(path: Path):
         raise ParseError(f"malformed JSON in {path}: {exc}")
 
 
-def _multiwoz_split_ids(root: Path, split: str) -> Optional[Set[str]]:
+def _where(path, dialog_id=None, turn=None) -> str:
+    """Location prefix of a loader error: the file, then the dialog and turn."""
+    where = str(path)
+    if dialog_id is not None:
+        where += f": dialog {dialog_id}"
+    if turn is not None:
+        where += f", turn {turn}"
+    return where
+
+
+_KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+
+
+def _type_error(what: str, kind, value, path, dialog_id=None, turn=None) -> ParseError:
+    return ParseError(f"{_where(path, dialog_id, turn)}: {what} must be "
+                      f"{_KIND_NAMES[kind]}, got {type(value).__name__}")
+
+
+def _check(value, kind, what: str, path, dialog_id=None, turn=None):
+    """`value` if it is a `kind`, else a ParseError naming where it was found."""
+    if isinstance(value, kind):
+        return value
+    raise _type_error(what, kind, value, path, dialog_id, turn)
+
+
+# ---------------------------------------------------------------------------
+# MultiWOZ
+# ---------------------------------------------------------------------------
+
+def _parse_multiwoz_state(metadata: dict, path, dialog_id, turn) -> DialogState:
+    entries: Dict[Tuple[str, str], List[str]] = {}
+    for domain, frame in metadata.items():
+        if not isinstance(frame, dict):
+            raise _type_error(f"metadata for domain {domain!r}", dict, frame,
+                              path, dialog_id, turn)
+        for section, prefix in (("semi", ""), ("book", "book ")):
+            slots = frame.get(section, {})
+            if not isinstance(slots, dict):
+                raise _type_error(f"{domain!r} {section!r} section", dict, slots,
+                                  path, dialog_id, turn)
+            for slot, value in slots.items():
+                if slot == "booked":
+                    continue
+                if isinstance(value, list):
+                    value = value[0] if value else ""
+                if not isinstance(value, str):
+                    value = str(value)
+                if value in _ABSENT_VALUES or value.strip().lower() in _ABSENT_VALUES:
+                    continue
+                vals = [v.strip() for v in value.split("|") if v.strip()]
+                if not vals:
+                    continue
+                key = (domain.lower(), canonical_slot(prefix + slot))
+                entries.setdefault(key, []).extend(vals)
+    return DialogState.from_dict(entries)
+
+
+def _multiwoz_split_ids(root: Path, split: str) -> Tuple[Optional[Set[str]], Set[str]]:
+    """(ids to keep, or None for every id; ids to leave out) of a split."""
     names = {
         "dev": ["valListFile.txt", "valListFile.json"],
         "test": ["testListFile.txt", "testListFile.json"],
     }
     if split == "all":
-        return None
+        return None, set()
     if split in names:
         for name in names[split]:
             p = root / name
             if p.exists():
-                return {line.strip() for line in p.read_text("utf-8").splitlines() if line.strip()}
+                return {line.strip() for line in p.read_text("utf-8").splitlines()
+                        if line.strip()}, set()
         raise LoadError(f"missing split list file for {split!r} under {root}")
     if split == "train":
-        excluded = set()
-        for other in ("dev", "test"):
-            excluded |= _multiwoz_split_ids(root, other) or set()
-        return {"__train__"} | excluded  # sentinel handled below
+        return None, _multiwoz_split_ids(root, "dev")[0] | _multiwoz_split_ids(root, "test")[0]
     raise LoadError(f"unknown MultiWOZ split {split!r}")
+
+
+def _multiwoz_entry(entry, path, dialog_id, turn) -> Tuple[str, dict]:
+    """(text, metadata) of one log entry."""
+    _check(entry, dict, "log entry", path, dialog_id, turn)
+    return (_check(entry.get("text", ""), str, "text", path, dialog_id, turn),
+            _check(entry.get("metadata", {}), dict, "metadata", path, dialog_id, turn))
 
 
 def load_multiwoz(path, split: str = "all") -> Corpus:
@@ -297,48 +339,44 @@ def load_multiwoz(path, split: str = "all") -> Corpus:
     or a directory holding data.json plus valListFile/testListFile.
     """
     path = Path(path)
+    wanted, excluded = None, set()
     if path.is_dir():
-        data = _read_json(path / "data.json")
-        wanted = _multiwoz_split_ids(path, split)
+        path = path / "data.json"
+        data = _read_json(path)
+        wanted, excluded = _multiwoz_split_ids(path.parent, split)
     else:
         data = _read_json(path)
-        wanted = None
     if not isinstance(data, dict) or not data:
         raise LoadError(f"no dialogs found in {path}")
 
-    if wanted is not None and "__train__" in wanted:
-        excluded = wanted - {"__train__"}
-        ids = [i for i in data if i not in excluded]
-    elif wanted is not None:
-        ids = [i for i in data if i in wanted]
-    else:
-        ids = list(data)
+    ids = [i for i in data if (wanted is None or i in wanted) and i not in excluded]
     if not ids:
         raise LoadError(f"split {split!r} selected no dialogs from {path}")
 
     dialogs = []
     for dialog_id in ids:
-        log = data[dialog_id].get("log")
+        log = _check(data[dialog_id], dict, "dialog", path, dialog_id).get("log")
         if not isinstance(log, list) or not log:
-            raise StructuralError(f"{dialog_id}: missing or empty turn log")
+            raise StructuralError(f"{_where(path, dialog_id)}: missing or empty turn log")
         turns: List[Turn] = []
         domains = set()
         for i, entry in enumerate(log):
-            utterance = entry.get("text", "")
-            metadata = entry.get("metadata", {})
+            utterance, metadata = _multiwoz_entry(entry, path, dialog_id, i)
             is_user = i % 2 == 0
             if is_user and metadata:
-                raise StructuralError(
-                    f"{dialog_id}: non-alternating speakers (state on user turn {i})")
+                raise StructuralError(f"{_where(path, dialog_id, i)}: "
+                                      "non-alternating speakers (state on a user turn)")
             if not is_user and not metadata:
-                raise StructuralError(
-                    f"{dialog_id}: non-alternating speakers (no state on agent turn {i})")
+                raise StructuralError(f"{_where(path, dialog_id, i)}: "
+                                      "non-alternating speakers (no state on an agent turn)")
             if is_user:
                 # cumulative belief state for a user turn lives in the
                 # following wizard turn's metadata
                 if i + 1 >= len(log):
-                    raise StructuralError(f"{dialog_id}: user turn {i} has no system annotation")
-                state = _parse_multiwoz_state(log[i + 1].get("metadata", {}), dialog_id)
+                    raise StructuralError(
+                        f"{_where(path, dialog_id, i)}: user turn has no system annotation")
+                _, agent_metadata = _multiwoz_entry(log[i + 1], path, dialog_id, i + 1)
+                state = _parse_multiwoz_state(agent_metadata, path, dialog_id, i + 1)
                 turns.append(Turn(i, Speaker.USER, utterance, state=state))
                 domains |= {dom for dom, _, _ in state.entries}
             else:
@@ -351,6 +389,85 @@ def load_multiwoz(path, split: str = "all") -> Corpus:
 # SGD
 # ---------------------------------------------------------------------------
 
+# (service, raw slot name, raw values) -> ((service, canonical slot), state
+# entry, or None when every value is absent); one per load_sgd call
+_SlotMemo = Dict[tuple, Tuple[Tuple[str, str], Optional[Tuple[str, str, Tuple[str, ...]]]]]
+
+
+def _sgd_schemas(path: Path) -> Dict[str, str]:
+    schemas = {}
+    for k, svc in enumerate(_check(_read_json(path), list, "schema", path)):
+        where = f"service {k}"
+        _check(svc, dict, where, path)
+        if "service_name" not in svc:
+            raise StructuralError(f"{path}: {where}: missing 'service_name'")
+        name = _check(svc["service_name"], str, f"{where} service_name", path)
+        schemas[name] = _check(svc.get("description", ""), str, f"{where} description", path)
+    return schemas
+
+
+def _sgd_slot(memo: _SlotMemo, svc: str, slot: str, values, path, dialog_id, turn):
+    """Memo entry of one slot; cached only once its values are checked to be
+    a list of strings, so a hit never admits what a miss would reject."""
+    for v in values:
+        if not isinstance(v, str):
+            raise _type_error(f"value of slot {slot!r}", str, v, path, dialog_id, turn)
+    canon = (svc, canonical_slot(slot))
+    vals = _value_tuple(v for v in values if v.strip().lower() not in _ABSENT_VALUES)
+    memo[(svc, slot, tuple(values))] = hit = (canon, (svc, canon[1], vals) if vals else None)
+    return hit
+
+
+def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Dialog:
+    _check(raw, dict, "dialog", path)
+    dialog_id = _check(raw.get("dialogue_id", "?"), str, "dialogue_id", path)
+    services = tuple(_check(raw.get("services", []), list, "services", path, dialog_id))
+    for svc in services:
+        if not isinstance(svc, str) or svc not in schemas:
+            raise StructuralError(
+                f"{_where(path, dialog_id)}: references service {svc!r} not in schema")
+    turns: List[Turn] = []
+    cumulative: Dict[Tuple[str, str], Tuple[str, str, Tuple[str, ...]]] = {}
+    for i, t in enumerate(_check(raw.get("turns", []), list, "turns", path, dialog_id)):
+        _check(t, dict, "turn", path, dialog_id, i)
+        speaker = _check(t.get("speaker", ""), str, "speaker", path, dialog_id, i).upper()
+        utterance = _check(t.get("utterance", ""), str, "utterance", path, dialog_id, i)
+        if speaker != ("USER" if i % 2 == 0 else "SYSTEM"):
+            raise StructuralError(f"{_where(path, dialog_id, i)}: non-alternating speakers")
+        if speaker == "SYSTEM":
+            turns.append(Turn(i, Speaker.AGENT, utterance))
+            continue
+        for frame in _check(t.get("frames", []), list, "frames", path, dialog_id, i):
+            _check(frame, dict, "frame", path, dialog_id, i)
+            svc = frame.get("service", "")
+            if not isinstance(svc, str) or svc not in schemas:
+                raise StructuralError(f"{_where(path, dialog_id, i)}: "
+                                      f"frame references service {svc!r} not in schema")
+            state = _check(frame.get("state", {}), dict, "frame state", path, dialog_id, i)
+            slot_values = _check(state.get("slot_values", {}), dict, "slot_values",
+                                 path, dialog_id, i)
+            # rebuild this service's slice of the cumulative state; SGD frames
+            # restate a service's whole state on every turn, so most slot
+            # entries repeat an earlier one
+            cumulative = {k: v for k, v in cumulative.items() if k[0] != svc}
+            for slot, values in slot_values.items():
+                # checked first: tuple() of a string or object could equal a key
+                if not isinstance(values, list):
+                    raise _type_error(f"values of slot {slot!r}", list, values,
+                                      path, dialog_id, i)
+                try:
+                    key, entry = memo[(svc, slot, tuple(values))]
+                except (KeyError, TypeError):  # TypeError: an unhashable, so invalid, value
+                    key, entry = _sgd_slot(memo, svc, slot, values, path, dialog_id, i)
+                if entry is not None:
+                    cumulative[key] = entry
+        turns.append(Turn(i, Speaker.USER, utterance,
+                          state=DialogState(frozenset(cumulative.values()))))
+    if not turns:
+        raise StructuralError(f"{_where(path, dialog_id)}: empty dialog")
+    return Dialog(dialog_id, tuple(turns), services=services, schema_refs=services)
+
+
 def load_sgd(path, split: str = "test") -> Corpus:
     """Load an SGD split directory (dialogues_*.json + schema.json).
 
@@ -362,54 +479,16 @@ def load_sgd(path, split: str = "test") -> Corpus:
     schema_path = split_dir / "schema.json"
     if not schema_path.exists():
         raise LoadError(f"missing schema file: {schema_path}")
-    schemas = {}
-    for svc in _read_json(schema_path):
-        schemas[svc["service_name"]] = svc.get("description", "")
+    schemas = _sgd_schemas(schema_path)
 
     dialog_files = sorted(split_dir.glob("dialogues_*.json"))
     if not dialog_files:
         raise LoadError(f"no dialogues_*.json files under {split_dir}")
 
-    dialogs = []
-    for file in dialog_files:
-        for raw in _read_json(file):
-            dialog_id = raw.get("dialogue_id", "?")
-            services = tuple(raw.get("services", []))
-            for svc in services:
-                if svc not in schemas:
-                    raise StructuralError(
-                        f"{dialog_id}: references service {svc!r} not in schema")
-            turns: List[Turn] = []
-            cumulative: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-            for i, t in enumerate(raw.get("turns", [])):
-                speaker = t.get("speaker", "").upper()
-                expected = "USER" if i % 2 == 0 else "SYSTEM"
-                if speaker != expected:
-                    raise StructuralError(f"{dialog_id}: non-alternating speakers at turn {i}")
-                if speaker == "USER":
-                    for frame in t.get("frames", []):
-                        svc = frame.get("service", "")
-                        if svc not in schemas:
-                            raise StructuralError(
-                                f"{dialog_id}: frame references service {svc!r} not in schema")
-                        slot_values = frame.get("state", {}).get("slot_values", {})
-                        # rebuild this service's slice of the cumulative state
-                        cumulative = {
-                            k: v for k, v in cumulative.items() if k[0] != svc
-                        }
-                        for slot, values in slot_values.items():
-                            vals = _value_tuple(
-                                v for v in values if v.strip().lower() not in _ABSENT_VALUES)
-                            if vals:
-                                cumulative[(svc, canonical_slot(slot))] = vals
-                    turns.append(Turn(i, Speaker.USER, t.get("utterance", ""),
-                                      state=DialogState.from_dict(cumulative)))
-                else:
-                    turns.append(Turn(i, Speaker.AGENT, t.get("utterance", "")))
-            if not turns:
-                raise StructuralError(f"{dialog_id}: empty dialog")
-            dialogs.append(Dialog(dialog_id, tuple(turns), services=services,
-                                  schema_refs=services))
+    memo: _SlotMemo = {}
+    dialogs = [_sgd_dialog(raw, file, schemas, memo)
+               for file in dialog_files
+               for raw in _check(_read_json(file), list, "dialogues file", file)]
     if not dialogs:
         raise LoadError(f"no dialogs found under {split_dir}")
     return Corpus(DatasetKind.SGD, split, tuple(dialogs), schemas=schemas)
@@ -439,40 +518,47 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}")
-            dialog_id = raw.get("dialogue_id", f"line{lineno}")
+            line_path = f"{path}:{lineno}"
+            _check(raw, dict, "dialog", line_path)
+            dialog_id = _check(raw.get("dialogue_id", f"line{lineno}"), str, "dialogue_id",
+                               line_path)
             turns: List[Turn] = []
             idx = 0
-            source_turns = raw.get("turns", [])
+            source_turns = _check(raw.get("turns", []), list, "turns", line_path, dialog_id)
             for k, t in enumerate(source_turns):
-                user_text = _utt_text(t.get("user_utterance"))
+                _check(t, dict, "turn", line_path, dialog_id, k)
+                user_text = _utt_text(t.get("user_utterance"), line_path, dialog_id, k)
                 program = t.get("lispress")
                 if program is None:
-                    raise StructuralError(f"{dialog_id}: turn {k} missing a program")
+                    raise StructuralError(f"{_where(line_path, dialog_id, k)}: missing a program")
+                _check(program, str, "lispress", line_path, dialog_id, k)
                 flags = set()
-                oracle = t.get("program_execution_oracle", {})
+                oracle = _check(t.get("program_execution_oracle", {}), dict,
+                                "program_execution_oracle", line_path, dialog_id, k)
                 if oracle.get("refer_are_incorrect") or t.get("refer_are_incorrect"):
                     flags.add("refer_are_incorrect")
                 turns.append(Turn(idx, Speaker.USER, user_text,
                                   program=program, flags=frozenset(flags)))
                 idx += 1
-                agent_text = _utt_text(t.get("agent_utterance"))
+                agent_text = _utt_text(t.get("agent_utterance"), line_path, dialog_id, k)
                 if agent_text or k + 1 < len(source_turns):
                     turns.append(Turn(idx, Speaker.AGENT, agent_text))
                     idx += 1
             if not turns:
-                raise StructuralError(f"{dialog_id}: empty dialog")
+                raise StructuralError(f"{_where(line_path, dialog_id)}: empty dialog")
             dialogs.append(Dialog(dialog_id, tuple(turns)))
     if not dialogs:
         raise LoadError(f"empty SMCalFlow file: {path}")
     return Corpus(DatasetKind.SMCALFLOW, split, tuple(dialogs))
 
 
-def _utt_text(utt) -> str:
+def _utt_text(utt, path, dialog_id, turn) -> str:
     if utt is None:
         return ""
     if isinstance(utt, str):
         return utt
-    return utt.get("original_text", "")
+    _check(utt, dict, "utterance", path, dialog_id, turn)
+    return _check(utt.get("original_text", ""), str, "original_text", path, dialog_id, turn)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ Lispress program for SMCalFlow.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -178,8 +180,8 @@ def emit_dataset(corpus: Corpus, repr: InputRepresentation, out_path,
     """Write one line-delimited JSON record per user turn, in corpus order."""
     jobs = [(d, repr, corpus.dataset_kind, previous_state_source,
              predicted_states, corpus.schemas or None) for d in corpus.dialogs]
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_dialog = list(pool.map(_dialog_job, jobs, chunksize=16))
     else:

@@ -7,6 +7,7 @@ programs are never executed.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import List as ListT
@@ -58,101 +59,78 @@ class List:
 Node = object  # Symbol | StringLit | Number | TypedLiteral | List
 
 
-class _Lexer:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.src):
-            return None
-        return self.src[self.pos]
-
-    def read_string(self) -> StringLit:
-        start = self.pos
-        assert self.src[self.pos] == '"'
-        self.pos += 1
-        out = []
-        while self.pos < len(self.src):
-            ch = self.src[self.pos]
-            if ch == "\\":
-                if self.pos + 1 >= len(self.src):
-                    raise LispressError("unterminated escape in string", self.pos)
-                nxt = self.src[self.pos + 1]
-                if nxt not in ('"', "\\"):
-                    raise LispressError(f"invalid escape '\\{nxt}'", self.pos)
-                out.append(nxt)
-                self.pos += 2
-            elif ch == '"':
-                self.pos += 1
-                return StringLit("".join(out))
-            else:
-                out.append(ch)
-                self.pos += 1
-        raise LispressError("unterminated string literal", start)
-
-    def read_atom(self):
-        start = self.pos
-        while self.pos < len(self.src):
-            ch = self.src[self.pos]
-            if ch.isspace() or ch in '()"#':
-                break
-            self.pos += 1
-        text = self.src[start:self.pos]
-        if not text:
-            raise LispressError("empty atom", start)
-        if _NUMBER_RE.match(text):
-            return Number(text)
-        return Symbol(text)
+# One token per match, after optional whitespace: a paren or '#', a complete
+# string literal, an atom, or any other character. Only a '"' that opens a
+# malformed string literal can reach the last alternative. `\s` matches
+# exactly the characters for which str.isspace() is true.
+_TOKEN_RE = re.compile(r'\s*([()#]|"(?:[^"\\]|\\["\\])*"|[^\s()"#]+|\S)')
+_STRING_PREFIX_RE = re.compile(r'"(?:[^"\\]|\\["\\])*')
+_UNESCAPE_RE = re.compile(r'\\(["\\])')
+_HASH = object()  # a pending '#', waiting for the form it tags
 
 
-def _parse_form(lex: _Lexer):
-    ch = lex.peek()
-    if ch is None:
-        raise LispressError("unexpected end of input", lex.pos)
-    if ch == "(":
-        open_pos = lex.pos
-        lex.pos += 1
-        children = []
-        while True:
-            nxt = lex.peek()
-            if nxt is None:
-                raise LispressError("unbalanced '(' ", open_pos)
-            if nxt == ")":
-                lex.pos += 1
-                return List(children)
-            children.append(_parse_form(lex))
-    if ch == ")":
-        raise LispressError("unbalanced ')'", lex.pos)
-    if ch == '"':
-        return lex.read_string()
-    if ch == "#":
-        lex.pos += 1
-        form = _parse_form(lex)
-        if (
-            isinstance(form, List)
-            and len(form.children) == 2
-            and isinstance(form.children[0], Symbol)
-        ):
-            return TypedLiteral(form.children[0].name, form.children[1])
-        return TypedLiteral("", form)
-    return lex.read_atom()
+def _token_offset(source: str, index: int) -> int:
+    return next(itertools.islice(_TOKEN_RE.finditer(source), index, None)).start(1)
+
+
+def _string_error(source: str, start: int) -> LispressError:
+    end = _STRING_PREFIX_RE.match(source, start).end()
+    if end == len(source):
+        return LispressError("unterminated string literal", start)
+    if end + 1 == len(source):
+        return LispressError("unterminated escape in string", end)
+    return LispressError(f"invalid escape '\\{source[end + 1]}'", end)
+
+
+def _tagged(form) -> TypedLiteral:
+    if (isinstance(form, List) and len(form.children) == 2
+            and isinstance(form.children[0], Symbol)):
+        return TypedLiteral(form.children[0].name, form.children[1])
+    return TypedLiteral("", form)
 
 
 def parse(source: str) -> Node:
     """Parse exactly one top-level Lispress form."""
     if not source or not source.strip():
         raise LispressError("empty input", 0)
-    lex = _Lexer(source)
-    node = _parse_form(lex)
-    if lex.peek() is not None:
-        raise LispressError("trailing tokens after top-level form", lex.pos)
-    return node
+    tokens = _TOKEN_RE.findall(source)
+    children: list = []  # forms (and pending '#'s) of the innermost open list
+    open_lists: list = []  # (children of the enclosing list, index of the '(')
+    for i, tok in enumerate(tokens):
+        head = tok[0]
+        if head == "(":
+            open_lists.append((children, i))
+            children = []
+            continue
+        if head == "#":
+            children.append(_HASH)
+            continue
+        if head == ")":
+            if not open_lists or (children and children[-1] is _HASH):
+                raise LispressError("unbalanced ')'", _token_offset(source, i))
+            node = List(children)
+            children = open_lists.pop()[0]
+        elif head != '"':
+            # a number ends in a (Unicode) decimal digit; most atoms do not
+            node = (Number(tok) if tok[-1].isdecimal() and _NUMBER_RE.match(tok)
+                    else Symbol(tok))
+        elif len(tok) == 1:
+            raise _string_error(source, _token_offset(source, i))
+        else:
+            text = tok[1:-1]
+            node = StringLit(_UNESCAPE_RE.sub(r"\1", text) if "\\" in text else text)
+        while children and children[-1] is _HASH:
+            children.pop()
+            node = _tagged(node)
+        if not open_lists:
+            if i + 1 < len(tokens):
+                raise LispressError("trailing tokens after top-level form",
+                                    _token_offset(source, i + 1))
+            return node
+        children.append(node)
+    if children and children[-1] is _HASH:
+        raise LispressError("unexpected end of input", len(source))
+    raise LispressError("unbalanced '(' ", _token_offset(source, open_lists[-1][1]))
 
 
 def _escape(text: str) -> str:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dialoscope.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from test_corpus import MALFORMED, write_layout
 
 
 def run(capsys, *argv):
@@ -50,6 +51,16 @@ class TestAnalyze:
                            "--path", str(tmp_path / "nope.json"))
         assert code == EXIT_FAILURE
         assert "error:" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_exits_one(self, capsys, tmp_path, case):
+        dataset, files, rel, named = MALFORMED[case]
+        write_layout(tmp_path, files)
+        code, _, err = run(capsys, "analyze", "--dataset", dataset,
+                           "--path", str(tmp_path / rel), "--split", "test")
+        assert code == EXIT_FAILURE
+        assert err.startswith("error: ")
+        assert all(part in err for part in named)
 
     def test_data_dir_env(self, capsys, mwz_path, monkeypatch, tmp_path):
         root = tmp_path / "datasets"

@@ -1,12 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dialoscope.corpus import (DialogState, DatasetKind, LoadError, Speaker,
-                               StateUpdate, StructuralError, apply_update,
+from dialoscope.corpus import (Corpus, CorpusError, DialogState, DatasetKind,
+                               LoadError, Speaker, StructuralError, apply_update,
                                canonical_slot, load_multiwoz, load_sgd,
                                load_smcalflow, state_update, validate_corpus)
-from conftest import mwz_dialog
+from conftest import SGD_SCHEMA, mwz_dialog, sgd_turn, sgd_user_frame
 
 
 def state(d):
@@ -120,6 +123,9 @@ class TestLoadMultiwoz:
             "SNG0073.json"]
         with pytest.raises(LoadError):
             load_multiwoz(root, "train")  # all dialogs are in dev/test lists
+        (root / "testListFile.txt").write_text("OTHER.json\n", "utf-8")
+        assert [d.dialog_id for d in load_multiwoz(root, "train").dialogs] == [
+            "SNG0073.json"]
 
     def test_deterministic(self, mwz_path):
         assert load_multiwoz(mwz_path) == load_multiwoz(mwz_path)
@@ -216,3 +222,221 @@ class TestValidate:
         corpus, _ = planted
         violations = validate_corpus(corpus)
         assert violations == []
+
+
+# ---------------------------------------------------------------------------
+# malformed input: a located CorpusError, never a traceback
+# ---------------------------------------------------------------------------
+
+def _mwz_agent_meta(meta):
+    return {"D1": {"log": [{"text": "hi", "metadata": {}},
+                           {"text": "ok", "metadata": meta}]}}
+
+
+def _sgd_dialogues(values_by_turn):
+    """One SGD dialog whose user turn k sets Restaurants_1 city to values_by_turn[k]."""
+    turns = []
+    for values in values_by_turn:
+        frame = sgd_user_frame("Restaurants_1", {})
+        frame["state"]["slot_values"]["city"] = values
+        turns += [sgd_turn("USER", "hello", [frame]), sgd_turn("SYSTEM", "ok")]
+    return [{"dialogue_id": "S1", "services": ["Restaurants_1"], "turns": turns}]
+
+
+def _smc_turn(**extra):
+    return {"user_utterance": {"original_text": "hi"}, "lispress": "(x)", **extra}
+
+
+# (dataset, files to write under the root, the load path under the root,
+#  substrings the error must name)
+MALFORMED = {
+    "mwz-dialog-is-list": ("multiwoz", {"d.json": {"D1": []}}, "d.json",
+                           ["d.json", "dialog D1"]),
+    "mwz-semi-is-list": ("multiwoz", {"d.json": _mwz_agent_meta(
+        {"hotel": {"semi": ["cheap"], "book": {}}})}, "d.json",
+        ["d.json", "dialog D1", "turn 1", "'semi'"]),
+    "mwz-book-is-list": ("multiwoz", {"d.json": _mwz_agent_meta(
+        {"hotel": {"semi": {}, "book": []}})}, "d.json",
+        ["d.json", "dialog D1", "turn 1", "'book'"]),
+    "mwz-text-not-string": ("multiwoz", {"d.json": {"D1": {"log": [
+        {"text": 7, "metadata": {}},
+        {"text": "ok", "metadata": {"hotel": {"semi": {"area": "north"}}}}]}}},
+        "d.json", ["d.json", "dialog D1", "turn 0", "text"]),
+    "sgd-schema-without-name": ("sgd", {
+        "test/schema.json": [{"description": "no name"}],
+        "test/dialogues_001.json": []}, ".", ["schema.json", "service 0", "service_name"]),
+    "sgd-dialogues-is-object": ("sgd", {
+        "test/schema.json": SGD_SCHEMA,
+        "test/dialogues_001.json": {"dialogue_id": "S1"}}, ".", ["dialogues_001.json"]),
+    "sgd-value-not-string": ("sgd", {
+        "test/schema.json": SGD_SCHEMA,
+        "test/dialogues_001.json": _sgd_dialogues([[3]])}, ".",
+        ["dialogues_001.json", "dialog S1", "turn 0", "'city'"]),
+    "sgd-value-is-string": ("sgd", {
+        "test/schema.json": SGD_SCHEMA,
+        "test/dialogues_001.json": _sgd_dialogues([["abc"], "abc"])}, ".",
+        ["dialogues_001.json", "dialog S1", "turn 2", "'city'"]),
+    "sgd-value-chars-then-string": ("sgd", {
+        "test/schema.json": SGD_SCHEMA,
+        "test/dialogues_001.json": _sgd_dialogues([["a", "b", "c"], "abc"])}, ".",
+        ["dialogues_001.json", "dialog S1", "turn 2", "'city'"]),
+    "sgd-string-then-nested": ("sgd", {
+        "test/schema.json": SGD_SCHEMA,
+        "test/dialogues_001.json": _sgd_dialogues([["3"], [["3"]]])}, ".",
+        ["dialogues_001.json", "dialog S1", "turn 2", "'city'"]),
+    "smc-line-is-list": ("smcalflow", {"c.jsonl": [["not", "a", "dialog"]]}, "c.jsonl",
+                         ["c.jsonl:1"]),
+    "smc-lispress-not-string": ("smcalflow", {"c.jsonl": [
+        {"dialogue_id": "C1", "turns": [_smc_turn(), _smc_turn(lispress=["x"])]}]},
+        "c.jsonl", ["c.jsonl", "dialog C1", "turn 1", "lispress"]),
+}
+
+
+def write_layout(root: Path, files):
+    for name, doc in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if name.endswith(".jsonl"):
+            path.write_text("".join(json.dumps(line) + "\n" for line in doc), "utf-8")
+        else:
+            path.write_text(json.dumps(doc), "utf-8")
+
+
+LOADERS = {"multiwoz": load_multiwoz, "sgd": load_sgd, "smcalflow": load_smcalflow}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_located_corpus_error(self, tmp_path, case):
+        dataset, files, rel, named = MALFORMED[case]
+        write_layout(tmp_path, files)
+        with pytest.raises(CorpusError) as exc:
+            LOADERS[dataset](tmp_path / rel, "test")
+        for part in named:
+            assert part in str(exc.value)
+
+    def test_sgd_repeated_valid_values_load(self, tmp_path):
+        dialogues = _sgd_dialogues([["a", "b"], ["a", "b"], ["none"], ["b", "a", "b"]])
+        for turn in dialogues[0]["turns"][::2]:  # the same slot and values in a second service
+            turn["frames"].append(sgd_user_frame("Hotels_1", {"city": ["a", "b"]}))
+        dialogues[0]["services"].append("Hotels_1")
+        write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
+                                "test/dialogues_001.json": dialogues})
+        states = [t.state.as_dict() for t in load_sgd(tmp_path).dialogs[0].user_turns()]
+        assert [s.get(("Restaurants_1", "city")) for s in states] == [
+            ("a", "b"), ("a", "b"), None, ("b", "a")]
+        assert [s.get(("Hotels_1", "city")) for s in states] == [("a", "b")] * 4
+
+    def test_mwz_non_string_values_are_coerced(self, tmp_path):
+        write_layout(tmp_path, {"d.json": _mwz_agent_meta(
+            {"hotel": {"semi": {"stars": 4, "area": ["north", "west"], "name": [],
+                                "type": " Not Mentioned ", "parking": "NONE"}}})})
+        state = load_multiwoz(tmp_path / "d.json").dialogs[0].turns[0].state
+        assert state.as_dict() == {("hotel", "stars"): ("4",), ("hotel", "area"): ("north",)}
+
+
+# any JSON value: what the properties below put in place of each value of a
+# well-formed document in turn
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12)
+
+
+def _paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+def _flatten(pairs):
+    return [entry for pair in pairs for entry in pair]
+
+
+_value = st.sampled_from(["", "hi", "none", "not mentioned", " Cheap ", "a|b", "|", "dontcare"])
+_mwz_section = st.dictionaries(
+    st.sampled_from(["area", "booked", "people", "leaveAt"]),
+    st.one_of(_value, st.lists(_value, max_size=2), st.integers()), max_size=3)
+_mwz_meta = st.dictionaries(
+    st.sampled_from(["hotel", "train"]),
+    st.fixed_dictionaries({}, optional={"semi": _mwz_section, "book": _mwz_section}),
+    min_size=1, max_size=2)
+_mwz_pair = st.tuples(
+    st.fixed_dictionaries({"text": _value}, optional={"metadata": st.just({})}),
+    st.fixed_dictionaries({"text": _value, "metadata": _mwz_meta}))
+_mwz_data = st.dictionaries(
+    st.sampled_from(["D1", "D2"]),
+    st.fixed_dictionaries({"log": st.lists(_mwz_pair, min_size=1, max_size=3).map(_flatten)}),
+    min_size=1, max_size=2)
+
+_sgd_services = st.sampled_from(["Restaurants_1", "Hotels_1"])
+_sgd_frame = st.fixed_dictionaries({"service": _sgd_services}, optional={
+    "state": st.fixed_dictionaries({}, optional={"slot_values": st.dictionaries(
+        st.sampled_from(["city", "date"]), st.lists(_value, max_size=3), max_size=2)})})
+_sgd_pair = st.tuples(
+    st.fixed_dictionaries({"speaker": st.just("USER"), "utterance": _value},
+                          optional={"frames": st.lists(_sgd_frame, max_size=2)}),
+    st.fixed_dictionaries({"speaker": st.just("SYSTEM"), "utterance": _value}))
+_sgd_dialogue_list = st.lists(st.fixed_dictionaries(
+    {"dialogue_id": st.just("S1"),
+     "turns": st.lists(_sgd_pair, min_size=1, max_size=3).map(_flatten)},
+    optional={"services": st.lists(_sgd_services, max_size=2)}), min_size=1, max_size=2)
+
+_smc_utterance = st.one_of(st.none(), _value, st.fixed_dictionaries({"original_text": _value}))
+_smc_turn = st.fixed_dictionaries(
+    {"user_utterance": _smc_utterance, "lispress": st.sampled_from(["(x)", "(a (refer b))"])},
+    optional={"agent_utterance": _smc_utterance, "refer_are_incorrect": st.booleans(),
+              "program_execution_oracle": st.fixed_dictionaries(
+                  {}, optional={"refer_are_incorrect": st.booleans()})})
+_smc_lines = st.lists(st.fixed_dictionaries(
+    {"dialogue_id": st.sampled_from(["C1", "C2"]),
+     "turns": st.lists(_smc_turn, min_size=1, max_size=3)}), min_size=1, max_size=2)
+
+
+def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
+    """Load `files` as they are, then once with each value at `min_depth` or
+    deeper (a whole file at depth 1) replaced by a junk value: each load
+    returns a Corpus or raises a CorpusError."""
+    paths = [p for p in _paths(files) if len(p) >= min_depth]
+    variants = [files] + [_replaced(files, p, junk[k % len(junk)]) for k, p in enumerate(paths)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for variant in variants:
+            write_layout(Path(tmp), variant)
+            try:
+                result = LOADERS[dataset](Path(tmp) / rel, "test")
+            except CorpusError:
+                continue
+            assert isinstance(result, Corpus)
+
+
+_junk = st.lists(_json, min_size=1, max_size=4)
+
+
+class TestLoaderProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(_mwz_data, _junk)
+    def test_multiwoz_any_json(self, data, junk):
+        _check_every_value_replaced("multiwoz", {"data.json": data}, "data.json", junk)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_sgd_dialogue_list, _junk)
+    def test_sgd_any_json(self, dialogues, junk):
+        _check_every_value_replaced("sgd", {"test/schema.json": SGD_SCHEMA,
+                                            "test/dialogues_001.json": dialogues}, ".", junk)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_smc_lines, _junk)
+    def test_smcalflow_any_json(self, lines, junk):
+        # the file is JSON lines: replace single lines, not the whole file
+        _check_every_value_replaced("smcalflow", {"c.jsonl": lines}, "c.jsonl", junk,
+                                    min_depth=2)

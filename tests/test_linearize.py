@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dialoscope import linearize
 from dialoscope.corpus import (DatasetKind, DialogState, StateUpdate,
                                load_multiwoz, load_sgd, load_smcalflow)
 from dialoscope.linearize import (InputRepresentation, TargetParseError,
@@ -208,6 +209,35 @@ class TestEmitDataset:
                      workers=1)
         emit_dataset(corpus, InputRepresentation.FULL_DIALOG_HISTORY, b,
                      workers=8)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_is_clamped_to_cpu_count(self, planted, tmp_path, monkeypatch):
+        # a stand-in executor records the pool size and runs in-process, so
+        # no large pool is ever started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(linearize, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(linearize.os, "cpu_count", lambda: 3)
+        corpus, _ = planted
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        emit_dataset(corpus, InputRepresentation.FULL_DIALOG_HISTORY, a, workers=64)
+        assert sizes == [3]
+        monkeypatch.setattr(linearize.os, "cpu_count", lambda: 1)
+        emit_dataset(corpus, InputRepresentation.FULL_DIALOG_HISTORY, b, workers=64)
+        assert sizes == [3]  # one CPU runs serially, without a pool
         assert a.read_bytes() == b.read_bytes()
 
     def test_unwritable_path(self, mwz_path, tmp_path):
