@@ -102,7 +102,10 @@ class OverrideError(ValueError):
 def apply_overrides(path) -> Overrides:
     """Parse a tab-separated manual-adjudication file."""
     overrides: Overrides = {}
-    text = Path(path).read_text("utf-8")
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OverrideError(f"{path}: not UTF-8 text: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):

@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 from . import analysis, corpus, evaluate, linearize, report
+from .atomic import write_text
 from .corpus import DatasetKind
-from .normalize import default_lexicon, load_lexicon
+from .normalize import LexiconError, default_lexicon, load_lexicon
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -61,12 +62,12 @@ def cmd_analyze(args) -> int:
     # compute everything before touching the filesystem so a failure never
     # leaves partial outputs behind
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(rendered.json_doc, indent=2, ensure_ascii=False) + "\n", "utf-8")
+        write_text(args.out,
+                   json.dumps(rendered.json_doc, indent=2, ensure_ascii=False) + "\n")
     if args.markdown:
-        Path(args.markdown).write_text(rendered.markdown, "utf-8")
+        write_text(args.markdown, rendered.markdown)
     if args.histogram:
-        Path(args.histogram).write_text(rendered.histogram_csv, "utf-8")
+        write_text(args.histogram, rendered.histogram_csv)
     print(rendered.markdown)
     return EXIT_OK
 
@@ -74,21 +75,23 @@ def cmd_analyze(args) -> int:
 def cmd_linearize(args) -> int:
     if args.previous_state == "predicted" and not args.preds:
         raise UsageError("--previous-state predicted requires --preds")
+    if args.previous_state == "predicted" and args.dataset == DatasetKind.SMCALFLOW.value:
+        raise UsageError("--previous-state predicted applies to multiwoz and sgd only")
     corp = _load_corpus(args)
     repr_ = linearize.InputRepresentation(args.repr)
     predicted_states = None
     if args.previous_state == "predicted":
         preds = evaluate.load_predictions(args.preds)
         predicted_states, _ = evaluate.accumulate_predicted_states(corp, preds)
-    count = linearize.emit_dataset(corp, repr_, args.out,
-                                   previous_state_source=args.previous_state,
-                                   predicted_states=predicted_states,
-                                   workers=args.workers)
+    count = linearize.emit_dataset(corp, repr_, args.out, predicted_states)
     print(f"wrote {count} records to {args.out}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    if (args.mode == "exact-match") != (args.dataset == DatasetKind.SMCALFLOW.value):
+        raise UsageError("--mode exact-match applies to smcalflow only, "
+                         "jga-oracle and jga to multiwoz and sgd only")
     corp = _load_corpus(args)
     preds = evaluate.load_predictions(args.preds)
     if args.mode == "exact-match":
@@ -101,8 +104,8 @@ def cmd_eval(args) -> int:
                               fuzzy_values=args.fuzzy_sgd_matching)
     print(result.table())
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(result.to_json(), indent=2, ensure_ascii=False) + "\n", "utf-8")
+        write_text(args.out,
+                   json.dumps(result.to_json(), indent=2, ensure_ascii=False) + "\n")
     return EXIT_OK
 
 
@@ -180,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--path", help="dataset file or directory "
                                       "(default: $DIALOSCOPE_DATA_DIR/<dataset>)")
         p.add_argument("--split", default="all")
-        p.add_argument("--workers", type=_positive_int, default=1)
         if with_lexicon:
             p.add_argument("--lexicon", help="lexicon file (default: bundled seed)")
             p.add_argument("--overrides", help="manual-adjudication override file")
 
     p = sub.add_parser("analyze", help="per-turn statistics report")
     common(p, with_lexicon=True)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", help="report JSON output path")
     p.add_argument("--markdown", help="report Markdown output path")
     p.add_argument("--histogram", help="histogram CSV output path")
@@ -231,7 +234,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.error(str(exc))
     except (corpus.CorpusError, evaluate.PredictionFileError,
-            analysis.OverrideError, OSError) as exc:
+            analysis.OverrideError, LexiconError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

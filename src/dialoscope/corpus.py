@@ -246,6 +246,17 @@ def _read_json(path: Path):
         raise LoadError(f"missing file: {path}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}")
+
+
+def utf8_lines(f, error):
+    """The lines of text file `f`, opened as UTF-8; an `error` naming the
+    file when its bytes are not UTF-8."""
+    try:
+        yield from f
+    except UnicodeDecodeError as exc:
+        raise error(f"{f.name}: not UTF-8 text: {exc}")
 
 
 def _where(path, dialog_id=None, turn=None) -> str:
@@ -317,8 +328,11 @@ def _multiwoz_split_ids(root: Path, split: str) -> Tuple[Optional[Set[str]], Set
         for name in names[split]:
             p = root / name
             if p.exists():
-                return {line.strip() for line in p.read_text("utf-8").splitlines()
-                        if line.strip()}, set()
+                try:
+                    text = p.read_text("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise LoadError(f"{p}: not UTF-8 text: {exc}")
+                return {line.strip() for line in text.splitlines() if line.strip()}, set()
         raise LoadError(f"missing split list file for {split!r} under {root}")
     if split == "train":
         return None, _multiwoz_split_ids(root, "dev")[0] | _multiwoz_split_ids(root, "test")[0]
@@ -510,7 +524,7 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
         raise LoadError(f"missing file: {path}")
     dialogs = []
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+        for lineno, line in enumerate(utf8_lines(f, ParseError), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -597,16 +611,13 @@ def validate_corpus(corpus: Corpus) -> List[str]:
                 elif turn.state is None:
                     violations.append(
                         f"{dialog.dialog_id}: user turn {turn.index} has no state")
-        # accumulation identity: folding per-turn updates rebuilds every state
+        # accumulation identity: applying each turn's update rebuilds its state
         if corpus.dataset_kind is not DatasetKind.SMCALFLOW:
-            running = EMPTY_STATE
             for turn in dialog.user_turns():
                 if turn.state is None:
                     continue
-                upd = state_update(running, turn.state)
-                running = apply_update(running, upd)
-                if running != turn.state:
+                prev = dialog.previous_user_state(turn.index)
+                if apply_update(prev, state_update(prev, turn.state)) != turn.state:
                     violations.append(
                         f"{dialog.dialog_id}: accumulation identity broken at turn {turn.index}")
-                    running = turn.state
     return violations

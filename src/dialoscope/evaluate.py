@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from . import lispress
-from .corpus import Corpus, DatasetKind, DialogState, DONTCARE, apply_update
+from .corpus import Corpus, DatasetKind, DialogState, DONTCARE, apply_update, utf8_lines
 from .linearize import TargetParseError, parse_target
 
 log = logging.getLogger(__name__)
@@ -33,7 +33,7 @@ def load_predictions(path) -> Dict[PredKey, str]:
     predictions: Dict[PredKey, str] = {}
     path = Path(path)
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+        for lineno, line in enumerate(utf8_lines(f, PredictionFileError), start=1):
             line = line.strip()
             if not line:
                 continue

@@ -8,16 +8,14 @@ Lispress program for SMCalFlow.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import lispress
+from .atomic import write_atomically
 from .corpus import (Corpus, DatasetKind, Dialog, DialogState, DONTCARE,
-                     Speaker, StateUpdate, state_update)
+                     ParseError, Speaker, StateUpdate, state_update)
 
 
 class InputRepresentation(str, Enum):
@@ -101,10 +99,12 @@ PredictedStates = Dict[Tuple[str, int], DialogState]
 
 def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
                     kind: DatasetKind,
-                    previous_state_source: str = "gold",
                     predicted_states: Optional[PredictedStates] = None,
                     schemas: Optional[Dict[str, str]] = None) -> str:
-    """Tagged concatenation of the selected context for one user turn."""
+    """Tagged concatenation of the selected context for one user turn.
+
+    The previous state is the gold one, or with `predicted_states` the
+    predicted state at the preceding user turn."""
     turn = dialog.turns[turn_index]
     if turn.speaker is not Speaker.USER:
         raise ValueError(f"{dialog.dialog_id}: turn {turn_index} is not a user turn")
@@ -119,7 +119,7 @@ def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
         parts = [tagged(t) for t in dialog.turns[:turn_index + 1]]
     else:
         if repr is InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE:
-            parts.append(f"{state_tag} {_previous_state_text(dialog, turn_index, previous_state_source, predicted_states)}".rstrip())
+            parts.append(f"{state_tag} {_previous_state_text(dialog, turn_index, predicted_states)}".rstrip())
         if repr in (InputRepresentation.PLUS_LAST_AGENT_TURN,
                     InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE):
             if turn_index > 0:
@@ -134,34 +134,28 @@ def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
     return text
 
 
-def _previous_state_text(dialog, turn_index, source, predicted_states) -> str:
-    if source == "gold":
+def _previous_state_text(dialog, turn_index, predicted_states) -> str:
+    if predicted_states is None:
         return linearize_state(dialog.previous_user_state(turn_index))
-    if source != "predicted":
-        raise ValueError(f"unknown previous_state_source {source!r}")
-    prev_user = None
     for t in reversed(dialog.turns[:turn_index]):
         if t.speaker is Speaker.USER:
-            prev_user = t
-            break
-    if prev_user is None:
-        return ""
-    if predicted_states is None:
-        raise ValueError("previous_state_source='predicted' requires predicted_states")
-    return linearize_state(
-        predicted_states.get((dialog.dialog_id, prev_user.index), DialogState()))
+            return linearize_state(
+                predicted_states.get((dialog.dialog_id, t.index), DialogState()))
+    return ""
 
 
 def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetKind,
-                       previous_state_source: str = "gold",
                        predicted_states: Optional[PredictedStates] = None,
                        schemas: Optional[Dict[str, str]] = None) -> List[Seq2SeqRecord]:
     records = []
     for turn in dialog.user_turns():
-        inp = linearize_input(dialog, turn.index, repr, kind,
-                              previous_state_source, predicted_states, schemas)
+        inp = linearize_input(dialog, turn.index, repr, kind, predicted_states, schemas)
         if kind is DatasetKind.SMCALFLOW:
-            target = linearize_target(turn.program or "()")
+            try:
+                target = linearize_target(turn.program or "()")
+            except lispress.LispressError as exc:
+                raise ParseError(f"dialog {dialog.dialog_id}, turn {turn.index}: "
+                                 f"gold program does not parse: {exc}") from exc
         else:
             prev = dialog.previous_user_state(turn.index)
             target = linearize_target(state_update(prev, turn.state))
@@ -169,30 +163,18 @@ def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetK
     return records
 
 
-def _dialog_job(args) -> List[Seq2SeqRecord]:
-    return records_for_dialog(*args)
-
-
 def emit_dataset(corpus: Corpus, repr: InputRepresentation, out_path,
-                 previous_state_source: str = "gold",
-                 predicted_states: Optional[PredictedStates] = None,
-                 workers: int = 1) -> int:
-    """Write one line-delimited JSON record per user turn, in corpus order."""
-    jobs = [(d, repr, corpus.dataset_kind, previous_state_source,
-             predicted_states, corpus.schemas or None) for d in corpus.dialogs]
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_dialog = list(pool.map(_dialog_job, jobs, chunksize=16))
-    else:
-        per_dialog = [_dialog_job(j) for j in jobs]
+                 predicted_states: Optional[PredictedStates] = None) -> int:
+    """Write one line-delimited JSON record per user turn, in corpus order.
 
-    out_path = Path(out_path)
+    Records go to a temporary file as each dialog is linearized, which
+    replaces `out_path` only once every record is written."""
     count = 0
     try:
-        with open(out_path, "w", encoding="utf-8") as f:
-            for records in per_dialog:
-                for rec in records:
+        with write_atomically(out_path) as f:
+            for dialog in corpus.dialogs:
+                for rec in records_for_dialog(dialog, repr, corpus.dataset_kind,
+                                              predicted_states, corpus.schemas or None):
                     f.write(json.dumps(
                         {"dialogue_id": rec.dialog_id, "turn_index": rec.turn_index,
                          "input": rec.input, "target": rec.target},

@@ -19,7 +19,7 @@ class LispressError(ValueError):
     """Raised on malformed Lispress source."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte offset {offset})")
+        super().__init__(f"{message} (at character offset {offset})")
         self.offset = offset
 
 

@@ -121,7 +121,10 @@ def load_lexicon(path) -> Lexicon:
     semantic: Dict[str, Set[str]] = {}
     shortcut: Dict[str, Set[str]] = {}
     other: Dict[str, Set[str]] = {}
-    text = Path(path).read_text("utf-8")
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path}: not UTF-8 text: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

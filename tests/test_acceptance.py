@@ -255,15 +255,6 @@ class TestLinearizationProperties:
             assert n == corpus.user_turn_count()
             assert len(out.read_text("utf-8").splitlines()) == n
 
-    def test_byte_identical_across_workers_1_and_8(self, planted, tmp_path):
-        corpus, _ = planted
-        for repr_ in InputRepresentation:
-            a = tmp_path / f"w1_{repr_.value}.jsonl"
-            b = tmp_path / f"w8_{repr_.value}.jsonl"
-            emit_dataset(corpus, repr_, a, workers=1)
-            emit_dataset(corpus, repr_, b, workers=8)
-            assert a.read_bytes() == b.read_bytes(), repr_
-
     def test_analysis_identical_across_workers_1_and_8(self, planted):
         corpus, _ = planted
         lexicon = default_lexicon()

@@ -1,0 +1,31 @@
+import pytest
+
+from dialoscope.atomic import write_atomically, write_text
+
+
+def test_replaces_the_target(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("old\n", "utf-8")
+    write_text(out, "new é\n")
+    assert out.read_bytes() == "new é\n".encode("utf-8")
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_failure_mid_write_leaves_the_target_and_no_temporary(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"old\xc3\xa9\n")
+    with pytest.raises(RuntimeError):
+        with write_atomically(out) as f:
+            f.write("half of the new ")
+            f.flush()
+            raise RuntimeError("rendering failed")
+    assert out.read_bytes() == b"old\xc3\xa9\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_failure_without_a_target_creates_nothing(tmp_path):
+    with pytest.raises(RuntimeError):
+        with write_atomically(tmp_path / "records.jsonl") as f:
+            f.write("{}\n")
+            raise RuntimeError
+    assert list(tmp_path.iterdir()) == []

@@ -92,6 +92,18 @@ class TestLinearize:
         assert rec["target"].startswith("(")
         assert "__User" in rec["input"]
 
+    def test_unparseable_gold_program_exits_one(self, capsys, smcalflow_raw, tmp_path):
+        smcalflow_raw[0]["turns"][1]["lispress"] = "(Yield ("
+        source = tmp_path / "calflow.jsonl"
+        source.write_text("\n".join(json.dumps(d) for d in smcalflow_raw), "utf-8")
+        out = tmp_path / "records.jsonl"
+        code, _, err = run(capsys, "linearize", "--dataset", "smcalflow",
+                           "--path", str(source), "--repr", "full", "--out", str(out))
+        assert code == EXIT_FAILURE
+        assert "dialog calflow-0, turn 2" in err
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [source]
+
     def test_bad_repr_is_usage_error(self, capsys, mwz_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["linearize", "--dataset", "multiwoz", "--path",
@@ -214,6 +226,39 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["linearize", "--repr", "user", "--out", "o.jsonl"],
+        ["eval", "--preds", "p.jsonl", "--mode", "jga"],
+        ["validate"],
+        ["inspect", "MUL0635.json"],
+    ])
+    def test_workers_is_analyze_only(self, capsys, mwz_path, tmp_path, monkeypatch,
+                                     command):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--dataset", "multiwoz", "--path", str(mwz_path),
+                  "--workers", "2", *command[1:]])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dataset,command", [
+        ("smcalflow", ["eval", "--preds", "p.jsonl", "--mode", "jga-oracle"]),
+        ("smcalflow", ["eval", "--preds", "p.jsonl", "--mode", "jga"]),
+        ("multiwoz", ["eval", "--preds", "p.jsonl", "--mode", "exact-match"]),
+        ("sgd", ["eval", "--preds", "p.jsonl", "--mode", "exact-match"]),
+        ("smcalflow", ["linearize", "--repr", "prev-state", "--previous-state",
+                       "predicted", "--preds", "p.jsonl", "--out", "o.jsonl"]),
+    ])
+    def test_mode_for_another_dataset_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                     dataset, command):
+        # the path does not exist: the mismatch is caught before any load
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--dataset", dataset, "--path", str(tmp_path / "none"),
+                  *command[1:]])
+        assert exc.value.code == EXIT_USAGE
+        assert "applies to" in capsys.readouterr().err
+
     def test_missing_path_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("DIALOSCOPE_DATA_DIR", raising=False)
         with pytest.raises(SystemExit) as exc:
@@ -231,3 +276,38 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         assert "requires --preds" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUnreadableInput:
+    UTF16 = "\ufeffnot UTF-8".encode("utf-16-le")  # starts with the bytes ff fe
+
+    @pytest.mark.parametrize("reader", ["json", "split-list", "smcalflow",
+                                        "predictions", "overrides", "lexicon"])
+    def test_non_utf8_file_exits_one(self, capsys, tmp_path, mwz_path, reader):
+        bad = tmp_path / "bad"
+        bad.write_bytes(self.UTF16)
+        mwz = ["--dataset", "multiwoz", "--path", str(mwz_path)]
+        if reader == "split-list":
+            bad = tmp_path / "testListFile.txt"
+            bad.write_bytes(self.UTF16)
+            (tmp_path / "data.json").write_bytes(mwz_path.read_bytes())
+        argv = {
+            "json": ["validate", "--dataset", "multiwoz", "--path", str(bad)],
+            "split-list": ["validate", "--dataset", "multiwoz", "--path", str(tmp_path),
+                           "--split", "test"],
+            "smcalflow": ["validate", "--dataset", "smcalflow", "--path", str(bad)],
+            "predictions": ["eval", *mwz, "--preds", str(bad), "--mode", "jga"],
+            "overrides": ["analyze", *mwz, "--overrides", str(bad)],
+            "lexicon": ["analyze", *mwz, "--lexicon", str(bad)],
+        }[reader]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_FAILURE
+        assert err.startswith(f"error: {bad}: not UTF-8 text")
+
+    def test_malformed_lexicon_exits_one(self, capsys, tmp_path, mwz_path):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("garbage line\n", "utf-8")
+        code, _, err = run(capsys, "analyze", "--dataset", "multiwoz",
+                           "--path", str(mwz_path), "--lexicon", str(lexicon))
+        assert code == EXIT_FAILURE
+        assert err.startswith(f"error: {lexicon}:1: expected 'key: phrase|phrase'")

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dialoscope.corpus import (Corpus, CorpusError, DialogState, DatasetKind,
-                               LoadError, Speaker, StructuralError, apply_update,
+from dialoscope.corpus import (Corpus, CorpusError, Dialog, DialogState, DatasetKind,
+                               LoadError, Speaker, StructuralError, Turn, apply_update,
                                canonical_slot, load_multiwoz, load_sgd,
                                load_smcalflow, state_update, validate_corpus)
 from conftest import SGD_SCHEMA, mwz_dialog, sgd_turn, sgd_user_frame
@@ -222,6 +222,17 @@ class TestValidate:
         corpus, _ = planted
         violations = validate_corpus(corpus)
         assert violations == []
+
+    def test_broken_identity_flagged_at_its_turns(self):
+        # two entries for one slot never come out of applying an update
+        twice = DialogState(frozenset({("hotel", "name", ("a",)),
+                                       ("hotel", "name", ("b",))}))
+        turns = (Turn(0, Speaker.USER, "u", state=twice), Turn(1, Speaker.AGENT, "a"),
+                 Turn(2, Speaker.USER, "u", state=state({("hotel", "name"): ("c",)})),
+                 Turn(3, Speaker.AGENT, "a"), Turn(4, Speaker.USER, "u", state=twice))
+        corpus = Corpus(DatasetKind.MULTIWOZ, "t", (Dialog("d", turns),))
+        assert validate_corpus(corpus) == ["d: accumulation identity broken at turn 0",
+                                           "d: accumulation identity broken at turn 4"]
 
 
 # ---------------------------------------------------------------------------

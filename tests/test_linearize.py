@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from dialoscope import linearize
-from dialoscope.corpus import (DatasetKind, DialogState, StateUpdate,
+from dialoscope.corpus import (DatasetKind, DialogState, ParseError, StateUpdate,
                                load_multiwoz, load_sgd, load_smcalflow)
 from dialoscope.linearize import (InputRepresentation, TargetParseError,
                                   emit_dataset, linearize_input,
@@ -154,17 +153,8 @@ class TestInput:
             {("train", "day"): ("friday",)})}
         text = linearize_input(dialog, 10,
                                InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,
-                               DatasetKind.MULTIWOZ,
-                               previous_state_source="predicted",
-                               predicted_states=predicted)
+                               DatasetKind.MULTIWOZ, predicted_states=predicted)
         assert "[states] train:day=friday" in text
-
-    def test_predicted_source_requires_states(self, dialog):
-        with pytest.raises(ValueError):
-            linearize_input(dialog, 10,
-                            InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,
-                            DatasetKind.MULTIWOZ,
-                            previous_state_source="predicted")
 
 
 class TestRecords:
@@ -202,43 +192,21 @@ class TestEmitDataset:
         rec = json.loads(lines[0])
         assert set(rec) == {"dialogue_id", "turn_index", "input", "target"}
 
-    def test_byte_identical_across_worker_counts(self, planted, tmp_path):
-        corpus, _ = planted
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        emit_dataset(corpus, InputRepresentation.FULL_DIALOG_HISTORY, a,
-                     workers=1)
-        emit_dataset(corpus, InputRepresentation.FULL_DIALOG_HISTORY, b,
-                     workers=8)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_pool_is_clamped_to_cpu_count(self, planted, tmp_path, monkeypatch):
-        # a stand-in executor records the pool size and runs in-process, so
-        # no large pool is ever started
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(linearize, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(linearize.os, "cpu_count", lambda: 3)
-        corpus, _ = planted
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        emit_dataset(corpus, InputRepresentation.FULL_DIALOG_HISTORY, a, workers=64)
-        assert sizes == [3]
-        monkeypatch.setattr(linearize.os, "cpu_count", lambda: 1)
-        emit_dataset(corpus, InputRepresentation.FULL_DIALOG_HISTORY, b, workers=64)
-        assert sizes == [3]  # one CPU runs serially, without a pool
-        assert a.read_bytes() == b.read_bytes()
+    def test_failure_leaves_the_old_output(self, smcalflow_raw, tmp_path):
+        # the second dialog's gold program does not parse, so the first
+        # dialog's records are already written when the error comes
+        smcalflow_raw[1]["turns"][0]["lispress"] = "(Yield ("
+        source = tmp_path / "calflow.jsonl"
+        source.write_text("\n".join(json.dumps(d) for d in smcalflow_raw), "utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "records.jsonl"
+        out.write_text("old records\n", "utf-8")
+        with pytest.raises(ParseError, match="dialog calflow-1, turn 0"):
+            emit_dataset(load_smcalflow(source), InputRepresentation.FULL_DIALOG_HISTORY,
+                         out)
+        assert out.read_text("utf-8") == "old records\n"
+        assert [p.name for p in out_dir.iterdir()] == ["records.jsonl"]
 
     def test_unwritable_path(self, mwz_path, tmp_path):
         corpus = load_multiwoz(mwz_path)

@@ -46,6 +46,13 @@ class TestParse:
             parse('(a "b')
         assert exc.value.offset == 3
 
+    def test_error_offset_counts_characters(self):
+        # the backslash is character 6 of the source and byte 7 of its UTF-8
+        with pytest.raises(LispressError) as exc:
+            parse('("\xe9" "\\q")')
+        assert exc.value.offset == 6
+        assert str(exc.value).endswith("(at character offset 6)")
+
 
 class TestPrint:
     def test_whitespace_normalization(self):
