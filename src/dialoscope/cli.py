@@ -75,6 +75,8 @@ def cmd_analyze(args) -> int:
 def cmd_linearize(args) -> int:
     if args.previous_state == "predicted" and not args.preds:
         raise UsageError("--previous-state predicted requires --preds")
+    if args.preds and args.previous_state != "predicted":
+        raise UsageError("--preds applies to --previous-state predicted only")
     if args.previous_state == "predicted" and args.dataset == DatasetKind.SMCALFLOW.value:
         raise UsageError("--previous-state predicted applies to multiwoz and sgd only")
     corp = _load_corpus(args)

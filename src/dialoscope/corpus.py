@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 DONTCARE = "dontcare"
 _ABSENT_VALUES = {"", "none", "not mentioned"}
@@ -113,9 +113,6 @@ class DialogState:
     def as_dict(self) -> Dict[Tuple[str, str], Tuple[str, ...]]:
         return {(dom, slot): vals for dom, slot, vals in self.entries}
 
-    def keys(self) -> Set[Tuple[str, str]]:
-        return {(dom, slot) for dom, slot, _ in self.entries}
-
     def __bool__(self):
         return bool(self.entries)
 
@@ -141,14 +138,6 @@ class StateUpdate:
     dropped: FrozenSet[Tuple[str, str]] = frozenset()
     dontcared: FrozenSet[Tuple[str, str]] = frozenset()
 
-    @property
-    def empty(self) -> bool:
-        return not (self.added_or_changed or self.dropped or self.dontcared)
-
-    @property
-    def relaxes(self) -> bool:
-        return bool(self.dropped or self.dontcared)
-
 
 @dataclass(frozen=True)
 class Turn:
@@ -165,7 +154,6 @@ class Dialog:
     dialog_id: str
     turns: Tuple[Turn, ...]
     services: Tuple[str, ...] = ()
-    schema_refs: Tuple[str, ...] = ()
 
     def user_turns(self) -> List[Turn]:
         return [t for t in self.turns if t.speaker is Speaker.USER]
@@ -479,7 +467,7 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
                           state=DialogState(frozenset(cumulative.values()))))
     if not turns:
         raise StructuralError(f"{_where(path, dialog_id)}: empty dialog")
-    return Dialog(dialog_id, tuple(turns), services=services, schema_refs=services)
+    return Dialog(dialog_id, tuple(turns), services=services)
 
 
 def load_sgd(path, split: str = "test") -> Corpus:
@@ -611,13 +599,13 @@ def validate_corpus(corpus: Corpus) -> List[str]:
                 elif turn.state is None:
                     violations.append(
                         f"{dialog.dialog_id}: user turn {turn.index} has no state")
-        # accumulation identity: applying each turn's update rebuilds its state
+        # accumulation identity: applying each turn's update rebuilds its
+        # state unless the state gives one slot two alternate sets, or none
         if corpus.dataset_kind is not DatasetKind.SMCALFLOW:
             for turn in dialog.user_turns():
-                if turn.state is None:
-                    continue
-                prev = dialog.previous_user_state(turn.index)
-                if apply_update(prev, state_update(prev, turn.state)) != turn.state:
+                entries = turn.state._normalized() if turn.state else ()
+                if (len({(dom, slot) for dom, slot, _ in entries}) < len(entries)
+                        or not all(vals for _, _, vals in entries)):
                     violations.append(
                         f"{dialog.dialog_id}: accumulation identity broken at turn {turn.index}")
     return violations

@@ -13,10 +13,11 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import lispress
-from .corpus import Corpus, DatasetKind, DialogState, DONTCARE, apply_update, utf8_lines
+from .corpus import (Corpus, DatasetKind, DialogState, DONTCARE, EMPTY_STATE, ParseError,
+                     apply_update, utf8_lines)
 from .linearize import TargetParseError, parse_target
 
 log = logging.getLogger(__name__)
@@ -123,9 +124,47 @@ def states_equal(pred: DialogState, gold: DialogState, fuzzy: bool = False) -> b
     return True
 
 
-def _frame_corpus_only(corpus: Corpus):
+def _score(report: ScoreReport, predictions: Dict[PredKey, str],
+           verdicts: Iterable[Tuple[PredKey, Optional[bool]]]) -> ScoreReport:
+    """Tally one (key, verdict) per user turn; a None verdict marks an
+    unparseable prediction. Missing and unparseable predictions are wrong."""
+    known_keys = set()
+    for key, correct in verdicts:
+        known_keys.add(key)
+        report.total += 1
+        if key not in predictions:
+            report.missing += 1
+        elif correct is None:
+            report.unparseable += 1
+        report.correct += bool(correct)
+        report.verdicts.append((*key, bool(correct)))
+    for key in predictions:
+        if key not in known_keys:
+            log.warning("prediction for unknown turn %s ignored", key)
+    return report
+
+
+def _predicted_states(corpus: Corpus, predictions: Dict[PredKey, str], oracle: bool):
+    """(key, turn, predicted state, parsed) per user turn, in corpus order.
+
+    Each turn's predicted update is applied to the gold previous state
+    (oracle) or to the running predicted state; a missing or unparseable
+    prediction (parsed False) applies no update."""
     if corpus.dataset_kind is DatasetKind.SMCALFLOW:
         raise ValueError("JGA applies to MultiWOZ/SGD corpora only")
+    for dialog in corpus.dialogs:
+        state = EMPTY_STATE
+        for turn in dialog.user_turns():
+            key = (dialog.dialog_id, turn.index)
+            if oracle:
+                state = dialog.previous_user_state(turn.index)
+            try:
+                update = parse_target(predictions[key]) if key in predictions else None
+            except TargetParseError:
+                update = None
+            if update is not None:
+                state = apply_update(state, update)
+            yield key, turn, state, update is not None
 
 
 def jga(corpus: Corpus, predictions: Dict[PredKey, str], mode: str = "oracle",
@@ -136,39 +175,11 @@ def jga(corpus: Corpus, predictions: Dict[PredKey, str], mode: str = "oracle",
     mode "accumulated": applied to the running predicted state. Missing or
     unparseable predictions count as wrong.
     """
-    _frame_corpus_only(corpus)
     if mode not in ("oracle", "accumulated"):
         raise ValueError(f"unknown JGA mode {mode!r}")
-    report = ScoreReport(metric=f"jga-{mode}")
-    known_keys = set()
-    for dialog in corpus.dialogs:
-        running = DialogState()
-        for turn in dialog.user_turns():
-            key = (dialog.dialog_id, turn.index)
-            known_keys.add(key)
-            report.total += 1
-            base = (dialog.previous_user_state(turn.index)
-                    if mode == "oracle" else running)
-            correct = False
-            if key not in predictions:
-                report.missing += 1
-            else:
-                try:
-                    update = parse_target(predictions[key])
-                except TargetParseError:
-                    report.unparseable += 1
-                    update = None
-                if update is not None:
-                    predicted = apply_update(base, update)
-                    if mode == "accumulated":
-                        running = predicted
-                    correct = states_equal(predicted, turn.state, fuzzy_values)
-            report.correct += correct
-            report.verdicts.append((dialog.dialog_id, turn.index, correct))
-    for key in predictions:
-        if key not in known_keys:
-            log.warning("prediction for unknown turn %s ignored", key)
-    return report
+    return _score(ScoreReport(metric=f"jga-{mode}"), predictions, (
+        (key, states_equal(state, turn.state, fuzzy_values) if parsed else None)
+        for key, turn, state, parsed in _predicted_states(corpus, predictions, mode == "oracle")))
 
 
 def accumulate_predicted_states(corpus: Corpus,
@@ -179,24 +190,9 @@ def accumulate_predicted_states(corpus: Corpus,
     Returns per-user-turn cumulative predicted states plus the keys whose
     prediction was missing or unparseable (treated as an empty update).
     """
-    _frame_corpus_only(corpus)
-    states: Dict[PredKey, DialogState] = {}
-    flagged: List[PredKey] = []
-    for dialog in corpus.dialogs:
-        running = DialogState()
-        for turn in dialog.user_turns():
-            key = (dialog.dialog_id, turn.index)
-            try:
-                update = parse_target(predictions.get(key, ""))
-                if key not in predictions:
-                    flagged.append(key)
-            except TargetParseError:
-                update = None
-                flagged.append(key)
-            if update is not None:
-                running = apply_update(running, update)
-            states[key] = running
-    return states, flagged
+    folded = list(_predicted_states(corpus, predictions, oracle=False))
+    return ({key: state for key, _, state, _ in folded},
+            [key for key, _, _, parsed in folded if not parsed])
 
 
 def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
@@ -204,31 +200,38 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
                       strict: bool = False) -> ScoreReport:
     """Per-turn Lispress exact match for SMCalFlow corpora.
 
-    With honor_refer_flags, turns carrying refer_are_incorrect score 0 no
-    matter the prediction (the dataset authors' scorer semantics); such
-    turns whose prediction was actually correct are tallied separately.
+    A prediction that does not parse counts as unparseable and wrong, in
+    strict mode too. With honor_refer_flags, turns carrying
+    refer_are_incorrect score 0 no matter the prediction (the dataset
+    authors' scorer semantics); such turns whose prediction was actually
+    correct are tallied separately.
     """
     if corpus.dataset_kind is not DatasetKind.SMCALFLOW:
         raise ValueError("exact match applies to SMCalFlow corpora only")
     report = ScoreReport(metric="exact-match")
-    known_keys = set()
-    for dialog in corpus.dialogs:
-        for turn in dialog.user_turns():
-            key = (dialog.dialog_id, turn.index)
-            known_keys.add(key)
-            report.total += 1
-            correct = False
-            if key not in predictions:
-                report.missing += 1
-            else:
-                correct = lispress.exact_match(predictions[key], turn.program,
-                                               strict=strict)
-            if correct and honor_refer_flags and "refer_are_incorrect" in turn.flags:
-                report.correct_but_flagged += 1
-                correct = False
-            report.correct += correct
-            report.verdicts.append((dialog.dialog_id, turn.index, correct))
-    for key in predictions:
-        if key not in known_keys:
-            log.warning("prediction for unknown turn %s ignored", key)
-    return report
+
+    def verdicts():
+        for dialog in corpus.dialogs:
+            for turn in dialog.user_turns():
+                key = (dialog.dialog_id, turn.index)
+                if key not in predictions:
+                    yield key, False
+                    continue
+                try:
+                    gold = lispress.parse(turn.program)
+                except lispress.LispressError as exc:
+                    raise ParseError(f"dialog {dialog.dialog_id}, turn {turn.index}: "
+                                     f"gold program does not parse: {exc}") from exc
+                try:
+                    pred = lispress.parse(predictions[key])
+                except lispress.LispressError:
+                    yield key, None
+                    continue
+                correct = (predictions[key] == turn.program if strict else
+                           lispress.print_canonical(pred) == lispress.print_canonical(gold))
+                if correct and honor_refer_flags and "refer_are_incorrect" in turn.flags:
+                    report.correct_but_flagged += 1
+                    correct = False
+                yield key, correct
+
+    return _score(report, predictions, verdicts())

@@ -20,6 +20,7 @@ class LispressError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at character offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -174,7 +175,7 @@ def exact_match(pred: str, gold: str, strict: bool = False) -> bool:
     try:
         gold_node = parse(gold)
     except LispressError as exc:
-        raise LispressError(f"gold program does not parse: {exc}", exc.offset) from exc
+        raise LispressError("gold program does not parse: " + exc.message, exc.offset) from exc
     if strict:
         return pred == gold
     try:

@@ -162,6 +162,36 @@ class TestEval:
         assert code == EXIT_OK
         assert "correct but flagged     1" in stdout
 
+    def test_unparseable_gold_program_exits_one(self, capsys, smcalflow_raw, tmp_path):
+        smcalflow_raw[0]["turns"][1]["lispress"] = "(Yield (foo"
+        source = tmp_path / "calflow.jsonl"
+        source.write_text("\n".join(json.dumps(d) for d in smcalflow_raw), "utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"dialogue_id": "calflow-0", "turn_index": 2,
+                                     "prediction": "(Yield (foo))"}) + "\n", "utf-8")
+        out = tmp_path / "score.json"
+        code, _, err = run(capsys, "eval", "--dataset", "smcalflow", "--path", str(source),
+                           "--preds", str(preds), "--mode", "exact-match",
+                           "--out", str(out))
+        assert code == EXIT_FAILURE
+        assert "error: dialog calflow-0, turn 2: gold program does not parse" in err
+        assert err.count("character offset") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_exact_match_counts_unparseable_predictions(self, capsys, smcalflow_path,
+                                                        tmp_path):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"dialogue_id": "calflow-0", "turn_index": 0,
+                                     "prediction": "(Yield (foo"}) + "\n", "utf-8")
+        for strict in ([], ["--strict-exact-match"]):
+            code, stdout, _ = run(capsys, "eval", "--dataset", "smcalflow",
+                                  "--path", str(smcalflow_path), "--preds", str(preds),
+                                  "--mode", "exact-match", *strict)
+            assert code == EXIT_OK
+            assert "unparseable predictions 1" in stdout
+            assert "missing predictions     3" in stdout
+
     def test_malformed_preds_file(self, capsys, mwz_path, tmp_path):
         p = tmp_path / "preds.jsonl"
         p.write_text("{broken\n", "utf-8")
@@ -248,6 +278,10 @@ class TestUsage:
         ("sgd", ["eval", "--preds", "p.jsonl", "--mode", "exact-match"]),
         ("smcalflow", ["linearize", "--repr", "prev-state", "--previous-state",
                        "predicted", "--preds", "p.jsonl", "--out", "o.jsonl"]),
+        ("multiwoz", ["linearize", "--repr", "prev-state", "--preds", "p.jsonl",
+                      "--out", "o.jsonl"]),
+        ("sgd", ["linearize", "--repr", "user", "--previous-state", "gold",
+                 "--preds", "p.jsonl", "--out", "o.jsonl"]),
     ])
     def test_mode_for_another_dataset_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                                      dataset, command):

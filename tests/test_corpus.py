@@ -202,6 +202,28 @@ class TestLoadSmcalflow:
             load_smcalflow(p)
 
 
+def reference_identity_violations(corpus):
+    """The accumulation-identity check of `validate_corpus` as it was
+    written before it became a direct check of the state."""
+    violations = []
+    for dialog in corpus.dialogs:
+        for turn in dialog.user_turns():
+            if turn.state is None:
+                continue
+            prev = dialog.previous_user_state(turn.index)
+            if apply_update(prev, state_update(prev, turn.state)) != turn.state:
+                violations.append(
+                    f"{dialog.dialog_id}: accumulation identity broken at turn {turn.index}")
+    return violations
+
+
+# states with repeated slots, reordered, repeated, "dontcare" or no alternates
+_states = st.frozensets(st.tuples(
+    st.sampled_from(["hotel", "train"]), st.sampled_from(["name", "day"]),
+    st.lists(st.sampled_from(["a", "b", "dontcare"]), max_size=3).map(tuple)),
+    max_size=4).map(DialogState)
+
+
 class TestValidate:
     def test_clean_fixtures(self, mwz_path, sgd_path, smcalflow_path):
         assert validate_corpus(load_multiwoz(mwz_path)) == []
@@ -233,6 +255,31 @@ class TestValidate:
         corpus = Corpus(DatasetKind.MULTIWOZ, "t", (Dialog("d", turns),))
         assert validate_corpus(corpus) == ["d: accumulation identity broken at turn 0",
                                            "d: accumulation identity broken at turn 4"]
+
+    @pytest.mark.parametrize("first,second", [(("a", "b"), ("b", "a")),
+                                              (("a",), ("a", "a"))])
+    def test_one_alternate_set_in_two_entries_not_flagged(self, first, second):
+        # the reference applies the update and compares alternate sets
+        same = DialogState(frozenset({("hotel", "name", first),
+                                      ("hotel", "name", second)}))
+        turns = (Turn(0, Speaker.USER, "u", state=same), Turn(1, Speaker.AGENT, "a"),
+                 Turn(2, Speaker.USER, "u", state=same))
+        corpus = Corpus(DatasetKind.MULTIWOZ, "t", (Dialog("d", turns),))
+        assert reference_identity_violations(corpus) == []
+        assert validate_corpus(corpus) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.none(), _states), min_size=1, max_size=4),
+           st.sampled_from([DatasetKind.MULTIWOZ, DatasetKind.SGD]))
+    def test_identity_check_matches_the_reference(self, states, kind):
+        turns = []
+        for k, s in enumerate(states):
+            turns += [Turn(2 * k, Speaker.USER, "u", state=s),
+                      Turn(2 * k + 1, Speaker.AGENT, "a")]
+        corpus = Corpus(kind, "t", (Dialog("d", tuple(turns)),))
+        found = [v for v in validate_corpus(corpus) if "accumulation identity" in v]
+        assert found == reference_identity_violations(corpus)
+
 
 
 # ---------------------------------------------------------------------------

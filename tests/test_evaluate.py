@@ -1,14 +1,18 @@
 import json
+import logging
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dialoscope.corpus import (DatasetKind, DialogState, load_multiwoz,
+from dialoscope import lispress
+from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState, ParseError,
+                               Turn, apply_update, load_multiwoz, load_sgd,
                                load_smcalflow, state_update)
-from dialoscope.evaluate import (PredictionFileError,
+from dialoscope.evaluate import (PredictionFileError, ScoreReport,
                                  accumulate_predicted_states,
                                  exact_match_score, jga, load_predictions,
                                  states_equal)
-from dialoscope.linearize import linearize_target
+from dialoscope.linearize import TargetParseError, linearize_target, parse_target
 
 
 def gold_predictions(corpus):
@@ -207,6 +211,34 @@ class TestExactMatch:
         with pytest.raises(ValueError):
             exact_match_score(load_multiwoz(mwz_path), {})
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_unparseable_prediction_counted_and_wrong(self, smcalflow_path, strict):
+        corpus = load_smcalflow(smcalflow_path)
+        preds = gold_predictions(corpus)
+        preds[("calflow-0", 0)] = "(Yield (foo"
+        preds[("calflow-1", 0)] = ""
+        report = exact_match_score(corpus, preds, strict=strict)
+        assert report.unparseable == 2
+        assert report.missing == 0
+        verdicts = {(d, t): ok for d, t, ok in report.verdicts}
+        assert not verdicts[("calflow-0", 0)] and not verdicts[("calflow-1", 0)]
+        assert report.correct == report.total - 2
+
+    def test_unparseable_gold_names_dialog_and_turn(self, smcalflow_path):
+        corpus = load_smcalflow(smcalflow_path)
+        dialog = corpus.dialogs[0]
+        broken = dialog.turns[2]
+        turns = list(dialog.turns)
+        turns[2] = Turn(broken.index, broken.speaker, broken.utterance,
+                        program="(Yield (foo")
+        corpus = Corpus(corpus.dataset_kind, corpus.split,
+                        (Dialog(dialog.dialog_id, tuple(turns)),))
+        with pytest.raises(ParseError) as exc:
+            exact_match_score(corpus, {("calflow-0", 2): "(Yield (foo))"})
+        assert str(exc.value).startswith(
+            "dialog calflow-0, turn 2: gold program does not parse: ")
+        assert str(exc.value).count("character offset") == 1
+
 
 class TestScoreReport:
     def test_to_json_and_table(self, mwz_path):
@@ -220,3 +252,181 @@ class TestScoreReport:
     def test_zero_total_accuracy(self):
         from dialoscope.evaluate import ScoreReport
         assert ScoreReport(metric="jga-oracle").accuracy == 0.0
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the scorers before the shared fold and scoring loop
+# ---------------------------------------------------------------------------
+
+def reference_jga(corpus, predictions, mode="oracle", fuzzy_values=False):
+    """`jga` as it was written before it shared the predicted-state fold."""
+    report = ScoreReport(metric=f"jga-{mode}")
+    known_keys = set()
+    for dialog in corpus.dialogs:
+        running = DialogState()
+        for turn in dialog.user_turns():
+            key = (dialog.dialog_id, turn.index)
+            known_keys.add(key)
+            report.total += 1
+            base = (dialog.previous_user_state(turn.index)
+                    if mode == "oracle" else running)
+            correct = False
+            if key not in predictions:
+                report.missing += 1
+            else:
+                try:
+                    update = parse_target(predictions[key])
+                except TargetParseError:
+                    report.unparseable += 1
+                    update = None
+                if update is not None:
+                    predicted = apply_update(base, update)
+                    if mode == "accumulated":
+                        running = predicted
+                    correct = states_equal(predicted, turn.state, fuzzy_values)
+            report.correct += correct
+            report.verdicts.append((dialog.dialog_id, turn.index, correct))
+    for key in predictions:
+        if key not in known_keys:
+            logging.getLogger("dialoscope.evaluate").warning(
+                "prediction for unknown turn %s ignored", key)
+    return report
+
+
+def reference_accumulate(corpus, predictions):
+    """`accumulate_predicted_states` before the shared fold."""
+    states, flagged = {}, []
+    for dialog in corpus.dialogs:
+        running = DialogState()
+        for turn in dialog.user_turns():
+            key = (dialog.dialog_id, turn.index)
+            try:
+                update = parse_target(predictions.get(key, ""))
+                if key not in predictions:
+                    flagged.append(key)
+            except TargetParseError:
+                update = None
+                flagged.append(key)
+            if update is not None:
+                running = apply_update(running, update)
+            states[key] = running
+    return states, flagged
+
+
+def reference_exact_match(corpus, predictions, honor_refer_flags=False, strict=False):
+    """`exact_match_score` before the shared scoring loop, with the
+    `lispress.exact_match` it called written out; it never counted an
+    unparseable prediction."""
+    report = ScoreReport(metric="exact-match")
+    known_keys = set()
+    for dialog in corpus.dialogs:
+        for turn in dialog.user_turns():
+            key = (dialog.dialog_id, turn.index)
+            known_keys.add(key)
+            report.total += 1
+            correct = False
+            if key not in predictions:
+                report.missing += 1
+            else:
+                gold = lispress.parse(turn.program)
+                if strict:
+                    correct = predictions[key] == turn.program
+                else:
+                    try:
+                        correct = (lispress.print_canonical(lispress.parse(predictions[key]))
+                                   == lispress.print_canonical(gold))
+                    except lispress.LispressError:
+                        correct = False
+            if correct and honor_refer_flags and "refer_are_incorrect" in turn.flags:
+                report.correct_but_flagged += 1
+                correct = False
+            report.correct += correct
+            report.verdicts.append((dialog.dialog_id, turn.index, correct))
+    for key in predictions:
+        if key not in known_keys:
+            logging.getLogger("dialoscope.evaluate").warning(
+                "prediction for unknown turn %s ignored", key)
+    return report
+
+
+WRONG_UPDATES = ["hotel:name=the wrong hotel", "", "test:instrument=none",
+                 "restaurant:area=dontcare", "attraction:type=museum, hotel:name=none"]
+UNPARSEABLE_UPDATES = ["%%% nonsense %%%", "hotel=name", "hotel:=x, a:b=c"]
+WRONG_PROGRAMS = ["(Yield :output (Tomorrow))", "( Yield :output ( Today ) )", "(x)"]
+UNPARSEABLE_PROGRAMS = ["(Yield (foo", "", ")", '"open']
+UNKNOWN_KEYS = [("nope.json", 0), ("MUL0635.json", 1), ("calflow-0", 99)]
+
+
+def draw_predictions(data, corpus, gold, wrong, unparseable):
+    """Per user turn a gold, wrong, missing or unparseable prediction, and
+    some predictions for turns the corpus does not have."""
+    predictions = {}
+    for key, target in gold.items():
+        kind = data.draw(st.sampled_from(["gold", "wrong", "missing", "unparseable"]))
+        if kind == "gold":
+            predictions[key] = target
+        elif kind == "wrong":
+            predictions[key] = data.draw(st.sampled_from(wrong + list(gold.values())))
+        elif kind == "unparseable":
+            predictions[key] = data.draw(st.sampled_from(unparseable))
+    for key in data.draw(st.lists(st.sampled_from(UNKNOWN_KEYS), unique=True)):
+        predictions[key] = data.draw(st.sampled_from(wrong))
+    return predictions
+
+
+def warnings_of(caplog, score):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="dialoscope.evaluate"):
+        result = score()
+    return result, [r.getMessage() for r in caplog.records]
+
+
+class TestEquivalence:
+    def test_jga_and_fold_match_the_reference(self, mwz_path, sgd_path, planted, caplog):
+        corpora = [load_multiwoz(mwz_path), load_sgd(sgd_path, "test"), planted[0]]
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.data())
+        def check(data):
+            corpus = data.draw(st.sampled_from(corpora))
+            preds = draw_predictions(data, corpus, gold_predictions(corpus),
+                                     WRONG_UPDATES, UNPARSEABLE_UPDATES)
+            fuzzy = data.draw(st.booleans())
+            for mode in ("oracle", "accumulated"):
+                new, new_log = warnings_of(caplog, lambda: jga(corpus, preds, mode, fuzzy))
+                ref, ref_log = warnings_of(
+                    caplog, lambda: reference_jga(corpus, preds, mode, fuzzy))
+                assert new.to_json() == ref.to_json()
+                assert new.table() == ref.table()
+                assert new_log == ref_log
+            states, flagged = accumulate_predicted_states(corpus, preds)
+            ref_states, ref_flagged = reference_accumulate(corpus, preds)
+            assert flagged == ref_flagged
+            assert list(states) == list(ref_states)
+            for key, ref_state in ref_states.items():
+                assert states[key].entries == ref_state.entries
+
+        check()
+
+    def test_exact_match_matches_the_reference(self, smcalflow_path, caplog):
+        corpus = load_smcalflow(smcalflow_path)
+        gold = gold_predictions(corpus)
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.data())
+        def check(data):
+            preds = draw_predictions(data, corpus, gold, WRONG_PROGRAMS,
+                                     UNPARSEABLE_PROGRAMS)
+            flags, strict = data.draw(st.booleans()), data.draw(st.booleans())
+            new, new_log = warnings_of(
+                caplog, lambda: exact_match_score(corpus, preds, flags, strict))
+            ref, ref_log = warnings_of(
+                caplog, lambda: reference_exact_match(corpus, preds, flags, strict))
+            new_doc, ref_doc = new.to_json(), ref.to_json()
+            assert new_doc.pop("unparseable_predictions") == sum(
+                p in UNPARSEABLE_PROGRAMS for k, p in preds.items() if k in gold)
+            assert ref_doc.pop("unparseable_predictions") == 0
+            assert new_doc == ref_doc
+            assert new_log == ref_log
+
+        check()

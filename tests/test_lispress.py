@@ -139,6 +139,13 @@ class TestExactMatch:
         with pytest.raises(LispressError):
             exact_match("(a)", "(a")
 
+    def test_gold_error_names_one_offset(self):
+        with pytest.raises(LispressError) as exc:
+            exact_match("(a)", "(Yield (foo")
+        assert str(exc.value) == ("gold program does not parse: unbalanced '(' "
+                                  " (at character offset 7)")
+        assert exc.value.offset == 7
+
     def test_strict_mode(self):
         assert not exact_match("( a   b )", "(a b)", strict=True)
         assert exact_match("(a b)", "(a b)", strict=True)
