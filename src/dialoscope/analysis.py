@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .corpus import Corpus, DatasetKind, Dialog, Speaker, state_update
+from .corpus import Corpus, DatasetKind, Dialog, Speaker, gold_program_error, state_update
 from .lispress import LispressError, contains_call, parse
 from .normalize import Lexicon, MatchCategory, MatchResult, match_in_text
 
@@ -296,8 +296,8 @@ def _tally_program_dialog(dialog: Dialog) -> _Tally:
         tally.user_turns += 1
         try:
             program = parse(turn.program or "")
-        except LispressError:
-            continue
+        except LispressError as exc:
+            raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
         if contains_call(program, "refer"):
             tally.refer_turns += 1
         if contains_call(program, "revise"):

@@ -94,38 +94,32 @@ def _value_tuple(vals: Iterable[str]) -> Tuple[str, ...]:
     return tuple(dict.fromkeys(vals))
 
 
-@dataclass(frozen=True)
-class DialogState:
-    """Cumulative slot-value frame: (domain, slot) -> alternates, source order.
+Slots = Dict[Tuple[str, str], Tuple[str, ...]]
 
-    Alternates model MultiWOZ 2.4's "a|b" multi-value annotations; order is
-    preserved so that emitting "the first alternate" is deterministic.
-    Entry equality is order-insensitive on the alternate set.
+
+@dataclass(frozen=True, eq=False)
+class DialogState:
+    """Cumulative slot-value frame: (domain, slot) -> alternates.
+
+    Alternates model MultiWOZ 2.4's "a|b" multi-value annotations. They keep
+    source order, so that emitting "the first alternate" is deterministic,
+    hold no duplicates and are never empty. Equality is order-insensitive on
+    each alternate set. The mapping is shared, never mutated.
     """
-    entries: FrozenSet[Tuple[str, str, Tuple[str, ...]]] = frozenset()
+    slots: Slots = field(default_factory=dict)
 
     @staticmethod
     def from_dict(d: Dict[Tuple[str, str], Iterable[str]]) -> "DialogState":
-        return DialogState(frozenset(
-            (dom, slot, _value_tuple(vals)) for (dom, slot), vals in d.items() if vals
-        ))
-
-    def as_dict(self) -> Dict[Tuple[str, str], Tuple[str, ...]]:
-        return {(dom, slot): vals for dom, slot, vals in self.entries}
+        return DialogState({key: _value_tuple(vals) for key, vals in d.items() if vals})
 
     def __bool__(self):
-        return bool(self.entries)
+        return bool(self.slots)
 
     def __eq__(self, other):
         if not isinstance(other, DialogState):
             return NotImplemented
-        return self._normalized() == other._normalized()
-
-    def __hash__(self):
-        return hash(self._normalized())
-
-    def _normalized(self):
-        return frozenset((d, s, frozenset(v)) for d, s, v in self.entries)
+        return (self.slots.keys() == other.slots.keys()
+                and all(set(vals) == set(other.slots[key]) for key, vals in self.slots.items()))
 
 
 EMPTY_STATE = DialogState()
@@ -194,8 +188,8 @@ def state_update(prev: DialogState, curr: DialogState) -> StateUpdate:
     (dontcared), not an addition. A brand-new slot whose first value is
     "dontcare" counts as added (it still has to be predicted).
     """
-    prev_d = prev.as_dict()
-    curr_d = curr.as_dict()
+    prev_d = prev.slots
+    curr_d = curr.slots
     added = set()
     dontcared = set()
     for key, vals in curr_d.items():
@@ -212,14 +206,14 @@ def state_update(prev: DialogState, curr: DialogState) -> StateUpdate:
 
 def apply_update(prev: DialogState, update: StateUpdate) -> DialogState:
     """Left fold step; inverse of state_update given the same prev."""
-    d = prev.as_dict()
+    d = dict(prev.slots)
     for dom, slot, vals in update.added_or_changed:
         d[(dom, slot)] = vals
     for key in update.dontcared:
         d[key] = (DONTCARE,)
     for key in update.dropped:
         d.pop(key, None)
-    return DialogState.from_dict(d)
+    return DialogState(d)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +252,11 @@ def _where(path, dialog_id=None, turn=None) -> str:
 
 
 _KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+
+
+def gold_program_error(dialog_id: str, turn_index: int, exc: Exception) -> ParseError:
+    """The error for a user turn whose gold Lispress program does not parse."""
+    return ParseError(f"dialog {dialog_id}, turn {turn_index}: gold program does not parse: {exc}")
 
 
 def _type_error(what: str, kind, value, path, dialog_id=None, turn=None) -> ParseError:
@@ -380,7 +379,7 @@ def load_multiwoz(path, split: str = "all") -> Corpus:
                 _, agent_metadata = _multiwoz_entry(log[i + 1], path, dialog_id, i + 1)
                 state = _parse_multiwoz_state(agent_metadata, path, dialog_id, i + 1)
                 turns.append(Turn(i, Speaker.USER, utterance, state=state))
-                domains |= {dom for dom, _, _ in state.entries}
+                domains |= {dom for dom, _ in state.slots}
             else:
                 turns.append(Turn(i, Speaker.AGENT, utterance))
         dialogs.append(Dialog(dialog_id, tuple(turns), services=tuple(sorted(domains))))
@@ -391,9 +390,9 @@ def load_multiwoz(path, split: str = "all") -> Corpus:
 # SGD
 # ---------------------------------------------------------------------------
 
-# (service, raw slot name, raw values) -> ((service, canonical slot), state
-# entry, or None when every value is absent); one per load_sgd call
-_SlotMemo = Dict[tuple, Tuple[Tuple[str, str], Optional[Tuple[str, str, Tuple[str, ...]]]]]
+# (service, raw slot name, raw values) -> ((service, canonical slot),
+# alternates, empty when every value is absent); one per load_sgd call
+_SlotMemo = Dict[tuple, Tuple[Tuple[str, str], Tuple[str, ...]]]
 
 
 def _sgd_schemas(path: Path) -> Dict[str, str]:
@@ -416,7 +415,7 @@ def _sgd_slot(memo: _SlotMemo, svc: str, slot: str, values, path, dialog_id, tur
             raise _type_error(f"value of slot {slot!r}", str, v, path, dialog_id, turn)
     canon = (svc, canonical_slot(slot))
     vals = _value_tuple(v for v in values if v.strip().lower() not in _ABSENT_VALUES)
-    memo[(svc, slot, tuple(values))] = hit = (canon, (svc, canon[1], vals) if vals else None)
+    memo[(svc, slot, tuple(values))] = hit = (canon, vals)
     return hit
 
 
@@ -429,7 +428,7 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
             raise StructuralError(
                 f"{_where(path, dialog_id)}: references service {svc!r} not in schema")
     turns: List[Turn] = []
-    cumulative: Dict[Tuple[str, str], Tuple[str, str, Tuple[str, ...]]] = {}
+    cumulative: Slots = {}
     for i, t in enumerate(_check(raw.get("turns", []), list, "turns", path, dialog_id)):
         _check(t, dict, "turn", path, dialog_id, i)
         speaker = _check(t.get("speaker", ""), str, "speaker", path, dialog_id, i).upper()
@@ -450,7 +449,8 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
                                  path, dialog_id, i)
             # rebuild this service's slice of the cumulative state; SGD frames
             # restate a service's whole state on every turn, so most slot
-            # entries repeat an earlier one
+            # entries repeat an earlier one. The rebuild is a new dict, so
+            # the states of earlier turns, which share theirs, never change
             cumulative = {k: v for k, v in cumulative.items() if k[0] != svc}
             for slot, values in slot_values.items():
                 # checked first: tuple() of a string or object could equal a key
@@ -458,13 +458,12 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
                     raise _type_error(f"values of slot {slot!r}", list, values,
                                       path, dialog_id, i)
                 try:
-                    key, entry = memo[(svc, slot, tuple(values))]
+                    key, vals = memo[(svc, slot, tuple(values))]
                 except (KeyError, TypeError):  # TypeError: an unhashable, so invalid, value
-                    key, entry = _sgd_slot(memo, svc, slot, values, path, dialog_id, i)
-                if entry is not None:
-                    cumulative[key] = entry
-        turns.append(Turn(i, Speaker.USER, utterance,
-                          state=DialogState(frozenset(cumulative.values()))))
+                    key, vals = _sgd_slot(memo, svc, slot, values, path, dialog_id, i)
+                if vals:
+                    cumulative[key] = vals
+        turns.append(Turn(i, Speaker.USER, utterance, state=DialogState(cumulative)))
     if not turns:
         raise StructuralError(f"{_where(path, dialog_id)}: empty dialog")
     return Dialog(dialog_id, tuple(turns), services=services)
@@ -599,13 +598,4 @@ def validate_corpus(corpus: Corpus) -> List[str]:
                 elif turn.state is None:
                     violations.append(
                         f"{dialog.dialog_id}: user turn {turn.index} has no state")
-        # accumulation identity: applying each turn's update rebuilds its
-        # state unless the state gives one slot two alternate sets, or none
-        if corpus.dataset_kind is not DatasetKind.SMCALFLOW:
-            for turn in dialog.user_turns():
-                entries = turn.state._normalized() if turn.state else ()
-                if (len({(dom, slot) for dom, slot, _ in entries}) < len(entries)
-                        or not all(vals for _, _, vals in entries)):
-                    violations.append(
-                        f"{dialog.dialog_id}: accumulation identity broken at turn {turn.index}")
     return violations

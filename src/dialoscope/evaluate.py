@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import lispress
-from .corpus import (Corpus, DatasetKind, DialogState, DONTCARE, EMPTY_STATE, ParseError,
-                     apply_update, utf8_lines)
+from .corpus import (Corpus, DatasetKind, DialogState, DONTCARE, EMPTY_STATE,
+                     apply_update, gold_program_error, utf8_lines)
 from .linearize import TargetParseError, parse_target
 
 log = logging.getLogger(__name__)
@@ -45,9 +45,13 @@ def load_predictions(path) -> Dict[PredKey, str]:
             try:
                 key = (rec["dialogue_id"], int(rec["turn_index"]))
                 pred = rec["prediction"]
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise PredictionFileError(
                     f"{path}:{lineno}: need dialogue_id, turn_index, prediction")
+            for name, value in (("dialogue_id", key[0]), ("prediction", pred)):
+                if not isinstance(value, str):
+                    raise PredictionFileError(f"{path}:{lineno}: {name} must be a string, "
+                                              f"got {type(value).__name__}")
             if key in predictions:
                 raise PredictionFileError(f"{path}:{lineno}: duplicate record for {key}")
             predictions[key] = pred
@@ -114,14 +118,9 @@ def _values_match(pred: str, gold_alternates, fuzzy: bool = False) -> bool:
 def states_equal(pred: DialogState, gold: DialogState, fuzzy: bool = False) -> bool:
     """Full-state equality: same keys, each predicted value equal to any
     gold alternate (case-insensitive, whitespace-collapsed)."""
-    pred_d = pred.as_dict()
-    gold_d = gold.as_dict()
-    if set(pred_d) != set(gold_d):
-        return False
-    for key, pred_vals in pred_d.items():
-        if not _values_match(pred_vals[0], gold_d[key], fuzzy):
-            return False
-    return True
+    pred_d, gold_d = pred.slots, gold.slots
+    return pred_d.keys() == gold_d.keys() and all(
+        _values_match(pred_vals[0], gold_d[key], fuzzy) for key, pred_vals in pred_d.items())
 
 
 def _score(report: ScoreReport, predictions: Dict[PredKey, str],
@@ -220,8 +219,7 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
                 try:
                     gold = lispress.parse(turn.program)
                 except lispress.LispressError as exc:
-                    raise ParseError(f"dialog {dialog.dialog_id}, turn {turn.index}: "
-                                     f"gold program does not parse: {exc}") from exc
+                    raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
                 try:
                     pred = lispress.parse(predictions[key])
                 except lispress.LispressError:

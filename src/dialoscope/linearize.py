@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import lispress
 from .atomic import write_atomically
-from .corpus import (Corpus, DatasetKind, Dialog, DialogState, DONTCARE,
-                     ParseError, Speaker, StateUpdate, state_update)
+from .corpus import (Corpus, DatasetKind, Dialog, DialogState, DONTCARE, EMPTY_STATE,
+                     Speaker, StateUpdate, gold_program_error, state_update)
 
 
 class InputRepresentation(str, Enum):
@@ -46,7 +46,7 @@ class TargetParseError(ValueError):
 
 def linearize_state(state: DialogState) -> str:
     """Cumulative state in the same syntax as targets (first alternate)."""
-    entries = sorted((dom, slot, vals[0]) for dom, slot, vals in state.entries)
+    entries = sorted((dom, slot, vals[0]) for (dom, slot), vals in state.slots.items())
     return ", ".join(f"{dom}:{slot}={val}" for dom, slot, val in entries)
 
 
@@ -140,7 +140,7 @@ def _previous_state_text(dialog, turn_index, predicted_states) -> str:
     for t in reversed(dialog.turns[:turn_index]):
         if t.speaker is Speaker.USER:
             return linearize_state(
-                predicted_states.get((dialog.dialog_id, t.index), DialogState()))
+                predicted_states.get((dialog.dialog_id, t.index), EMPTY_STATE))
     return ""
 
 
@@ -154,8 +154,7 @@ def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetK
             try:
                 target = linearize_target(turn.program or "()")
             except lispress.LispressError as exc:
-                raise ParseError(f"dialog {dialog.dialog_id}, turn {turn.index}: "
-                                 f"gold program does not parse: {exc}") from exc
+                raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
         else:
             prev = dialog.previous_user_state(turn.index)
             target = linearize_target(state_update(prev, turn.state))

@@ -131,7 +131,7 @@ def parse(source: str) -> Node:
         children.append(node)
     if children and children[-1] is _HASH:
         raise LispressError("unexpected end of input", len(source))
-    raise LispressError("unbalanced '(' ", _token_offset(source, open_lists[-1][1]))
+    raise LispressError("unbalanced '('", _token_offset(source, open_lists[-1][1]))
 
 
 def _escape(text: str) -> str:
@@ -165,21 +165,3 @@ def contains_call(node: Node, fname: str) -> bool:
         return contains_call(node.child, fname)
     return False
 
-
-def exact_match(pred: str, gold: str, strict: bool = False) -> bool:
-    """Program equality after canonicalization.
-
-    With strict=True, compares raw bytes instead (for parity experiments
-    against scorers that do not canonicalize whitespace).
-    """
-    try:
-        gold_node = parse(gold)
-    except LispressError as exc:
-        raise LispressError("gold program does not parse: " + exc.message, exc.offset) from exc
-    if strict:
-        return pred == gold
-    try:
-        pred_node = parse(pred)
-    except LispressError:
-        return False
-    return print_canonical(pred_node) == print_canonical(gold_node)

@@ -60,29 +60,10 @@ def to_json(report: AnalysisReport) -> dict:
     }
 
 
-def from_json(doc: dict) -> AnalysisReport:
-    return AnalysisReport(
-        dataset_kind=doc["dataset"],
-        split=doc["split"],
-        total_user_turns=doc["total_user_turns"],
-        tracked_turns=doc["tracked_turns"],
-        conversationality=dict(doc.get("conversationality", {})),
-        contextuality=dict(doc.get("contextuality", {})),
-        normalization=dict(doc.get("normalization", {})),
-        histogram_counts={int(k): v for k, v in doc.get("histogram", {}).items()},
-        relaxation=doc.get("relaxation", 0.0),
-        smcalflow=dict(doc.get("smcalflow", {})),
-    )
-
-
-def render(report: AnalysisReport, dataset_label: Optional[str] = None,
-           split_label: Optional[str] = None) -> RenderedReport:
+def render(report: AnalysisReport) -> RenderedReport:
     """All three views of one report; percentages printed to two decimals."""
-    dataset_label = dataset_label or report.dataset_kind
-    split_label = split_label or report.split
-
     lines = [
-        f"# {dataset_label} ({split_label}) — per-turn analysis",
+        f"# {report.dataset_kind} ({report.split}) — per-turn analysis",
         "",
         f"User turns analyzed: {report.total_user_turns}",
         "",

@@ -170,16 +170,17 @@ class TestLispressRobustness:
                     printed = lispress.print_canonical(node)
                     assert lispress.print_canonical(lispress.parse(printed)) \
                         == printed
-                    assert lispress.exact_match(turn.program, turn.program)
+                    assert lispress.parse(printed) == node
 
     def test_fixture_programs_round_trip(self, smcalflow_path):
         # same invariants on the bundled fixtures, always run
         corpus = load_smcalflow(smcalflow_path)
         for dialog in corpus.dialogs:
             for turn in dialog.user_turns():
-                printed = lispress.print_canonical(lispress.parse(turn.program))
+                node = lispress.parse(turn.program)
+                printed = lispress.print_canonical(node)
                 assert lispress.print_canonical(lispress.parse(printed)) == printed
-                assert lispress.exact_match(turn.program, turn.program)
+                assert lispress.parse(printed) == node
 
 
 class TestEvalCorrectness:

@@ -71,6 +71,18 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert "nothing to predict" in out
 
+    def test_unparseable_gold_program_exits_one(self, capsys, smcalflow_raw, tmp_path):
+        smcalflow_raw[0]["turns"][1]["lispress"] = "(Yield (foo"
+        source = tmp_path / "calflow.jsonl"
+        source.write_text("\n".join(json.dumps(d) for d in smcalflow_raw), "utf-8")
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "analyze", "--dataset", "smcalflow", "--path", str(source),
+                           "--out", str(out))
+        assert code == EXIT_FAILURE
+        assert err == ("error: dialog calflow-0, turn 2: gold program does not parse: "
+                       "unbalanced '(' (at character offset 7)\n")
+        assert not out.exists()
+
 
 class TestLinearize:
     def test_emit(self, capsys, mwz_path, tmp_path):
@@ -191,6 +203,26 @@ class TestEval:
             assert code == EXIT_OK
             assert "unparseable predictions 1" in stdout
             assert "missing predictions     3" in stdout
+
+    @pytest.mark.parametrize("mode", ["jga", "exact-match"])
+    @pytest.mark.parametrize("record,named", [
+        ({"turn_index": 0, "prediction": 5}, "prediction must be a string, got int"),
+        ({"turn_index": 0, "prediction": None}, "prediction must be a string, got NoneType"),
+        ({"dialogue_id": ["d"], "turn_index": 0, "prediction": "x"},
+         "dialogue_id must be a string, got list"),
+        ({"turn_index": 1e400, "prediction": "x"}, "need dialogue_id, turn_index, prediction"),
+    ])
+    def test_invalid_prediction_record_exits_one(self, capsys, mwz_path, smcalflow_path,
+                                                 tmp_path, mode, record, named):
+        dataset, path, dialog_id = (("smcalflow", smcalflow_path, "calflow-0")
+                                    if mode == "exact-match"
+                                    else ("multiwoz", mwz_path, "MUL0635.json"))
+        p = tmp_path / "preds.jsonl"
+        p.write_text("\n" + json.dumps({"dialogue_id": dialog_id, **record}) + "\n", "utf-8")
+        code, _, err = run(capsys, "eval", "--dataset", dataset, "--path", str(path),
+                           "--preds", str(p), "--mode", mode)
+        assert code == EXIT_FAILURE
+        assert err == f"error: {p}:2: {named}\n"
 
     def test_malformed_preds_file(self, capsys, mwz_path, tmp_path):
         p = tmp_path / "preds.jsonl"

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dialoscope.corpus import (Corpus, CorpusError, Dialog, DialogState, DatasetKind,
-                               LoadError, Speaker, StructuralError, Turn, apply_update,
+from dialoscope.corpus import (Corpus, CorpusError, DialogState, DatasetKind,
+                               LoadError, Speaker, StructuralError, apply_update,
                                canonical_slot, load_multiwoz, load_sgd,
                                load_smcalflow, state_update, validate_corpus)
 from conftest import SGD_SCHEMA, mwz_dialog, sgd_turn, sgd_user_frame
@@ -74,7 +74,7 @@ class TestLoadMultiwoz:
         dialog = load_multiwoz(mwz_path).get_dialog("MUL0635.json")
         last = dialog.turns[10]
         assert last.speaker is Speaker.USER
-        got = last.state.as_dict()
+        got = last.state.slots
         assert got[("train", "arriveby")] == ("09:00",)
         assert got[("hotel", "people")] == ("2",)  # "book people" folded
 
@@ -86,7 +86,7 @@ class TestLoadMultiwoz:
         p = tmp_path / "d.json"
         p.write_text(json.dumps(raw), "utf-8")
         dialog = load_multiwoz(p).dialogs[0]
-        assert dialog.turns[0].state.as_dict()[("restaurant", "area")] == (
+        assert dialog.turns[0].state.slots[("restaurant", "area")] == (
             "centre", "north")
 
     def test_empty_file_rejected(self, tmp_path):
@@ -138,7 +138,7 @@ class TestLoadSgd:
         assert set(corpus.schemas) == {"Restaurants_1", "Hotels_1"}
         d1 = corpus.get_dialog("1_00000")
         assert d1.services == ("Restaurants_1",)
-        assert d1.turns[6].state.as_dict()[("Restaurants_1", "partysize")] == ("2",)
+        assert d1.turns[6].state.slots[("Restaurants_1", "partysize")] == ("2",)
 
     def test_both_service_names_exposed(self, sgd_path):
         corpus = load_sgd(sgd_path, "test")
@@ -202,28 +202,6 @@ class TestLoadSmcalflow:
             load_smcalflow(p)
 
 
-def reference_identity_violations(corpus):
-    """The accumulation-identity check of `validate_corpus` as it was
-    written before it became a direct check of the state."""
-    violations = []
-    for dialog in corpus.dialogs:
-        for turn in dialog.user_turns():
-            if turn.state is None:
-                continue
-            prev = dialog.previous_user_state(turn.index)
-            if apply_update(prev, state_update(prev, turn.state)) != turn.state:
-                violations.append(
-                    f"{dialog.dialog_id}: accumulation identity broken at turn {turn.index}")
-    return violations
-
-
-# states with repeated slots, reordered, repeated, "dontcare" or no alternates
-_states = st.frozensets(st.tuples(
-    st.sampled_from(["hotel", "train"]), st.sampled_from(["name", "day"]),
-    st.lists(st.sampled_from(["a", "b", "dontcare"]), max_size=3).map(tuple)),
-    max_size=4).map(DialogState)
-
-
 class TestValidate:
     def test_clean_fixtures(self, mwz_path, sgd_path, smcalflow_path):
         assert validate_corpus(load_multiwoz(mwz_path)) == []
@@ -244,42 +222,6 @@ class TestValidate:
         corpus, _ = planted
         violations = validate_corpus(corpus)
         assert violations == []
-
-    def test_broken_identity_flagged_at_its_turns(self):
-        # two entries for one slot never come out of applying an update
-        twice = DialogState(frozenset({("hotel", "name", ("a",)),
-                                       ("hotel", "name", ("b",))}))
-        turns = (Turn(0, Speaker.USER, "u", state=twice), Turn(1, Speaker.AGENT, "a"),
-                 Turn(2, Speaker.USER, "u", state=state({("hotel", "name"): ("c",)})),
-                 Turn(3, Speaker.AGENT, "a"), Turn(4, Speaker.USER, "u", state=twice))
-        corpus = Corpus(DatasetKind.MULTIWOZ, "t", (Dialog("d", turns),))
-        assert validate_corpus(corpus) == ["d: accumulation identity broken at turn 0",
-                                           "d: accumulation identity broken at turn 4"]
-
-    @pytest.mark.parametrize("first,second", [(("a", "b"), ("b", "a")),
-                                              (("a",), ("a", "a"))])
-    def test_one_alternate_set_in_two_entries_not_flagged(self, first, second):
-        # the reference applies the update and compares alternate sets
-        same = DialogState(frozenset({("hotel", "name", first),
-                                      ("hotel", "name", second)}))
-        turns = (Turn(0, Speaker.USER, "u", state=same), Turn(1, Speaker.AGENT, "a"),
-                 Turn(2, Speaker.USER, "u", state=same))
-        corpus = Corpus(DatasetKind.MULTIWOZ, "t", (Dialog("d", turns),))
-        assert reference_identity_violations(corpus) == []
-        assert validate_corpus(corpus) == []
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.none(), _states), min_size=1, max_size=4),
-           st.sampled_from([DatasetKind.MULTIWOZ, DatasetKind.SGD]))
-    def test_identity_check_matches_the_reference(self, states, kind):
-        turns = []
-        for k, s in enumerate(states):
-            turns += [Turn(2 * k, Speaker.USER, "u", state=s),
-                      Turn(2 * k + 1, Speaker.AGENT, "a")]
-        corpus = Corpus(kind, "t", (Dialog("d", tuple(turns)),))
-        found = [v for v in validate_corpus(corpus) if "accumulation identity" in v]
-        assert found == reference_identity_violations(corpus)
-
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +322,7 @@ class TestMalformedInput:
         dialogues[0]["services"].append("Hotels_1")
         write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
                                 "test/dialogues_001.json": dialogues})
-        states = [t.state.as_dict() for t in load_sgd(tmp_path).dialogs[0].user_turns()]
+        states = [t.state.slots for t in load_sgd(tmp_path).dialogs[0].user_turns()]
         assert [s.get(("Restaurants_1", "city")) for s in states] == [
             ("a", "b"), ("a", "b"), None, ("b", "a")]
         assert [s.get(("Hotels_1", "city")) for s in states] == [("a", "b")] * 4
@@ -390,7 +332,7 @@ class TestMalformedInput:
             {"hotel": {"semi": {"stars": 4, "area": ["north", "west"], "name": [],
                                 "type": " Not Mentioned ", "parking": "NONE"}}})})
         state = load_multiwoz(tmp_path / "d.json").dialogs[0].turns[0].state
-        assert state.as_dict() == {("hotel", "stars"): ("4",), ("hotel", "area"): ("north",)}
+        assert state.slots == {("hotel", "stars"): ("4",), ("hotel", "area"): ("north",)}
 
 
 # any JSON value: what the properties below put in place of each value of a
@@ -464,7 +406,8 @@ _smc_lines = st.lists(st.fixed_dictionaries(
 def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
     """Load `files` as they are, then once with each value at `min_depth` or
     deeper (a whole file at depth 1) replaced by a junk value: each load
-    returns a Corpus or raises a CorpusError."""
+    returns a Corpus or raises a CorpusError. In a returned Corpus, every
+    state's alternates are non-empty and hold no duplicates."""
     paths = [p for p in _paths(files) if len(p) >= min_depth]
     variants = [files] + [_replaced(files, p, junk[k % len(junk)]) for k, p in enumerate(paths)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -475,6 +418,10 @@ def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
             except CorpusError:
                 continue
             assert isinstance(result, Corpus)
+            for dialog in result.dialogs:
+                for turn in dialog.user_turns():
+                    for vals in (turn.state.slots.values() if turn.state else ()):
+                        assert vals and len(set(vals)) == len(vals)
 
 
 _junk = st.lists(_json, min_size=1, max_size=4)

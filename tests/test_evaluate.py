@@ -404,7 +404,7 @@ class TestEquivalence:
             assert flagged == ref_flagged
             assert list(states) == list(ref_states)
             for key, ref_state in ref_states.items():
-                assert states[key].entries == ref_state.entries
+                assert states[key].slots == ref_state.slots
 
         check()
 

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import lispress
+from dialoscope.corpus import Corpus, DatasetKind, Dialog, ParseError, Speaker, Turn
+from dialoscope.evaluate import exact_match_score
 from dialoscope.lispress import (LispressError, List, Number, StringLit, Symbol,
-                                 TypedLiteral, contains_call, exact_match, parse,
-                                 print_canonical)
+                                 TypedLiteral, contains_call, parse, print_canonical)
+
+
+def scored_correct(pred: str, gold: str, strict: bool = False) -> bool:
+    """Whether `exact_match_score` counts `pred` correct on a one-turn
+    SMCalFlow corpus whose gold program is `gold`."""
+    corpus = Corpus(DatasetKind.SMCALFLOW, "t",
+                    (Dialog("d", (Turn(0, Speaker.USER, "u", program=gold),)),))
+    return exact_match_score(corpus, {("d", 0): pred}, strict=strict).correct == 1
 
 
 class TestParse:
@@ -100,7 +109,7 @@ class TestProperties:
     @given(lispress_nodes())
     def test_exact_match_reflexive(self, node):
         printed = print_canonical(node)
-        assert exact_match(printed, printed)
+        assert scored_correct(printed, printed)
 
 
 class TestContainsCall:
@@ -124,36 +133,36 @@ class TestContainsCall:
 
 class TestExactMatch:
     def test_verbatim_equal(self):
-        assert exact_match("(a b)", "(a b)")
+        assert scored_correct("(a b)", "(a b)")
 
     def test_whitespace_only_difference(self):
-        assert exact_match("( a   b )", "(a b)")
+        assert scored_correct("( a   b )", "(a b)")
 
     def test_renamed_symbol(self):
-        assert not exact_match("(a c)", "(a b)")
+        assert not scored_correct("(a c)", "(a b)")
 
     def test_unparseable_pred_is_false(self):
-        assert not exact_match("(a", "(a b)")
+        assert not scored_correct("(a", "(a b)")
 
     def test_unparseable_gold_is_error(self):
-        with pytest.raises(LispressError):
-            exact_match("(a)", "(a")
+        with pytest.raises(ParseError):
+            scored_correct("(a)", "(a")
 
     def test_gold_error_names_one_offset(self):
-        with pytest.raises(LispressError) as exc:
-            exact_match("(a)", "(Yield (foo")
-        assert str(exc.value) == ("gold program does not parse: unbalanced '(' "
-                                  " (at character offset 7)")
-        assert exc.value.offset == 7
+        with pytest.raises(ParseError) as exc:
+            scored_correct("(a)", "(Yield (foo")
+        assert str(exc.value) == ("dialog d, turn 0: gold program does not parse: "
+                                  "unbalanced '(' (at character offset 7)")
+        assert exc.value.__cause__.offset == 7
 
     def test_strict_mode(self):
-        assert not exact_match("( a   b )", "(a b)", strict=True)
-        assert exact_match("(a b)", "(a b)", strict=True)
+        assert not scored_correct("( a   b )", "(a b)", strict=True)
+        assert scored_correct("(a b)", "(a b)", strict=True)
 
     def test_symmetric_and_transitive_via_canonical_form(self):
         a, b, c = "( a b )", "(a  b)", "(a b)"
-        assert exact_match(a, b) and exact_match(b, a)
-        assert exact_match(b, c) and exact_match(a, c)
+        assert scored_correct(a, b) and scored_correct(b, a)
+        assert scored_correct(b, c) and scored_correct(a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +233,7 @@ def _ref_parse_form(lex):
         while True:
             nxt = lex.peek()
             if nxt is None:
-                raise LispressError("unbalanced '(' ", open_pos)
+                raise LispressError("unbalanced '('", open_pos)
             if nxt == ")":
                 lex.pos += 1
                 return List(children)
