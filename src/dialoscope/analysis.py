@@ -36,11 +36,6 @@ class ContextClass(str, Enum):
     UNKNOWN = "unknown"
 
 
-class TurnKind(str, Enum):
-    NOTHING_TO_PREDICT = "nothing_to_predict"
-    TRACKED = "tracked"
-
-
 @dataclass(frozen=True)
 class SlotTrace:
     slot: Tuple[str, str]
@@ -60,9 +55,9 @@ class SlotTrace:
 
 @dataclass(frozen=True)
 class TurnAnalysis:
+    """A user turn's traces; empty `slot_traces` means nothing to predict."""
     dialog_id: str
     turn_index: int
-    kind: TurnKind
     turn_delta_c: Optional[int]
     slot_traces: Tuple[SlotTrace, ...]
     dropped_count: int = 0
@@ -71,10 +66,6 @@ class TurnAnalysis:
     @property
     def relaxes(self) -> bool:
         return bool(self.dropped_count or self.dontcared_count)
-
-    @property
-    def unresolved(self) -> bool:
-        return self.kind is TurnKind.TRACKED and self.turn_delta_c is None
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +137,13 @@ def apply_overrides(path) -> Overrides:
 # per-turn tracing
 # ---------------------------------------------------------------------------
 
+# of two surfaces found at the same distance, the lower-ranked category wins
+_CATEGORY_RANK = {category: rank for rank, category in enumerate((
+    MatchCategory.VERBATIM, MatchCategory.ENTITY_RECOGNITION,
+    MatchCategory.SEMANTIC_UNDERSTANDING, MatchCategory.COMPUTATION,
+    MatchCategory.OTHER, MatchCategory.TYPO))}
+
+
 def trace_turn(dialog: Dialog, turn_index: int, lexicon: Optional[Lexicon] = None,
                overrides: Optional[Overrides] = None) -> TurnAnalysis:
     """Backward-search every added/changed slot of a user turn.
@@ -173,7 +171,8 @@ def trace_turn(dialog: Dialog, turn_index: int, lexicon: Optional[Lexicon] = Non
                 result = match_in_text(value, (domain, slot),
                                        dialog.turns[i].utterance, lexicon)
                 if result.resolved:
-                    if best is None or _category_rank(result) < _category_rank(best[1]):
+                    if (best is None or _CATEGORY_RANK[result.category]
+                            < _CATEGORY_RANK[best[1].category]):
                         best = (distance, result, value)
             if best is not None:
                 break
@@ -194,20 +193,12 @@ def trace_turn(dialog: Dialog, turn_index: int, lexicon: Optional[Lexicon] = Non
                 (domain, slot), values[0], None,
                 MatchResult(MatchCategory.UNRESOLVED), ContextClass.UNKNOWN))
 
-    kind = TurnKind.NOTHING_TO_PREDICT if not update.added_or_changed else TurnKind.TRACKED
     turn_delta = None
-    if kind is TurnKind.TRACKED and all(t.delta_c is not None for t in traces):
+    if traces and all(t.delta_c is not None for t in traces):
         turn_delta = max(t.delta_c for t in traces)
-    return TurnAnalysis(dialog.dialog_id, turn_index, kind, turn_delta, tuple(traces),
+    return TurnAnalysis(dialog.dialog_id, turn_index, turn_delta, tuple(traces),
                         dropped_count=len(update.dropped),
                         dontcared_count=len(update.dontcared))
-
-
-def _category_rank(result: MatchResult) -> int:
-    order = [MatchCategory.VERBATIM, MatchCategory.ENTITY_RECOGNITION,
-             MatchCategory.SEMANTIC_UNDERSTANDING, MatchCategory.COMPUTATION,
-             MatchCategory.OTHER, MatchCategory.TYPO]
-    return order.index(result.category) if result.category in order else len(order)
 
 
 # ---------------------------------------------------------------------------
@@ -234,79 +225,43 @@ class AnalysisReport:
     smcalflow: Dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
-class _Tally:
-    user_turns: int = 0
-    nothing: int = 0
-    delta: Counter = field(default_factory=Counter)
-    unresolved_turns: int = 0
-    tracked: int = 0
-    norm_turns: Counter = field(default_factory=Counter)
-    context_turns: Counter = field(default_factory=Counter)
-    relax_turns: int = 0
-    refer_turns: int = 0
-    revise_turns: int = 0
-
-    def merge(self, other: "_Tally") -> "_Tally":
-        self.user_turns += other.user_turns
-        self.nothing += other.nothing
-        self.delta.update(other.delta)
-        self.unresolved_turns += other.unresolved_turns
-        self.tracked += other.tracked
-        self.norm_turns.update(other.norm_turns)
-        self.context_turns.update(other.context_turns)
-        self.relax_turns += other.relax_turns
-        self.refer_turns += other.refer_turns
-        self.revise_turns += other.revise_turns
-        return self
-
+# A dialog's tally counts its user turns by report cell: "user_turns",
+# "tracked" (a non-empty update), "relaxed", ("delta", turn δc or None when
+# unresolved), ("norm", MatchCategory), ("context", ContextClass), and for
+# SMCalFlow "refer" and "revise".
 
 def _tally_frame_dialog(dialog: Dialog, lexicon: Optional[Lexicon],
-                        overrides: Optional[Overrides]) -> _Tally:
-    tally = _Tally()
+                        overrides: Optional[Overrides]) -> Counter:
+    tally: Counter = Counter()
     for turn in dialog.user_turns():
-        analysis = trace_turn(dialog, turn.index, lexicon, overrides)
-        tally.user_turns += 1
-        if analysis.relaxes:
-            tally.relax_turns += 1
-        if analysis.kind is TurnKind.NOTHING_TO_PREDICT:
-            tally.nothing += 1
-            tally.context_turns["non_contextual"] += 1
-            continue
-        tally.tracked += 1
-        for category in {t.report_category.value for t in analysis.slot_traces}:
-            tally.norm_turns[category] += 1
-        flagged = {t.context_class for t in analysis.slot_traces} - {
+        traced = trace_turn(dialog, turn.index, lexicon, overrides)
+        tally["user_turns"] += 1
+        if traced.relaxes:
+            tally["relaxed"] += 1
+        flagged = {t.context_class for t in traced.slot_traces} - {
             ContextClass.NON_CONTEXTUAL}
-        if not flagged:
-            tally.context_turns["non_contextual"] += 1
-        else:
-            for ctx in flagged:
-                tally.context_turns[ctx.value] += 1
-        if analysis.turn_delta_c is None:
-            tally.unresolved_turns += 1
-        else:
-            tally.delta[analysis.turn_delta_c] += 1
+        tally.update(("context", ctx) for ctx in flagged or {ContextClass.NON_CONTEXTUAL})
+        if traced.slot_traces:
+            tally["tracked"] += 1
+            tally[("delta", traced.turn_delta_c)] += 1
+            tally.update({("norm", t.report_category) for t in traced.slot_traces})
     return tally
 
 
-def _tally_program_dialog(dialog: Dialog) -> _Tally:
-    tally = _Tally()
+def _tally_program_dialog(dialog: Dialog) -> Counter:
+    tally: Counter = Counter()
     for turn in dialog.user_turns():
-        tally.user_turns += 1
+        tally["user_turns"] += 1
         try:
-            program = parse(turn.program or "")
+            program = parse(turn.program)
         except LispressError as exc:
             raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
-        if contains_call(program, "refer"):
-            tally.refer_turns += 1
-        if contains_call(program, "revise"):
-            tally.revise_turns += 1
+        tally.update(name for name in ("refer", "revise") if contains_call(program, name))
     return tally
 
 
 def _tally_dialog(dialog: Dialog, kind: DatasetKind, lexicon: Optional[Lexicon],
-                 overrides: Optional[Overrides]) -> _Tally:
+                 overrides: Optional[Overrides]) -> Counter:
     if kind is DatasetKind.SMCALFLOW:
         return _tally_program_dialog(dialog)
     return _tally_frame_dialog(dialog, lexicon, overrides)
@@ -323,7 +278,7 @@ def _init_worker(kind: DatasetKind, lexicon: Optional[Lexicon],
     _worker_args = (kind, lexicon, overrides)
 
 
-def _tally_in_worker(dialog: Dialog) -> _Tally:
+def _tally_in_worker(dialog: Dialog) -> Counter:
     return _tally_dialog(dialog, *_worker_args)
 
 
@@ -343,51 +298,43 @@ def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
             tallies = list(pool.map(_tally_in_worker, corpus.dialogs, chunksize=16))
     else:
         tallies = [_tally_dialog(d, kind, lexicon, overrides) for d in corpus.dialogs]
-    total = _Tally()
-    for t in tallies:
-        total.merge(t)
+    total: Counter = Counter()
+    for tally in tallies:
+        total.update(tally)
 
-    n = total.user_turns
-    report = AnalysisReport(corpus.dataset_kind.value, corpus.split, n, total.tracked)
+    n = total["user_turns"]
+    tracked = total["tracked"]
+    report = AnalysisReport(kind.value, corpus.split, n, tracked)
     if n == 0:
         return report
 
     def pct(x, denom=n):
         return 100.0 * x / denom if denom else 0.0
 
-    if corpus.dataset_kind is DatasetKind.SMCALFLOW:
-        report.smcalflow = {
-            "refer": pct(total.refer_turns),
-            "revise": pct(total.revise_turns),
-        }
+    if kind is DatasetKind.SMCALFLOW:
+        report.smcalflow = {name: pct(total[name]) for name in ("refer", "revise")}
         return report
 
-    d0 = total.delta.get(0, 0)
-    d1 = total.delta.get(1, 0)
-    d2 = sum(c for d, c in total.delta.items() if d >= 2)
+    nothing = n - tracked
+    d0, d1 = total[("delta", 0)], total[("delta", 1)]
+    report.histogram_counts = dict(sorted(
+        (key[1], count) for key, count in total.items()
+        if isinstance(key, tuple) and key[0] == "delta"
+        and key[1] is not None and key[1] >= 2))
     report.conversationality = {
-        "nothing_to_predict": pct(total.nothing),
+        "nothing_to_predict": pct(nothing),
         "delta0": pct(d0),
         "delta1": pct(d1),
-        "cum_delta0": pct(total.nothing + d0),
-        "cum_delta1": pct(total.nothing + d0 + d1),
-        "delta2_plus": pct(d2),
-        "unresolved": pct(total.unresolved_turns),
+        "cum_delta0": pct(nothing + d0),
+        "cum_delta1": pct(nothing + d0 + d1),
+        "delta2_plus": pct(sum(report.histogram_counts.values())),
+        "unresolved": pct(total[("delta", None)]),
     }
     report.contextuality = {
-        cls.value: pct(total.context_turns.get(cls.value, 0)) for cls in ContextClass
-    }
-    norm_order = [MatchCategory.VERBATIM, MatchCategory.TYPO,
-                  MatchCategory.ENTITY_RECOGNITION,
-                  MatchCategory.SEMANTIC_UNDERSTANDING,
-                  MatchCategory.COMPUTATION, MatchCategory.OTHER,
-                  MatchCategory.UNRESOLVED]
+        cls.value: pct(total[("context", cls)]) for cls in ContextClass}
     report.normalization = {
-        cat.value: pct(total.norm_turns.get(cat.value, 0), total.tracked)
-        for cat in norm_order
-    }
-    report.histogram_counts = {d: c for d, c in sorted(total.delta.items()) if d >= 2}
-    report.relaxation = pct(total.relax_turns)
+        cat.value: pct(total[("norm", cat)], tracked) for cat in MatchCategory}
+    report.relaxation = pct(total["relaxed"])
     return report
 
 

@@ -141,7 +141,7 @@ def cmd_inspect(args) -> int:
             print(f"      program: {turn.program}")
             continue
         result = analysis.trace_turn(dialog, turn.index, lexicon, overrides)
-        if result.kind is analysis.TurnKind.NOTHING_TO_PREDICT:
+        if not result.slot_traces:
             print("      (nothing to predict)")
             continue
         for trace in result.slot_traces:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 DONTCARE = "dontcare"
 _ABSENT_VALUES = {"", "none", "not mentioned"}

@@ -29,6 +29,9 @@ class PredictionFileError(ValueError):
     pass
 
 
+_RECORD_FIELDS = {"dialogue_id", "turn_index", "prediction"}
+
+
 def load_predictions(path) -> Dict[PredKey, str]:
     """Read a line-delimited JSON predictions file."""
     predictions: Dict[PredKey, str] = {}
@@ -42,12 +45,13 @@ def load_predictions(path) -> Dict[PredKey, str]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise PredictionFileError(f"{path}:{lineno}: malformed JSON: {exc}")
-            try:
-                key = (rec["dialogue_id"], int(rec["turn_index"]))
-                pred = rec["prediction"]
-            except (KeyError, TypeError, ValueError, OverflowError):
+            # turn_index is a JSON integer: no float, bool or numeric string
+            if not (isinstance(rec, dict) and _RECORD_FIELDS <= rec.keys()
+                    and type(rec["turn_index"]) is int):
                 raise PredictionFileError(
                     f"{path}:{lineno}: need dialogue_id, turn_index, prediction")
+            key = (rec["dialogue_id"], rec["turn_index"])
+            pred = rec["prediction"]
             for name, value in (("dialogue_id", key[0]), ("prediction", pred)):
                 if not isinstance(value, str):
                     raise PredictionFileError(f"{path}:{lineno}: {name} must be a string, "

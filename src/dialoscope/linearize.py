@@ -152,7 +152,7 @@ def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetK
         inp = linearize_input(dialog, turn.index, repr, kind, predicted_states, schemas)
         if kind is DatasetKind.SMCALFLOW:
             try:
-                target = linearize_target(turn.program or "()")
+                target = linearize_target(turn.program)
             except lispress.LispressError as exc:
                 raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
         else:

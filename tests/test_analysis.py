@@ -1,11 +1,14 @@
+import json
+
 import pytest
 
 from dialoscope import analysis
-from dialoscope.analysis import (ContextClass, OverrideError, TurnKind,
-                                 analyze_corpus, apply_overrides, histogram,
-                                 trace_turn)
-from dialoscope.corpus import load_multiwoz, load_sgd, load_smcalflow
+from dialoscope.analysis import (ContextClass, OverrideError, analyze_corpus,
+                                 apply_overrides, histogram, trace_turn)
+from dialoscope.corpus import DatasetKind, load_multiwoz, load_sgd, load_smcalflow
+from dialoscope.lispress import contains_call, parse
 from dialoscope.normalize import MatchCategory, default_lexicon, match_in_text
+from dialoscope.report import to_json
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +44,6 @@ class TestTraceTurn:
     def test_empty_update_is_nothing_to_predict(self, mwz_path, lexicon):
         dialog = load_multiwoz(mwz_path).get_dialog("MUL0635.json")
         result = trace_turn(dialog, 4, lexicon)  # "thanks" turn, no change
-        assert result.kind is TurnKind.NOTHING_TO_PREDICT
         assert result.slot_traces == ()
 
     def test_relaxation_counted_not_traced(self, mwz_path, lexicon):
@@ -235,3 +237,133 @@ class TestHistogram:
         corpus = load_multiwoz(mwz_path)
         report = analyze_corpus(corpus, lexicon)
         assert all(d >= 2 for d, _ in histogram(report))
+
+
+def recount(corpus, lexicon=None, overrides=None) -> dict:
+    """The report JSON of `corpus`, counted afresh from what each user turn
+    means: `trace_turn` for frame corpora, the parsed gold program for
+    SMCalFlow. It shares no code with `analyze_corpus`'s aggregation."""
+    turns = [(dialog, turn) for dialog in corpus.dialogs for turn in dialog.user_turns()]
+    n = len(turns)
+
+    def pct(count, denom=n):
+        return 100.0 * count / denom if denom else 0.0
+
+    doc = {"dataset": corpus.dataset_kind.value, "split": corpus.split,
+           "total_user_turns": n, "tracked_turns": 0, "conversationality": {},
+           "contextuality": {}, "normalization": {}, "histogram": {},
+           "relaxation": 0.0, "smcalflow": {}}
+    if corpus.dataset_kind is DatasetKind.SMCALFLOW:
+        programs = [parse(turn.program) for _, turn in turns]
+        doc["smcalflow"] = {
+            name: pct(sum(contains_call(p, name) for p in programs))
+            for name in ("refer", "revise")}
+        return doc
+
+    results = [trace_turn(dialog, turn.index, lexicon, overrides)
+               for dialog, turn in turns]
+    tracked = [r for r in results if r.slot_traces]
+    # a turn's δc is the largest of its slots', and unknown if any is unknown
+    deltas = [None if any(t.delta_c is None for t in r.slot_traces)
+              else max(t.delta_c for t in r.slot_traces) for r in tracked]
+    nothing = n - len(tracked)
+    d0, d1 = deltas.count(0), deltas.count(1)
+    doc["tracked_turns"] = len(tracked)
+    doc["conversationality"] = {
+        "nothing_to_predict": pct(nothing),
+        "delta0": pct(d0),
+        "delta1": pct(d1),
+        "cum_delta0": pct(nothing + d0),
+        "cum_delta1": pct(nothing + d0 + d1),
+        "delta2_plus": pct(sum(1 for d in deltas if d is not None and d >= 2)),
+        "unresolved": pct(deltas.count(None)),
+    }
+
+    def context_classes(result):
+        # a turn with no flagged slot (or no slot at all) is non-contextual
+        flagged = {t.context_class for t in result.slot_traces} - {
+            ContextClass.NON_CONTEXTUAL}
+        return flagged or {ContextClass.NON_CONTEXTUAL}
+
+    doc["contextuality"] = {
+        cls.value: pct(sum(cls in context_classes(r) for r in results))
+        for cls in ContextClass}
+
+    def category(trace):
+        # a typo two or more edits away is reported as "other"
+        if trace.match.category is MatchCategory.TYPO and trace.match.distance >= 2:
+            return MatchCategory.OTHER
+        return trace.match.category
+
+    doc["normalization"] = {
+        cat.value: pct(sum(any(category(t) is cat for t in r.slot_traces)
+                           for r in tracked), len(tracked))
+        for cat in MatchCategory}
+    doc["histogram"] = {str(d): deltas.count(d) for d in sorted(
+        {d for d in deltas if d is not None and d >= 2})}
+    doc["relaxation"] = pct(sum(1 for r in results
+                                if r.dropped_count or r.dontcared_count))
+    return doc
+
+
+class TestRecount:
+    """Every number of the report, checked against a recount from the
+    per-turn traces; the JSON text also fixes the order of the keys."""
+
+    def check(self, corpus, lexicon=None, overrides=None, workers=1):
+        actual = to_json(analyze_corpus(corpus, lexicon, overrides, workers=workers))
+        assert json.dumps(actual) == json.dumps(recount(corpus, lexicon, overrides))
+
+    def test_multiwoz(self, mwz_path, lexicon):
+        self.check(load_multiwoz(mwz_path), lexicon)
+
+    def test_multiwoz_with_overrides(self, tmp_path, mwz_path, lexicon):
+        p = tmp_path / "ov.tsv"
+        p.write_text("MUL0635.json\t10\ttrain\tdestination\t5\tother"
+                     "\texternal_knowledge\n", "utf-8")
+        self.check(load_multiwoz(mwz_path), lexicon, apply_overrides(p))
+
+    def test_sgd(self, sgd_path, lexicon):
+        self.check(load_sgd(sgd_path, "test"), lexicon)
+
+    def test_smcalflow(self, smcalflow_path):
+        self.check(load_smcalflow(smcalflow_path))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_planted(self, planted, lexicon, workers):
+        corpus, _ = planted
+        self.check(corpus, lexicon, workers=workers)
+
+    def test_mixed_turns(self, lexicon):
+        # a typo two edits away, two categories in one turn, a dropped slot,
+        # overrides with two context classes and an unresolved slot
+        from dialoscope.corpus import Corpus, Dialog, DialogState, Speaker, Turn
+
+        def user(i, text, slots):
+            return Turn(i, Speaker.USER, text, state=DialogState.from_dict(
+                {("test", s): (v,) for s, v in slots.items()}))
+
+        mix = Dialog("mix", (
+            user(0, "a harpsikord and a cello please",
+                 {"instrument": "harpsichord", "second": "cello"}),
+            Turn(1, Speaker.AGENT, "noted"),
+            user(2, "at my usual venue , the usual time",
+                 {"second": "cello", "venue": "grand hall", "time": "noon"}),
+        ))
+        ctx = Dialog("ctx", (
+            user(0, "somewhere my wife likes", {"venue": "blue door"}),
+            Turn(1, Speaker.AGENT, "certainly"),
+            user(2, "thanks", {"venue": "blue door"}),
+        ))
+        overrides = {
+            ("mix", 2, "test", "venue"): analysis.Override(
+                None, None, ContextClass.SITUATIONAL),
+            ("ctx", 0, "test", "venue"): analysis.Override(
+                0, MatchCategory.OTHER, ContextClass.USER_KNOWLEDGE),
+        }
+        corpus = Corpus(DatasetKind.MULTIWOZ, "toy", (mix, ctx))
+        traces = [t for d in corpus.dialogs for u in d.user_turns()
+                  for t in trace_turn(d, u.index, lexicon, overrides).slot_traces]
+        assert {(t.match.category, t.match.distance) for t in traces} >= {
+            (MatchCategory.TYPO, 2), (MatchCategory.VERBATIM, None)}
+        self.check(corpus, lexicon, overrides)

@@ -116,6 +116,21 @@ class TestLinearize:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == [source]
 
+    def test_empty_gold_program_stops_like_analyze(self, capsys, smcalflow_raw, tmp_path):
+        source = tmp_path / "calflow.jsonl"
+        dialog = {"dialogue_id": "calflow-0", "turns": [
+            {**smcalflow_raw[0]["turns"][0], "lispress": ""}]}
+        source.write_text(json.dumps(dialog) + "\n", "utf-8")
+        out = tmp_path / "records.jsonl"
+        code, stdout, err = run(capsys, "linearize", "--dataset", "smcalflow",
+                                "--path", str(source), "--repr", "user", "--out", str(out))
+        assert (code, stdout) == (EXIT_FAILURE, "")
+        assert err == ("error: dialog calflow-0, turn 0: gold program does not parse: "
+                       "empty input (at character offset 0)\n")
+        assert not out.exists()
+        assert run(capsys, "analyze", "--dataset", "smcalflow",
+                   "--path", str(source)) == (EXIT_FAILURE, "", err)
+
     def test_bad_repr_is_usage_error(self, capsys, mwz_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["linearize", "--dataset", "multiwoz", "--path",
@@ -211,6 +226,8 @@ class TestEval:
         ({"dialogue_id": ["d"], "turn_index": 0, "prediction": "x"},
          "dialogue_id must be a string, got list"),
         ({"turn_index": 1e400, "prediction": "x"}, "need dialogue_id, turn_index, prediction"),
+        *(({"turn_index": i, "prediction": "x"}, "need dialogue_id, turn_index, prediction")
+          for i in (2.9, True, " 4 ", 4.0, "1_0")),
     ])
     def test_invalid_prediction_record_exits_one(self, capsys, mwz_path, smcalflow_path,
                                                  tmp_path, mode, record, named):

@@ -64,6 +64,18 @@ class TestLoadPredictions:
             load_predictions(p)
         assert ":2" in str(exc.value)
 
+    @pytest.mark.parametrize("turn_index", [2.9, True, " 4 ", 4.0, "1_0", 0])
+    def test_turn_index_is_a_json_integer(self, tmp_path, turn_index):
+        p = tmp_path / "preds.jsonl"
+        p.write_text(json.dumps({"dialogue_id": "d", "turn_index": turn_index,
+                                 "prediction": "x"}) + "\n", "utf-8")
+        if type(turn_index) is int:
+            assert load_predictions(p) == {("d", turn_index): "x"}
+            return
+        with pytest.raises(PredictionFileError) as exc:
+            load_predictions(p)
+        assert str(exc.value) == f"{p}:1: need dialogue_id, turn_index, prediction"
+
 
 class TestStatesEqual:
     def test_case_and_whitespace_insensitive(self):
