@@ -8,8 +8,8 @@ predictions (JGA and Lispress exact match).
 from .corpus import (Corpus, Dialog, DialogState, DatasetKind, Speaker,
                      StateUpdate, Turn, apply_update, load_multiwoz, load_sgd,
                      load_smcalflow, state_update, validate_corpus)
-from .analysis import (AnalysisReport, ContextClass, SlotTrace, TurnAnalysis,
-                       analyze_corpus, apply_overrides, histogram, trace_turn)
+from .analysis import (ContextClass, SlotTrace, TurnAnalysis, analyze_corpus,
+                       apply_overrides, histogram, trace_turn)
 from .normalize import (Lexicon, MatchCategory, MatchResult, default_lexicon,
                         load_lexicon, match_in_text, variants)
 from .linearize import (InputRepresentation, Seq2SeqRecord, emit_dataset,

@@ -12,7 +12,7 @@ import logging
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -90,9 +90,16 @@ class OverrideError(ValueError):
     pass
 
 
+def _natural(text: str) -> Optional[int]:
+    """`text` as a non-negative integer in ASCII digits, else None: no sign,
+    no `_` separator, no other script's digits."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def apply_overrides(path) -> Overrides:
-    """Parse a tab-separated manual-adjudication file."""
+    """Parse a tab-separated manual-adjudication file, one row per slot."""
     overrides: Overrides = {}
+    lines: Dict[OverrideKey, int] = {}
     try:
         text = Path(path).read_text("utf-8")
     except UnicodeDecodeError as exc:
@@ -106,16 +113,15 @@ def apply_overrides(path) -> Overrides:
             raise OverrideError(f"{path}:{lineno}: expected 7 tab-separated fields")
         dialog_id, turn_index, domain, slot, delta_c, category, context = (
             p.strip() for p in parts)
-        try:
-            idx = int(turn_index)
-        except ValueError:
-            raise OverrideError(f"{path}:{lineno}: turn_index must be an integer")
+        idx = _natural(turn_index)
+        if idx is None:
+            raise OverrideError(f"{path}:{lineno}: turn_index must be a non-negative integer")
         delta = None
         if delta_c != "-":
-            try:
-                delta = int(delta_c)
-            except ValueError:
-                raise OverrideError(f"{path}:{lineno}: delta_c must be an integer or '-'")
+            delta = _natural(delta_c)
+            if delta is None:
+                raise OverrideError(
+                    f"{path}:{lineno}: delta_c must be a non-negative integer or '-'")
         cat = None
         if category != "-":
             if category not in _OVERRIDE_CATEGORIES:
@@ -129,7 +135,12 @@ def apply_overrides(path) -> Overrides:
                 ctx = ContextClass(context)
             except ValueError:
                 raise OverrideError(f"{path}:{lineno}: unknown context class {context!r}")
-        overrides[(dialog_id, idx, domain, slot)] = Override(delta, cat, ctx)
+        key = (dialog_id, idx, domain, slot)
+        if key in lines:
+            raise OverrideError(f"{path}:{lineno}: second row for {key}, "
+                                f"first on line {lines[key]}")
+        lines[key] = lineno
+        overrides[key] = Override(delta, cat, ctx)
     return overrides
 
 
@@ -205,26 +216,6 @@ def trace_turn(dialog: Dialog, turn_index: int, lexicon: Optional[Lexicon] = Non
 # aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AnalysisReport:
-    """Aggregated per-turn statistics; all fractions are percentages (0-100).
-
-    Conversationality and contextuality are over all user turns;
-    normalization is over tracked turns (turns with a non-empty update) and
-    may sum above 100 since a turn can feature several effects.
-    """
-    dataset_kind: str
-    split: str
-    total_user_turns: int
-    tracked_turns: int
-    conversationality: Dict[str, float] = field(default_factory=dict)
-    contextuality: Dict[str, float] = field(default_factory=dict)
-    normalization: Dict[str, float] = field(default_factory=dict)
-    histogram_counts: Dict[int, int] = field(default_factory=dict)
-    relaxation: float = 0.0
-    smcalflow: Dict[str, float] = field(default_factory=dict)
-
-
 # A dialog's tally counts its user turns by report cell: "user_turns",
 # "tracked" (a non-empty update), "relaxed", ("delta", turn δc or None when
 # unresolved), ("norm", MatchCategory), ("context", ContextClass), and for
@@ -284,8 +275,16 @@ def _tally_in_worker(dialog: Dialog) -> Counter:
 
 def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
                    overrides: Optional[Overrides] = None,
-                   workers: int = 1) -> AnalysisReport:
-    """Aggregate per-turn traces into corpus-level percentages.
+                   workers: int = 1) -> dict:
+    """Aggregate per-turn traces into the report document `analyze --out`
+    writes.
+
+    Every value is a percentage (0-100). Conversationality, contextuality
+    and relaxation are over all user turns; normalization is over tracked
+    turns (turns with a non-empty update) and may sum above 100 since a
+    turn can feature several effects. `histogram` counts tracked turns by
+    δc from 2 up, keyed by δc as a string so the document survives a JSON
+    round trip.
 
     The merge is pure counting (associative and commutative), so results
     are identical for any worker count. The pool never exceeds the CPU count.
@@ -304,44 +303,47 @@ def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
 
     n = total["user_turns"]
     tracked = total["tracked"]
-    report = AnalysisReport(kind.value, corpus.split, n, tracked)
+    doc = {"dataset": kind.value, "split": corpus.split, "total_user_turns": n,
+           "tracked_turns": tracked, "conversationality": {}, "contextuality": {},
+           "normalization": {}, "histogram": {}, "relaxation": 0.0, "smcalflow": {}}
     if n == 0:
-        return report
+        return doc
 
     def pct(x, denom=n):
         return 100.0 * x / denom if denom else 0.0
 
     if kind is DatasetKind.SMCALFLOW:
-        report.smcalflow = {name: pct(total[name]) for name in ("refer", "revise")}
-        return report
+        doc["smcalflow"] = {name: pct(total[name]) for name in ("refer", "revise")}
+        return doc
 
     nothing = n - tracked
     d0, d1 = total[("delta", 0)], total[("delta", 1)]
-    report.histogram_counts = dict(sorted(
-        (key[1], count) for key, count in total.items()
-        if isinstance(key, tuple) and key[0] == "delta"
-        and key[1] is not None and key[1] >= 2))
-    report.conversationality = {
+    deep = sorted((key[1], count) for key, count in total.items()
+                  if isinstance(key, tuple) and key[0] == "delta"
+                  and key[1] is not None and key[1] >= 2)
+    doc["conversationality"] = {
         "nothing_to_predict": pct(nothing),
         "delta0": pct(d0),
         "delta1": pct(d1),
         "cum_delta0": pct(nothing + d0),
         "cum_delta1": pct(nothing + d0 + d1),
-        "delta2_plus": pct(sum(report.histogram_counts.values())),
+        "delta2_plus": pct(sum(count for _, count in deep)),
         "unresolved": pct(total[("delta", None)]),
     }
-    report.contextuality = {
+    doc["contextuality"] = {
         cls.value: pct(total[("context", cls)]) for cls in ContextClass}
-    report.normalization = {
+    doc["normalization"] = {
         cat.value: pct(total[("norm", cat)], tracked) for cat in MatchCategory}
-    report.relaxation = pct(total["relaxed"])
-    return report
+    doc["histogram"] = {str(d): count for d, count in deep}
+    doc["relaxation"] = pct(total["relaxed"])
+    return doc
 
 
-def histogram(report: AnalysisReport) -> List[Tuple[int, int]]:
-    """Ordered (delta_c, count) buckets for delta_c from 2 to the observed
-    maximum; intermediate empty buckets are included with count 0."""
-    if not report.histogram_counts:
+def histogram(doc: dict) -> List[Tuple[int, int]]:
+    """Ordered (delta_c, count) buckets of a report document for delta_c
+    from 2 to the observed maximum; intermediate empty buckets are included
+    with count 0."""
+    counts = {int(d): count for d, count in doc["histogram"].items()}
+    if not counts:
         return []
-    top = max(report.histogram_counts)
-    return [(d, report.histogram_counts.get(d, 0)) for d in range(2, top + 1)]
+    return [(d, counts.get(d, 0)) for d in range(2, max(counts) + 1)]

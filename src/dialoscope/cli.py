@@ -56,19 +56,18 @@ def _load_overrides(args):
 
 def cmd_analyze(args) -> int:
     corp = _load_corpus(args)
-    result = analysis.analyze_corpus(corp, _load_lexicon(args),
-                                     _load_overrides(args), workers=args.workers)
-    rendered = report.render(result)
+    doc = analysis.analyze_corpus(corp, _load_lexicon(args),
+                                  _load_overrides(args), workers=args.workers)
     # compute everything before touching the filesystem so a failure never
     # leaves partial outputs behind
+    md, csv = report.markdown(doc), report.histogram_csv(doc)
     if args.out:
-        write_text(args.out,
-                   json.dumps(rendered.json_doc, indent=2, ensure_ascii=False) + "\n")
+        write_text(args.out, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
     if args.markdown:
-        write_text(args.markdown, rendered.markdown)
+        write_text(args.markdown, md)
     if args.histogram:
-        write_text(args.histogram, rendered.histogram_csv)
-    print(rendered.markdown)
+        write_text(args.histogram, csv)
+    print(md)
     return EXIT_OK
 
 

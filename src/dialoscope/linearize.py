@@ -70,11 +70,13 @@ def linearize_target(update) -> str:
 
 
 def parse_target(text: str) -> StateUpdate:
-    """Inverse of linearize_target for frame updates."""
+    """Inverse of linearize_target for frame updates; an update names each
+    slot at most once."""
     text = text.strip()
     if not text:
         return StateUpdate()
     added, dropped, dontcared = set(), set(), set()
+    seen = set()
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -84,6 +86,9 @@ def parse_target(text: str) -> StateUpdate:
         if not sep or not sep2 or not domain.strip() or not slot.strip():
             raise TargetParseError(f"malformed update entry: {chunk!r}")
         key = (domain.strip(), slot.strip())
+        if key in seen:
+            raise TargetParseError(f"slot {key[0]}:{key[1]} named twice")
+        seen.add(key)
         value = value.strip()
         if value == "none":
             dropped.add(key)

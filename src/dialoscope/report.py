@@ -1,4 +1,4 @@
-"""Rendering of analysis reports to Markdown, JSON and histogram CSV,
+"""Rendering of analysis report documents to Markdown and histogram CSV,
 plus tolerance-based comparison against reference numbers."""
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .analysis import AnalysisReport, histogram
+from .analysis import histogram
 
 _CONVERSATIONALITY_ROWS = [
     ("nothing to predict", "nothing_to_predict"),
@@ -34,38 +34,17 @@ _NORMALIZATION_ROWS = [
 _SMCALFLOW_ROWS = [("refer", "refer"), ("revise", "revise")]
 
 
-@dataclass(frozen=True)
-class RenderedReport:
-    markdown: str
-    json_doc: dict
-    histogram_csv: str
-
-
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def to_json(report: AnalysisReport) -> dict:
-    return {
-        "dataset": report.dataset_kind,
-        "split": report.split,
-        "total_user_turns": report.total_user_turns,
-        "tracked_turns": report.tracked_turns,
-        "conversationality": dict(report.conversationality),
-        "contextuality": dict(report.contextuality),
-        "normalization": dict(report.normalization),
-        "histogram": {str(d): c for d, c in sorted(report.histogram_counts.items())},
-        "relaxation": report.relaxation,
-        "smcalflow": dict(report.smcalflow),
-    }
-
-
-def render(report: AnalysisReport) -> RenderedReport:
-    """All three views of one report; percentages printed to two decimals."""
+def markdown(doc: dict) -> str:
+    """The Markdown table of a report document; percentages printed to two
+    decimals."""
     lines = [
-        f"# {report.dataset_kind} ({report.split}) — per-turn analysis",
+        f"# {doc['dataset']} ({doc['split']}) — per-turn analysis",
         "",
-        f"User turns analyzed: {report.total_user_turns}",
+        f"User turns analyzed: {doc['total_user_turns']}",
         "",
         "| Section | Row | % of turns |",
         "| --- | --- | --- |",
@@ -77,18 +56,18 @@ def render(report: AnalysisReport) -> RenderedReport:
         for label, key in rows:
             lines.append(f"| {name} | {label} | {_fmt(table.get(key, 0.0))} |")
 
-    section("Conversationality", _CONVERSATIONALITY_ROWS, report.conversationality)
-    if report.conversationality:
-        lines.append(f"| Conversationality | relaxed (drop/dontcare) | {_fmt(report.relaxation)} |")
-    section("Contextuality", _CONTEXTUALITY_ROWS, report.contextuality)
-    section("Normalization", _NORMALIZATION_ROWS, report.normalization)
-    section("Programs", _SMCALFLOW_ROWS, report.smcalflow)
+    section("Conversationality", _CONVERSATIONALITY_ROWS, doc["conversationality"])
+    if doc["conversationality"]:
+        lines.append(f"| Conversationality | relaxed (drop/dontcare) | {_fmt(doc['relaxation'])} |")
+    section("Contextuality", _CONTEXTUALITY_ROWS, doc["contextuality"])
+    section("Normalization", _NORMALIZATION_ROWS, doc["normalization"])
+    section("Programs", _SMCALFLOW_ROWS, doc["smcalflow"])
+    return "\n".join(lines) + "\n"
 
-    csv_lines = ["delta_c,count"]
-    csv_lines += [f"{d},{c}" for d, c in histogram(report)]
 
-    return RenderedReport("\n".join(lines) + "\n", to_json(report),
-                          "\n".join(csv_lines) + "\n")
+def histogram_csv(doc: dict) -> str:
+    """The δc ≥ 2 histogram of a report document as CSV."""
+    return "delta_c,count\n" + "".join(f"{d},{c}\n" for d, c in histogram(doc))
 
 
 @dataclass(frozen=True)
@@ -114,8 +93,8 @@ class SchemaMismatch(KeyError):
 def diff_reports(actual: dict, reference: dict,
                  tolerances: Optional[Dict[str, float]] = None,
                  default_tolerance: float = 1.0) -> Tuple[bool, List[CellDelta]]:
-    """Compare every numeric cell of a reference document against the
-    rendered JSON; returns overall pass plus per-cell deltas."""
+    """Compare every numeric cell of a reference document against a report
+    document; returns overall pass plus per-cell deltas."""
     tolerances = tolerances or {}
     deltas: List[CellDelta] = []
     missing: List[str] = []

@@ -21,7 +21,7 @@ from dialoscope.evaluate import exact_match_score, jga
 from dialoscope.linearize import (InputRepresentation, emit_dataset,
                                   linearize_input, linearize_target)
 from dialoscope.normalize import default_lexicon
-from dialoscope.report import diff_reports, load_reference, to_json
+from dialoscope.report import diff_reports, load_reference
 
 
 def dataset_dir(name: str) -> Path:
@@ -90,7 +90,7 @@ class TestTable2Reproduction:
         lexicon = default_lexicon()
         report = analyze_corpus(corpus, lexicon,
                                 workers=os.cpu_count() or 1)
-        ok, deltas = diff_reports(to_json(report),
+        ok, deltas = diff_reports(report,
                                   load_reference(reference_name),
                                   tolerances=self.TOLERANCES,
                                   default_tolerance=2.0)
@@ -115,12 +115,12 @@ class TestRelaxationStatistic:
     def test_multiwoz(self):
         corpus = load_multiwoz(dataset_dir("multiwoz"), "test")
         report = analyze_corpus(corpus, default_lexicon())
-        assert report.relaxation == pytest.approx(2.08, abs=0.3)
+        assert report["relaxation"] == pytest.approx(2.08, abs=0.3)
 
     def test_sgd(self):
         corpus = load_sgd(dataset_dir("sgd"), "test")
         report = analyze_corpus(corpus, default_lexicon())
-        assert report.relaxation == pytest.approx(0.27, abs=0.3)
+        assert report["relaxation"] == pytest.approx(0.27, abs=0.3)
 
 
 class TestHistogramShape:
@@ -150,10 +150,10 @@ class TestSmcalflowFractions:
         dev = path / "valid.dataflow_dialogues.jsonl"
         if dev.exists():
             dev_report = analyze_corpus(load_smcalflow(dev))
-            print(f"dev split: refer={dev_report.smcalflow['refer']:.2f} "
-                  f"revise={dev_report.smcalflow['revise']:.2f}")
-        assert report.smcalflow["refer"] == pytest.approx(29.19, abs=2.0)
-        assert report.smcalflow["revise"] == pytest.approx(8.77, abs=2.0)
+            print(f"dev split: refer={dev_report['smcalflow']['refer']:.2f} "
+                  f"revise={dev_report['smcalflow']['revise']:.2f}")
+        assert report["smcalflow"]["refer"] == pytest.approx(29.19, abs=2.0)
+        assert report["smcalflow"]["revise"] == pytest.approx(8.77, abs=2.0)
 
 
 class TestLispressRobustness:
@@ -261,5 +261,5 @@ class TestLinearizationProperties:
         lexicon = default_lexicon()
         r1 = analyze_corpus(corpus, lexicon, workers=1)
         r8 = analyze_corpus(corpus, lexicon, workers=8)
-        assert json.dumps(to_json(r1), sort_keys=True) == \
-            json.dumps(to_json(r8), sort_keys=True)
+        assert json.dumps(r1, sort_keys=True) == \
+            json.dumps(r8, sort_keys=True)

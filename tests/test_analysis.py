@@ -1,14 +1,19 @@
+import dataclasses
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dialoscope import analysis
 from dialoscope.analysis import (ContextClass, OverrideError, analyze_corpus,
                                  apply_overrides, histogram, trace_turn)
-from dialoscope.corpus import DatasetKind, load_multiwoz, load_sgd, load_smcalflow
+from dialoscope.corpus import (DatasetKind, load_multiwoz, load_sgd, load_smcalflow,
+                               state_update)
+from dialoscope.evaluate import jga
+from dialoscope.linearize import linearize_target
 from dialoscope.lispress import contains_call, parse
 from dialoscope.normalize import MatchCategory, default_lexicon, match_in_text
-from dialoscope.report import to_json
 
 
 @pytest.fixture(scope="module")
@@ -145,12 +150,35 @@ class TestOverrides:
             apply_overrides(p)
         assert ":1" in str(exc.value)
 
+    @pytest.mark.parametrize("value", ["1_0", "+3", "\u0663", "-1"])
+    @pytest.mark.parametrize("field", ["turn_index", "delta_c"])
+    def test_integers_are_ascii_digits(self, tmp_path, field, value):
+        # int() would read these as 10, 3, 3 and -1
+        row = {"turn_index": "10", "delta_c": "5", field: value}
+        p = tmp_path / "ov.tsv"
+        p.write_text(f"# header\nMUL0635.json\t{row['turn_index']}\ttrain\tdestination"
+                     f"\t{row['delta_c']}\t-\t-\n", "utf-8")
+        with pytest.raises(OverrideError) as exc:
+            apply_overrides(p)
+        assert str(exc.value).startswith(f"{p}:2: {field} must be a non-negative integer")
+
+    def test_second_row_for_a_slot_rejected(self, tmp_path):
+        p = tmp_path / "ov.tsv"
+        p.write_text("MUL0635.json\t10\ttrain\tdestination\t5\t-\t-\n"
+                     "MUL0635.json\t10\ttrain\tday\t5\t-\t-\n"
+                     "MUL0635.json\t10\ttrain\tdestination\t3\tother\t-\n", "utf-8")
+        with pytest.raises(OverrideError) as exc:
+            apply_overrides(p)
+        message = str(exc.value)
+        assert message.startswith(f"{p}:3: ")
+        assert "line 1" in message
+
 
 class TestAnalyzeCorpus:
     def test_fixture_report(self, mwz_path, lexicon):
         report = analyze_corpus(load_multiwoz(mwz_path), lexicon)
-        assert report.total_user_turns == 9
-        conv = report.conversationality
+        assert report["total_user_turns"] == 9
+        conv = report["conversationality"]
         # MUL0635: turns 4 and 8 empty; SNG0073: turn 4 is relaxation-only
         assert conv["nothing_to_predict"] == pytest.approx(100 * 3 / 9)
         # partition sums to 100
@@ -163,7 +191,7 @@ class TestAnalyzeCorpus:
 
     def test_relaxation_fraction(self, mwz_path, lexicon):
         report = analyze_corpus(load_multiwoz(mwz_path), lexicon)
-        assert report.relaxation == pytest.approx(100 * 1 / 9)
+        assert report["relaxation"] == pytest.approx(100 * 1 / 9)
 
     def test_all_empty_updates(self, lexicon):
         from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState,
@@ -172,13 +200,13 @@ class TestAnalyzeCorpus:
             Turn(0, Speaker.USER, "hello", state=DialogState()),))
         corpus = Corpus(DatasetKind.MULTIWOZ, "toy", (dialog,))
         report = analyze_corpus(corpus, lexicon)
-        assert report.conversationality["nothing_to_predict"] == 100.0
+        assert report["conversationality"]["nothing_to_predict"] == 100.0
 
     def test_smcalflow_refer_revise(self, smcalflow_path):
         report = analyze_corpus(load_smcalflow(smcalflow_path))
         # 4 user turns: 1 refer, 1 revise
-        assert report.smcalflow["refer"] == pytest.approx(25.0)
-        assert report.smcalflow["revise"] == pytest.approx(25.0)
+        assert report["smcalflow"]["refer"] == pytest.approx(25.0)
+        assert report["smcalflow"]["revise"] == pytest.approx(25.0)
 
     def test_worker_count_does_not_change_result(self, planted, lexicon):
         corpus, _ = planted
@@ -217,7 +245,7 @@ class TestAnalyzeCorpus:
         corpus, _ = planted
         report = analyze_corpus(corpus, lexicon)
         # every tracked turn resolves in exactly one category here
-        assert sum(report.normalization.values()) == pytest.approx(100.0)
+        assert sum(report["normalization"].values()) == pytest.approx(100.0)
 
 
 class TestHistogram:
@@ -311,7 +339,7 @@ class TestRecount:
     per-turn traces; the JSON text also fixes the order of the keys."""
 
     def check(self, corpus, lexicon=None, overrides=None, workers=1):
-        actual = to_json(analyze_corpus(corpus, lexicon, overrides, workers=workers))
+        actual = analyze_corpus(corpus, lexicon, overrides, workers=workers)
         assert json.dumps(actual) == json.dumps(recount(corpus, lexicon, overrides))
 
     def test_multiwoz(self, mwz_path, lexicon):
@@ -367,3 +395,48 @@ class TestRecount:
         assert {(t.match.category, t.match.distance) for t in traces} >= {
             (MatchCategory.TYPO, 2), (MatchCategory.VERBATIM, None)}
         self.check(corpus, lexicon, overrides)
+
+
+def window_predictions(corpus, k, lexicon=None, overrides=None) -> dict:
+    """Each user turn's gold update restricted to the slots traced at
+    δc <= k, with all its drops and dontcares: the best a model that sees
+    only the last k utterances before the user's can do."""
+    preds = {}
+    for dialog in corpus.dialogs:
+        for turn in dialog.user_turns():
+            near = {t.slot for t in trace_turn(dialog, turn.index, lexicon,
+                                               overrides).slot_traces
+                    if t.delta_c is not None and t.delta_c <= k}
+            update = state_update(dialog.previous_user_state(turn.index), turn.state)
+            preds[(dialog.dialog_id, turn.index)] = linearize_target(dataclasses.replace(
+                update, added_or_changed=frozenset(
+                    e for e in update.added_or_changed if e[:2] in near)))
+    return preds
+
+
+class TestWindowOracle:
+    """The analysis and the scorer agree: oracle JGA of the k-window
+    predictions is the share of turns with δc <= k in the report."""
+
+    def test_jga_is_the_conversationality_ceiling(self, mwz_path, sgd_path, planted,
+                                                  lexicon):
+        corpora = [load_multiwoz(mwz_path), load_sgd(sgd_path, "test"), planted[0]]
+        with resources.as_file(resources.files("dialoscope") / "data" /
+                               "overrides_multiwoz_examples.tsv") as p:
+            examples = apply_overrides(p)
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.data())
+        def check(data):
+            corpus = data.draw(st.sampled_from(corpora))
+            keys = data.draw(st.sets(st.sampled_from(sorted(examples))))
+            overrides = {key: examples[key] for key in keys}
+            k = data.draw(st.integers(0, 8))
+            doc = analyze_corpus(corpus, lexicon, overrides)
+            conv, n = doc["conversationality"], doc["total_user_turns"]
+            expected = conv["cum_delta0"] if k == 0 else conv["cum_delta1"] + sum(
+                100.0 * count / n for d, count in histogram(doc) if d <= k)
+            score = jga(corpus, window_predictions(corpus, k, lexicon, overrides))
+            assert score.accuracy * 100 == pytest.approx(expected)
+
+        check()

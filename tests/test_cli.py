@@ -46,6 +46,22 @@ class TestAnalyze:
         doc = json.loads(out_json.read_text("utf-8"))
         assert doc["conversationality"]["unresolved"] == 0.0
 
+    @pytest.mark.parametrize("row", [
+        "MUL0635.json\t1_0\ttrain\tdestination\t5\t-\t-\n",
+        "MUL0635.json\t10\ttrain\tdestination\t-1\t-\t-\n",
+        "MUL0635.json\t10\ttrain\tdestination\t5\t-\t-\n" * 2,
+    ], ids=["turn_index", "delta_c", "duplicate"])
+    def test_bad_override_row_exits_one(self, capsys, mwz_path, tmp_path, row):
+        ov = tmp_path / "ov.tsv"
+        ov.write_text(row, "utf-8")
+        out_json = tmp_path / "r.json"
+        code, _, err = run(capsys, "analyze", "--dataset", "multiwoz",
+                           "--path", str(mwz_path), "--overrides", str(ov),
+                           "--out", str(out_json))
+        assert code == EXIT_FAILURE
+        assert err.startswith(f"error: {ov}:")
+        assert not out_json.exists()
+
     def test_missing_dataset_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--dataset", "multiwoz",
                            "--path", str(tmp_path / "nope.json"))

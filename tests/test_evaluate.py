@@ -150,6 +150,19 @@ class TestJga:
         assert report.unparseable == 1
         assert report.correct == report.total - 1
 
+    def test_slot_named_twice_is_unparseable(self, mwz_path):
+        # MUL0635 turn 10 sets train:arriveby; naming it twice must not let
+        # the hash order of the update pick the value that is scored
+        corpus = load_multiwoz(mwz_path)
+        preds = gold_predictions(corpus)
+        gold = preds[("MUL0635.json", 10)]
+        preds[("MUL0635.json", 10)] = f"{gold}, train:arriveby=10:00"
+        report = jga(corpus, preds, mode="oracle")
+        assert report.unparseable == 1
+        assert report.correct == report.total - 1
+        verdicts = {(d, t): ok for d, t, ok in report.verdicts}
+        assert verdicts[("MUL0635.json", 10)] is False
+
     def test_unknown_mode(self, mwz_path):
         corpus = load_multiwoz(mwz_path)
         with pytest.raises(ValueError):

@@ -50,6 +50,11 @@ class TestTarget:
             parse_target("train:day")
         with pytest.raises(TargetParseError):
             parse_target("noequals, also bad")
+        for twice in ("hotel:area=north, hotel:area=south",
+                      "hotel:area=north, hotel:area=none",
+                      "hotel:area=dontcare, hotel:area=north"):
+            with pytest.raises(TargetParseError):
+                parse_target(twice)
 
     def test_bad_type(self):
         with pytest.raises(TypeError):

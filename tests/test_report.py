@@ -6,7 +6,7 @@ from dialoscope.analysis import analyze_corpus
 from dialoscope.corpus import load_multiwoz, load_smcalflow
 from dialoscope.normalize import default_lexicon
 from dialoscope.report import (CellDelta, SchemaMismatch, diff_reports,
-                               load_reference, render, to_json)
+                               histogram_csv, load_reference, markdown)
 
 
 @pytest.fixture
@@ -16,7 +16,7 @@ def mwz_report(mwz_path):
 
 class TestRender:
     def test_markdown_rows(self, mwz_report):
-        md = render(mwz_report).markdown
+        md = markdown(mwz_report)
         for label in ("nothing to predict", "+ δc = 0", "+ δc = 1", "δc ≥ 2",
                       "unresolved", "non-contextual",
                       "knowledge about the user", "verbatim",
@@ -26,20 +26,19 @@ class TestRender:
         assert "User turns analyzed: 9" in md
 
     def test_two_decimal_formatting(self, mwz_report):
-        md = render(mwz_report).markdown
+        md = markdown(mwz_report)
         # 3/9 nothing-to-predict
         assert "| nothing to predict | 33.33 |" in md
 
     def test_markdown_matches_json(self, mwz_report):
-        rendered = render(mwz_report)
-        doc = rendered.json_doc
+        doc = mwz_report
         for key, value in doc["conversationality"].items():
             if key in ("delta0", "delta1"):
                 continue  # only cumulative rows are printed
-            assert f"{value:.2f}" in rendered.markdown, key
+            assert f"{value:.2f}" in markdown(doc), key
 
     def test_histogram_csv(self, mwz_report):
-        csv = render(mwz_report).histogram_csv
+        csv = histogram_csv(mwz_report)
         lines = csv.strip().splitlines()
         assert lines[0] == "delta_c,count"
         for line in lines[1:]:
@@ -48,20 +47,20 @@ class TestRender:
 
     def test_smcalflow_section(self, smcalflow_path):
         report = analyze_corpus(load_smcalflow(smcalflow_path))
-        md = render(report).markdown
+        md = markdown(report)
         assert "| Programs | refer |" in md
         assert "| Programs | revise |" in md
 
 
 class TestJsonRoundTrip:
     def test_survives_serialization(self, mwz_report):
-        doc = to_json(mwz_report)
+        doc = mwz_report
         assert json.loads(json.dumps(doc)) == doc
 
 
 class TestDiffReports:
     def test_within_tolerance_passes(self, mwz_report):
-        doc = to_json(mwz_report)
+        doc = mwz_report
         ref = json.loads(json.dumps(doc))
         ref["conversationality"]["nothing_to_predict"] += 0.5
         ok, deltas = diff_reports(doc, ref, default_tolerance=1.0)
@@ -69,7 +68,7 @@ class TestDiffReports:
         assert all(isinstance(d, CellDelta) for d in deltas)
 
     def test_out_of_tolerance_fails_with_cell(self, mwz_report):
-        doc = to_json(mwz_report)
+        doc = mwz_report
         ref = json.loads(json.dumps(doc))
         ref["normalization"]["verbatim"] += 5.0
         ok, deltas = diff_reports(doc, ref, default_tolerance=1.0)
@@ -79,7 +78,7 @@ class TestDiffReports:
         assert bad[0].delta == pytest.approx(-5.0)
 
     def test_per_cell_tolerance_override(self, mwz_report):
-        doc = to_json(mwz_report)
+        doc = mwz_report
         ref = json.loads(json.dumps(doc))
         ref["relaxation"] += 2.0
         ok, _ = diff_reports(doc, ref, default_tolerance=1.0)
@@ -89,13 +88,13 @@ class TestDiffReports:
         assert ok
 
     def test_missing_key_raises_schema_mismatch(self, mwz_report):
-        doc = to_json(mwz_report)
+        doc = mwz_report
         ref = {"conversationality": {"no_such_row": 1.0}}
         with pytest.raises(SchemaMismatch):
             diff_reports(doc, ref)
 
     def test_underscore_keys_skipped(self, mwz_report):
-        doc = to_json(mwz_report)
+        doc = mwz_report
         ref = {"_comment": "reference notes", "relaxation": doc["relaxation"]}
         ok, deltas = diff_reports(doc, ref)
         assert ok and len(deltas) == 1
@@ -127,6 +126,5 @@ class TestEmptyCorpus:
         from dialoscope.corpus import Corpus, DatasetKind
         report = analyze_corpus(Corpus(DatasetKind.MULTIWOZ, "toy", ()),
                                 default_lexicon())
-        rendered = render(report)
-        assert rendered.json_doc["total_user_turns"] == 0
-        assert rendered.histogram_csv.strip() == "delta_c,count"
+        assert report["total_user_turns"] == 0
+        assert histogram_csv(report).strip() == "delta_c,count"
