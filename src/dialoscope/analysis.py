@@ -14,10 +14,10 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .corpus import Corpus, DatasetKind, Dialog, Speaker, gold_program_error, state_update
+from .corpus import (Corpus, DatasetKind, Dialog, Speaker, canonical_slot, gold_program_error,
+                     state_update, text_lines)
 from .lispress import LispressError, contains_call, parse
 from .normalize import Lexicon, MatchCategory, MatchResult, match_in_text
 
@@ -100,12 +100,7 @@ def apply_overrides(path) -> Overrides:
     """Parse a tab-separated manual-adjudication file, one row per slot."""
     overrides: Overrides = {}
     lines: Dict[OverrideKey, int] = {}
-    try:
-        text = Path(path).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise OverrideError(f"{path}: not UTF-8 text: {exc}")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
+    for lineno, line in text_lines(path, OverrideError):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -135,7 +130,7 @@ def apply_overrides(path) -> Overrides:
                 ctx = ContextClass(context)
             except ValueError:
                 raise OverrideError(f"{path}:{lineno}: unknown context class {context!r}")
-        key = (dialog_id, idx, domain, slot)
+        key = (dialog_id, idx, domain, canonical_slot(slot))
         if key in lines:
             raise OverrideError(f"{path}:{lineno}: second row for {key}, "
                                 f"first on line {lines[key]}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 DONTCARE = "dontcare"
 _ABSENT_VALUES = {"", "none", "not mentioned"}
@@ -226,19 +226,37 @@ def _read_json(path: Path):
             return json.load(f)
     except FileNotFoundError:
         raise LoadError(f"missing file: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}")
 
 
-def utf8_lines(f, error):
-    """The lines of text file `f`, opened as UTF-8; an `error` naming the
-    file when its bytes are not UTF-8."""
+def text_lines(path, error) -> Iterator[Tuple[int, str]]:
+    """(line number, line) for each line of the UTF-8 text file `path`,
+    split only at newlines. A missing file, or bytes that are not UTF-8,
+    raise `error` naming the file."""
     try:
-        yield from f
+        with open(path, "r", encoding="utf-8") as f:
+            yield from enumerate(f, start=1)
+    except FileNotFoundError:
+        raise error(f"missing file: {path}")
     except UnicodeDecodeError as exc:
-        raise error(f"{f.name}: not UTF-8 text: {exc}")
+        raise error(f"{path}: not UTF-8 text: {exc}")
+
+
+def json_lines(path, error) -> Iterator[Tuple[int, object]]:
+    """(line number, value) for each non-blank line of the JSON-lines file
+    `path`; a line that is not JSON raises `error` naming `path:line`."""
+    for lineno, line in text_lines(path, error):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise error(f"{path}:{lineno}: malformed JSON: {exc}")
+        yield lineno, value
 
 
 def _where(path, dialog_id=None, turn=None) -> str:
@@ -315,11 +333,8 @@ def _multiwoz_split_ids(root: Path, split: str) -> Tuple[Optional[Set[str]], Set
         for name in names[split]:
             p = root / name
             if p.exists():
-                try:
-                    text = p.read_text("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise LoadError(f"{p}: not UTF-8 text: {exc}")
-                return {line.strip() for line in text.splitlines() if line.strip()}, set()
+                return {line.strip() for _, line in text_lines(p, LoadError)
+                        if line.strip()}, set()
         raise LoadError(f"missing split list file for {split!r} under {root}")
     if split == "train":
         return None, _multiwoz_split_ids(root, "dev")[0] | _multiwoz_split_ids(root, "test")[0]
@@ -477,10 +492,7 @@ def load_sgd(path, split: str = "test") -> Corpus:
     """
     root = Path(path)
     split_dir = root / split if (root / split).is_dir() else root
-    schema_path = split_dir / "schema.json"
-    if not schema_path.exists():
-        raise LoadError(f"missing schema file: {schema_path}")
-    schemas = _sgd_schemas(schema_path)
+    schemas = _sgd_schemas(split_dir / "schema.json")
 
     dialog_files = sorted(split_dir.glob("dialogues_*.json"))
     if not dialog_files:
@@ -506,48 +518,33 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
     followed by the agent's reply; a trailing empty agent reply is dropped
     so dialogs may end on a user turn.
     """
-    path = Path(path)
-    if not path.exists():
-        raise LoadError(f"missing file: {path}")
     dialogs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(utf8_lines(f, ParseError), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}")
-            line_path = f"{path}:{lineno}"
-            _check(raw, dict, "dialog", line_path)
-            dialog_id = _check(raw.get("dialogue_id", f"line{lineno}"), str, "dialogue_id",
-                               line_path)
-            turns: List[Turn] = []
-            idx = 0
-            source_turns = _check(raw.get("turns", []), list, "turns", line_path, dialog_id)
-            for k, t in enumerate(source_turns):
-                _check(t, dict, "turn", line_path, dialog_id, k)
-                user_text = _utt_text(t.get("user_utterance"), line_path, dialog_id, k)
-                program = t.get("lispress")
-                if program is None:
-                    raise StructuralError(f"{_where(line_path, dialog_id, k)}: missing a program")
-                _check(program, str, "lispress", line_path, dialog_id, k)
-                flags = set()
-                oracle = _check(t.get("program_execution_oracle", {}), dict,
-                                "program_execution_oracle", line_path, dialog_id, k)
-                if oracle.get("refer_are_incorrect") or t.get("refer_are_incorrect"):
-                    flags.add("refer_are_incorrect")
-                turns.append(Turn(idx, Speaker.USER, user_text,
-                                  program=program, flags=frozenset(flags)))
-                idx += 1
-                agent_text = _utt_text(t.get("agent_utterance"), line_path, dialog_id, k)
-                if agent_text or k + 1 < len(source_turns):
-                    turns.append(Turn(idx, Speaker.AGENT, agent_text))
-                    idx += 1
-            if not turns:
-                raise StructuralError(f"{_where(line_path, dialog_id)}: empty dialog")
-            dialogs.append(Dialog(dialog_id, tuple(turns)))
+    for lineno, raw in json_lines(path, ParseError):
+        line_path = f"{path}:{lineno}"
+        _check(raw, dict, "dialog", line_path)
+        dialog_id = _check(raw.get("dialogue_id", f"line{lineno}"), str, "dialogue_id", line_path)
+        turns: List[Turn] = []
+        source_turns = _check(raw.get("turns", []), list, "turns", line_path, dialog_id)
+        for k, t in enumerate(source_turns):
+            _check(t, dict, "turn", line_path, dialog_id, k)
+            user_text = _utt_text(t.get("user_utterance"), line_path, dialog_id, k)
+            program = t.get("lispress")
+            if program is None:
+                raise StructuralError(f"{_where(line_path, dialog_id, k)}: missing a program")
+            _check(program, str, "lispress", line_path, dialog_id, k)
+            flags = set()
+            oracle = _check(t.get("program_execution_oracle", {}), dict,
+                            "program_execution_oracle", line_path, dialog_id, k)
+            if oracle.get("refer_are_incorrect") or t.get("refer_are_incorrect"):
+                flags.add("refer_are_incorrect")
+            turns.append(Turn(len(turns), Speaker.USER, user_text,
+                              program=program, flags=frozenset(flags)))
+            agent_text = _utt_text(t.get("agent_utterance"), line_path, dialog_id, k)
+            if agent_text or k + 1 < len(source_turns):
+                turns.append(Turn(len(turns), Speaker.AGENT, agent_text))
+        if not turns:
+            raise StructuralError(f"{_where(line_path, dialog_id)}: empty dialog")
+        dialogs.append(Dialog(dialog_id, tuple(turns)))
     if not dialogs:
         raise LoadError(f"empty SMCalFlow file: {path}")
     return Corpus(DatasetKind.SMCALFLOW, split, tuple(dialogs))
@@ -567,7 +564,9 @@ def _utt_text(utt, path, dialog_id, turn) -> str:
 # ---------------------------------------------------------------------------
 
 def validate_corpus(corpus: Corpus) -> List[str]:
-    """Return a list of human-readable invariant violations (empty = clean)."""
+    """Human-readable violations of the invariants a loaded corpus can still
+    break (empty = clean): a dialog id used twice, and an SMCalFlow gold
+    program that does not parse. Every structural check is the loader's."""
     from . import lispress
 
     violations = []
@@ -576,26 +575,12 @@ def validate_corpus(corpus: Corpus) -> List[str]:
         if dialog.dialog_id in seen_ids:
             violations.append(f"duplicate dialog_id {dialog.dialog_id}")
         seen_ids.add(dialog.dialog_id)
-        prev_speaker = None
-        for turn in dialog.turns:
-            if turn.index == 0 and turn.speaker is not Speaker.USER:
-                violations.append(f"{dialog.dialog_id}: first turn is not a user turn")
-            if prev_speaker is not None and turn.speaker is prev_speaker:
+        if corpus.dataset_kind is not DatasetKind.SMCALFLOW:
+            continue
+        for turn in dialog.user_turns():
+            try:
+                lispress.parse(turn.program)
+            except lispress.LispressError as exc:
                 violations.append(
-                    f"{dialog.dialog_id}: consecutive {turn.speaker.value} turns at {turn.index}")
-            prev_speaker = turn.speaker
-            if turn.speaker is Speaker.USER:
-                if corpus.dataset_kind is DatasetKind.SMCALFLOW:
-                    if turn.program is None:
-                        violations.append(
-                            f"{dialog.dialog_id}: user turn {turn.index} has no program")
-                    else:
-                        try:
-                            lispress.parse(turn.program)
-                        except lispress.LispressError as exc:
-                            violations.append(
-                                f"{dialog.dialog_id}: turn {turn.index} program does not parse: {exc}")
-                elif turn.state is None:
-                    violations.append(
-                        f"{dialog.dialog_id}: user turn {turn.index} has no state")
+                    f"{dialog.dialog_id}: turn {turn.index} program does not parse: {exc}")
     return violations

@@ -9,15 +9,13 @@ the dataset's refer_are_incorrect force-zero flag.
 from __future__ import annotations
 
 import difflib
-import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import lispress
 from .corpus import (Corpus, DatasetKind, DialogState, DONTCARE, EMPTY_STATE,
-                     apply_update, gold_program_error, utf8_lines)
+                     apply_update, gold_program_error, json_lines)
 from .linearize import TargetParseError, parse_target
 
 log = logging.getLogger(__name__)
@@ -35,30 +33,21 @@ _RECORD_FIELDS = {"dialogue_id", "turn_index", "prediction"}
 def load_predictions(path) -> Dict[PredKey, str]:
     """Read a line-delimited JSON predictions file."""
     predictions: Dict[PredKey, str] = {}
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(utf8_lines(f, PredictionFileError), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise PredictionFileError(f"{path}:{lineno}: malformed JSON: {exc}")
-            # turn_index is a JSON integer: no float, bool or numeric string
-            if not (isinstance(rec, dict) and _RECORD_FIELDS <= rec.keys()
-                    and type(rec["turn_index"]) is int):
-                raise PredictionFileError(
-                    f"{path}:{lineno}: need dialogue_id, turn_index, prediction")
-            key = (rec["dialogue_id"], rec["turn_index"])
-            pred = rec["prediction"]
-            for name, value in (("dialogue_id", key[0]), ("prediction", pred)):
-                if not isinstance(value, str):
-                    raise PredictionFileError(f"{path}:{lineno}: {name} must be a string, "
-                                              f"got {type(value).__name__}")
-            if key in predictions:
-                raise PredictionFileError(f"{path}:{lineno}: duplicate record for {key}")
-            predictions[key] = pred
+    for lineno, rec in json_lines(path, PredictionFileError):
+        # turn_index is a JSON integer: no float, bool or numeric string
+        if not (isinstance(rec, dict) and _RECORD_FIELDS <= rec.keys()
+                and type(rec["turn_index"]) is int):
+            raise PredictionFileError(
+                f"{path}:{lineno}: need dialogue_id, turn_index, prediction")
+        key = (rec["dialogue_id"], rec["turn_index"])
+        pred = rec["prediction"]
+        for name, value in (("dialogue_id", key[0]), ("prediction", pred)):
+            if not isinstance(value, str):
+                raise PredictionFileError(f"{path}:{lineno}: {name} must be a string, "
+                                          f"got {type(value).__name__}")
+        if key in predictions:
+            raise PredictionFileError(f"{path}:{lineno}: duplicate record for {key}")
+        predictions[key] = pred
     return predictions
 
 

@@ -14,6 +14,11 @@ from typing import List as ListT
 
 _NUMBER_RE = re.compile(r"^[+-]?\d+(\.\d+)?([eE][+-]?\d+)?$")
 
+# deepest nesting `parse` accepts, counting open '('s and pending '#'s: the
+# printer and the queries recurse once or twice per level, so a deeper tree
+# would exceed Python's recursion limit
+MAX_DEPTH = 200
+
 
 class LispressError(ValueError):
     """Raised on malformed Lispress source."""
@@ -97,20 +102,26 @@ def parse(source: str) -> Node:
     tokens = _TOKEN_RE.findall(source)
     children: list = []  # forms (and pending '#'s) of the innermost open list
     open_lists: list = []  # (children of the enclosing list, index of the '(')
+    depth = 0  # open '('s plus pending '#'s
     for i, tok in enumerate(tokens):
         head = tok[0]
-        if head == "(":
-            open_lists.append((children, i))
-            children = []
-            continue
-        if head == "#":
-            children.append(_HASH)
+        if head == "(" or head == "#":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise LispressError(f"nesting deeper than {MAX_DEPTH}",
+                                    _token_offset(source, i))
+            if head == "(":
+                open_lists.append((children, i))
+                children = []
+            else:
+                children.append(_HASH)
             continue
         if head == ")":
             if not open_lists or (children and children[-1] is _HASH):
                 raise LispressError("unbalanced ')'", _token_offset(source, i))
             node = List(children)
             children = open_lists.pop()[0]
+            depth -= 1
         elif head != '"':
             # a number ends in a (Unicode) decimal digit; most atoms do not
             node = (Number(tok) if tok[-1].isdecimal() and _NUMBER_RE.match(tok)
@@ -122,6 +133,7 @@ def parse(source: str) -> Node:
             node = StringLit(_UNESCAPE_RE.sub(r"\1", text) if "\\" in text else text)
         while children and children[-1] is _HASH:
             children.pop()
+            depth -= 1
             node = _tagged(node)
         if not open_lists:
             if i + 1 < len(tokens):

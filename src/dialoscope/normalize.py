@@ -14,8 +14,9 @@ import string
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
+
+from .corpus import text_lines
 
 
 class MatchCategory(str, Enum):
@@ -121,11 +122,7 @@ def load_lexicon(path) -> Lexicon:
     semantic: Dict[str, Set[str]] = {}
     shortcut: Dict[str, Set[str]] = {}
     other: Dict[str, Set[str]] = {}
-    try:
-        text = Path(path).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path}: not UTF-8 text: {exc}")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in text_lines(path, LexiconError):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -174,6 +174,40 @@ class TestOverrides:
         assert "line 1" in message
 
 
+    def test_slot_names_are_canonicalized(self, tmp_path, mwz_path, lexicon):
+        # slot names as the raw MultiWOZ file spells them; the loader names
+        # these slots arriveby, people and destination
+        p = tmp_path / "ov.tsv"
+        p.write_text("MUL0635.json\t10\ttrain\tarriveBy\t9\t-\t-\n"
+                     "MUL0635.json\t10\ttrain\tbook people\t9\t-\t-\n"
+                     "MUL0635.json\t10\ttrain\tDestination\t5\t-\t-\n", "utf-8")
+        overrides = apply_overrides(p)
+        assert sorted(overrides) == [("MUL0635.json", 10, "train", slot)
+                                     for slot in ("arriveby", "destination", "people")]
+        dialog = load_multiwoz(mwz_path).get_dialog("MUL0635.json")
+        trace = {t.slot: t for t in trace_turn(dialog, 10, lexicon, overrides).slot_traces}[
+            ("train", "destination")]
+        assert trace.delta_c == 5 and trace.overridden
+
+    def test_raw_and_canonical_slot_name_are_one_slot(self, tmp_path):
+        p = tmp_path / "ov.tsv"
+        p.write_text("MUL0635.json\t10\ttrain\tarriveby\t5\t-\t-\n"
+                     "MUL0635.json\t10\ttrain\tarriveBy\t3\t-\t-\n", "utf-8")
+        with pytest.raises(OverrideError) as exc:
+            apply_overrides(p)
+        message = str(exc.value)
+        assert message.startswith(f"{p}:2: second row for ")
+        assert "line 1" in message
+
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        # str.splitlines() would also break the comment at \u2028, \x85 and
+        # \x0c and read its tail as a row
+        p = tmp_path / "ov.tsv"
+        p.write_text("# adjudicated\u2028by hand\x85see notes\x0cbelow\n"
+                     "MUL0635.json\t10\ttrain\tdestination\t5\t-\t-\n", "utf-8")
+        assert list(apply_overrides(p)) == [("MUL0635.json", 10, "train", "destination")]
+
+
 class TestAnalyzeCorpus:
     def test_fixture_report(self, mwz_path, lexicon):
         report = analyze_corpus(load_multiwoz(mwz_path), lexicon)

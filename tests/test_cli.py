@@ -3,6 +3,8 @@ import json
 import pytest
 
 from dialoscope.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from dialoscope.lispress import MAX_DEPTH
+from conftest import SGD_SCHEMA
 from test_corpus import MALFORMED, write_layout
 
 
@@ -284,6 +286,103 @@ class TestValidate:
         assert code == EXIT_FAILURE
         assert "violation" in out
 
+    def test_duplicate_sgd_dialog_id(self, capsys, tmp_path, sgd_raw):
+        # the same dialog in two dialogues files of one split
+        write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
+                                "test/dialogues_001.json": sgd_raw,
+                                "test/dialogues_002.json": sgd_raw[:1]})
+        code, out, _ = run(capsys, "validate", "--dataset", "sgd",
+                           "--path", str(tmp_path), "--split", "test")
+        assert code == EXIT_FAILURE
+        assert out == "duplicate dialog_id 1_00000\n1 violation(s)\n"
+
+    def test_duplicate_smcalflow_dialog_id(self, capsys, tmp_path, smcalflow_raw):
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw + smcalflow_raw[1:]})
+        code, out, _ = run(capsys, "validate", "--dataset", "smcalflow",
+                           "--path", str(tmp_path / "c.jsonl"))
+        assert code == EXIT_FAILURE
+        assert out == "duplicate dialog_id calflow-1\n1 violation(s)\n"
+
+
+class TestDeepNesting:
+    """Input nested deeper than Python recurses is malformed, never a traceback."""
+
+    DEEP = "(" * 3000 + "x" + ")" * 3000
+    AT_BOUND = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+
+    def test_deep_prediction_is_unparseable(self, capsys, smcalflow_path, tmp_path):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"dialogue_id": "calflow-0", "turn_index": 0,
+                                     "prediction": self.DEEP}) + "\n", "utf-8")
+        code, out, _ = run(capsys, "eval", "--dataset", "smcalflow",
+                           "--path", str(smcalflow_path), "--preds", str(preds),
+                           "--mode", "exact-match")
+        assert code == EXIT_OK
+        assert "unparseable predictions 1" in out
+
+    @pytest.mark.parametrize("reader", ["smcalflow", "predictions", "json"])
+    def test_deep_json_exits_one(self, capsys, tmp_path, mwz_path, reader):
+        deep = tmp_path / "deep"
+        deep.write_text("\n" + "[" * 200_000 + "\n", "utf-8")
+        argv, where = {
+            "smcalflow": (["validate", "--dataset", "smcalflow", "--path", str(deep)],
+                          f"{deep}:2: malformed JSON"),
+            "predictions": (["eval", "--dataset", "multiwoz", "--path", str(mwz_path),
+                             "--preds", str(deep), "--mode", "jga"],
+                            f"{deep}:2: malformed JSON"),
+            "json": (["validate", "--dataset", "multiwoz", "--path", str(deep)],
+                     f"malformed JSON in {deep}"),
+        }[reader]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_FAILURE
+        assert err.startswith(f"error: {where}: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "linearize", "eval"])
+    def test_deep_gold_program_exits_one(self, capsys, smcalflow_raw, tmp_path, command):
+        smcalflow_raw[0]["turns"][1]["lispress"] = self.DEEP
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"dialogue_id": "calflow-0", "turn_index": 2,
+                                     "prediction": "(x)"}) + "\n", "utf-8")
+        extra = {"analyze": [],
+                 "linearize": ["--repr", "user", "--out", str(tmp_path / "out.jsonl")],
+                 "eval": ["--preds", str(preds), "--mode", "exact-match"]}[command]
+        code, _, err = run(capsys, command, "--dataset", "smcalflow",
+                           "--path", str(tmp_path / "c.jsonl"), *extra)
+        assert code == EXIT_FAILURE
+        assert err == ("error: dialog calflow-0, turn 2: gold program does not parse: "
+                       f"nesting deeper than {MAX_DEPTH} (at character offset {MAX_DEPTH})\n")
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_deep_gold_program_is_a_violation(self, capsys, smcalflow_raw, tmp_path):
+        smcalflow_raw[0]["turns"][1]["lispress"] = self.DEEP
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
+        code, out, _ = run(capsys, "validate", "--dataset", "smcalflow",
+                           "--path", str(tmp_path / "c.jsonl"))
+        assert code == EXIT_FAILURE
+        assert out.startswith("calflow-0: turn 2 program does not parse: nesting deeper than")
+
+    def test_program_at_the_bound_parses_and_prints(self, capsys, smcalflow_raw, tmp_path):
+        smcalflow_raw[0]["turns"][1]["lispress"] = self.AT_BOUND
+        source = tmp_path / "c.jsonl"
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
+        out = tmp_path / "records.jsonl"
+        code, _, _ = run(capsys, "linearize", "--dataset", "smcalflow", "--path", str(source),
+                         "--repr", "user", "--out", str(out))
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
+        assert records[1]["target"] == self.AT_BOUND
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps({"dialogue_id": r["dialogue_id"],
+                                             "turn_index": r["turn_index"],
+                                             "prediction": r["target"]}) + "\n"
+                                 for r in records), "utf-8")
+        code, stdout, _ = run(capsys, "eval", "--dataset", "smcalflow", "--path", str(source),
+                              "--preds", str(preds), "--mode", "exact-match")
+        assert code == EXIT_OK
+        assert "accuracy                1.0000" in stdout
+        assert run(capsys, "analyze", "--dataset", "smcalflow", "--path", str(source))[0] == EXIT_OK
+
 
 class TestInspect:
     def test_trace_output(self, capsys, mwz_path):
@@ -402,6 +501,27 @@ class TestUnreadableInput:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_FAILURE
         assert err.startswith(f"error: {bad}: not UTF-8 text")
+
+    @pytest.mark.parametrize("reader", ["json", "sgd-schema", "smcalflow",
+                                        "predictions", "overrides", "lexicon"])
+    def test_missing_file_exits_one(self, capsys, tmp_path, mwz_path, reader):
+        missing = tmp_path / "nope"
+        mwz = ["--dataset", "multiwoz", "--path", str(mwz_path)]
+        if reader == "sgd-schema":
+            (tmp_path / "test").mkdir()
+            missing = tmp_path / "test" / "schema.json"
+        argv = {
+            "json": ["validate", "--dataset", "multiwoz", "--path", str(missing)],
+            "sgd-schema": ["validate", "--dataset", "sgd", "--path", str(tmp_path),
+                           "--split", "test"],
+            "smcalflow": ["validate", "--dataset", "smcalflow", "--path", str(missing)],
+            "predictions": ["eval", *mwz, "--preds", str(missing), "--mode", "jga"],
+            "overrides": ["analyze", *mwz, "--overrides", str(missing)],
+            "lexicon": ["analyze", *mwz, "--lexicon", str(missing)],
+        }[reader]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_FAILURE
+        assert err == f"error: missing file: {missing}\n"
 
     def test_malformed_lexicon_exits_one(self, capsys, tmp_path, mwz_path):
         lexicon = tmp_path / "lexicon.txt"

@@ -406,8 +406,10 @@ _smc_lines = st.lists(st.fixed_dictionaries(
 def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
     """Load `files` as they are, then once with each value at `min_depth` or
     deeper (a whole file at depth 1) replaced by a junk value: each load
-    returns a Corpus or raises a CorpusError. In a returned Corpus, every
-    state's alternates are non-empty and hold no duplicates."""
+    returns a Corpus or raises a CorpusError. In a returned Corpus, turn
+    indexes are positions, speakers alternate starting with the user, every
+    user turn has a state (MultiWOZ, SGD) or a program (SMCalFlow), and
+    every state's alternates are non-empty and hold no duplicates."""
     paths = [p for p in _paths(files) if len(p) >= min_depth]
     variants = [files] + [_replaced(files, p, junk[k % len(junk)]) for k, p in enumerate(paths)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -419,8 +421,15 @@ def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
                 continue
             assert isinstance(result, Corpus)
             for dialog in result.dialogs:
+                assert [t.index for t in dialog.turns] == list(range(len(dialog.turns)))
+                assert [t.speaker for t in dialog.turns] == [
+                    (Speaker.USER, Speaker.AGENT)[i % 2] for i in range(len(dialog.turns))]
                 for turn in dialog.user_turns():
-                    for vals in (turn.state.slots.values() if turn.state else ()):
+                    if dataset == "smcalflow":
+                        assert turn.program is not None
+                        continue
+                    assert turn.state is not None
+                    for vals in turn.state.slots.values():
                         assert vals and len(set(vals)) == len(vals)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dialoscope import lispress
 from dialoscope.corpus import Corpus, DatasetKind, Dialog, ParseError, Speaker, Turn
 from dialoscope.evaluate import exact_match_score
-from dialoscope.lispress import (LispressError, List, Number, StringLit, Symbol,
+from dialoscope.lispress import (MAX_DEPTH, LispressError, List, Number, StringLit, Symbol,
                                  TypedLiteral, contains_call, parse, print_canonical)
 
 
@@ -61,6 +61,22 @@ class TestParse:
             parse('("\xe9" "\\q")')
         assert exc.value.offset == 6
         assert str(exc.value).endswith("(at character offset 6)")
+
+    @pytest.mark.parametrize("opener,closer,levels", [
+        ("(", ")", 1), ("#", "", 1), ("#(T ", ")", 2)])  # '#(' is two levels
+    def test_nesting_bound(self, opener, closer, levels):
+        n = MAX_DEPTH // levels
+        at_bound = opener * n + "x" + closer * n
+        node = parse(at_bound)
+        assert parse(print_canonical(node)) == node
+        assert not contains_call(node, "absent")
+        deeper = "(" + at_bound + ")"
+        with pytest.raises(LispressError) as exc:
+            parse(deeper)
+        assert exc.value.message == f"nesting deeper than {MAX_DEPTH}"
+        # the offset is that of the innermost opener
+        x = deeper.index("x")
+        assert exc.value.offset == max(deeper.rfind("(", 0, x), deeper.rfind("#", 0, x))
 
 
 class TestPrint:

@@ -375,6 +375,14 @@ class TestLoadLexicon:
             load_lexicon(p)
         assert ":2" in str(exc.value)
 
+    def test_bad_line_numbered_by_file_line(self, tmp_path):
+        # a form feed ends no line: str.splitlines() would count three here
+        p = tmp_path / "lex.txt"
+        p.write_text("a/b: ok\x0c\nnot a mapping\n", "utf-8")
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(p)
+        assert str(exc.value) == f"{p}:2: expected 'key: phrase|phrase'"
+
     def test_shortcut_and_other_sections(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text("!shortcut new york: ny|nyc\n!other a/b: weird phrase\n",
