@@ -108,10 +108,6 @@ class DialogState:
     """
     slots: Slots = field(default_factory=dict)
 
-    @staticmethod
-    def from_dict(d: Dict[Tuple[str, str], Iterable[str]]) -> "DialogState":
-        return DialogState({key: _value_tuple(vals) for key, vals in d.items() if vals})
-
     def __bool__(self):
         return bool(self.slots)
 
@@ -293,32 +289,59 @@ def _check(value, kind, what: str, path, dialog_id=None, turn=None):
 # MultiWOZ
 # ---------------------------------------------------------------------------
 
-def _parse_multiwoz_state(metadata: dict, path, dialog_id, turn) -> DialogState:
-    entries: Dict[Tuple[str, str], List[str]] = {}
-    for domain, frame in metadata.items():
-        if not isinstance(frame, dict):
-            raise _type_error(f"metadata for domain {domain!r}", dict, frame,
+# raw domain name -> (its last raw frame, that frame's entries); one per dialog
+_FrameMemo = Dict[str, Tuple[dict, List[Tuple[Tuple[str, str], Tuple[str, ...]]]]]
+
+
+def _parse_multiwoz_frame(domain: str, frame, path, dialog_id, turn):
+    """The ((domain, slot), alternates) entries of one domain's frame, in
+    source order, and whether every value read from it was a string."""
+    if not isinstance(frame, dict):
+        raise _type_error(f"metadata for domain {domain!r}", dict, frame,
+                          path, dialog_id, turn)
+    entries = []
+    all_str = True
+    for section, prefix in (("semi", ""), ("book", "book ")):
+        slots = frame.get(section, {})
+        if not isinstance(slots, dict):
+            raise _type_error(f"{domain!r} {section!r} section", dict, slots,
                               path, dialog_id, turn)
-        for section, prefix in (("semi", ""), ("book", "book ")):
-            slots = frame.get(section, {})
-            if not isinstance(slots, dict):
-                raise _type_error(f"{domain!r} {section!r} section", dict, slots,
-                                  path, dialog_id, turn)
-            for slot, value in slots.items():
-                if slot == "booked":
-                    continue
-                if isinstance(value, list):
-                    value = value[0] if value else ""
-                if not isinstance(value, str):
-                    value = str(value)
-                if value in _ABSENT_VALUES or value.strip().lower() in _ABSENT_VALUES:
-                    continue
-                vals = [v.strip() for v in value.split("|") if v.strip()]
-                if not vals:
-                    continue
-                key = (domain.lower(), canonical_slot(prefix + slot))
-                entries.setdefault(key, []).extend(vals)
-    return DialogState.from_dict(entries)
+        for slot, value in slots.items():
+            if slot == "booked":
+                continue
+            if isinstance(value, list):
+                value = value[0] if value else ""
+            if not isinstance(value, str):
+                all_str = False
+                value = str(value)
+            if value in _ABSENT_VALUES or value.strip().lower() in _ABSENT_VALUES:
+                continue
+            vals = _value_tuple(v.strip() for v in value.split("|") if v.strip())
+            if vals:
+                entries.append(((domain.lower(), canonical_slot(prefix + slot)), vals))
+    return entries, all_str
+
+
+def _parse_multiwoz_state(metadata: dict, path, dialog_id, turn,
+                          memo: _FrameMemo) -> DialogState:
+    slots: Slots = {}
+    for domain, frame in metadata.items():
+        # most frames equal the domain's frame one user turn earlier. A frame
+        # is remembered only when every value it read was a string: 1, 1.0
+        # and True are equal but coerce to different strings
+        hit = memo.get(domain)
+        if hit is not None and hit[0] == frame:
+            entries = hit[1]
+        else:
+            entries, all_str = _parse_multiwoz_frame(domain, frame, path, dialog_id, turn)
+            if all_str:
+                memo[domain] = (frame, entries)
+        for key, vals in entries:
+            # a key seen twice (semi and book, or two raw domains that
+            # lowercase to one name): concatenate, then dedupe
+            old = slots.get(key)
+            slots[key] = vals if old is None else _value_tuple(old + vals)
+    return DialogState(slots)
 
 
 def _multiwoz_split_ids(root: Path, split: str) -> Tuple[Optional[Set[str]], Set[str]]:
@@ -376,6 +399,7 @@ def load_multiwoz(path, split: str = "all") -> Corpus:
             raise StructuralError(f"{_where(path, dialog_id)}: missing or empty turn log")
         turns: List[Turn] = []
         domains = set()
+        memo: _FrameMemo = {}
         for i, entry in enumerate(log):
             utterance, metadata = _multiwoz_entry(entry, path, dialog_id, i)
             is_user = i % 2 == 0
@@ -392,7 +416,7 @@ def load_multiwoz(path, split: str = "all") -> Corpus:
                     raise StructuralError(
                         f"{_where(path, dialog_id, i)}: user turn has no system annotation")
                 _, agent_metadata = _multiwoz_entry(log[i + 1], path, dialog_id, i + 1)
-                state = _parse_multiwoz_state(agent_metadata, path, dialog_id, i + 1)
+                state = _parse_multiwoz_state(agent_metadata, path, dialog_id, i + 1, memo)
                 turns.append(Turn(i, Speaker.USER, utterance, state=state))
                 domains |= {dom for dom, _ in state.slots}
             else:
@@ -488,10 +512,16 @@ def load_sgd(path, split: str = "test") -> Corpus:
     """Load an SGD split directory (dialogues_*.json + schema.json).
 
     `path` is the dataset root containing per-split subdirectories, or the
-    split directory itself.
+    split directory itself; that one is taken only when `split` is "all"
+    or its directory name.
     """
     root = Path(path)
-    split_dir = root / split if (root / split).is_dir() else root
+    if (root / split).is_dir():
+        split_dir = root / split
+    elif split in ("all", root.name):
+        split_dir = root
+    else:
+        raise LoadError(f"no SGD split directory '{split}' under {root}")
     schemas = _sgd_schemas(split_dir / "schema.json")
 
     dialog_files = sorted(split_dir.glob("dialogues_*.json"))

@@ -14,7 +14,7 @@ import string
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .corpus import text_lines
 
@@ -351,6 +351,8 @@ def _find_word_bounded_ascii(needle: str, haystack: str) -> int:
 _EDGE_PUNCT = ".,;!?\"'()[]"
 
 
+# one text's tokens serve the n-gram lists of each word count its values have
+@lru_cache(maxsize=1024)
 def _tokens_with_spans(text: str) -> List[Tuple[str, int, int]]:
     toks = []
     for m in re.finditer(r"\S+", text):
@@ -367,12 +369,15 @@ def _tokens_with_spans(text: str) -> List[Tuple[str, int, int]]:
 # every later turn; 1024 entries hold a long dialog's utterances at each of
 # the few word counts its values have
 @lru_cache(maxsize=1024)
-def _word_ngrams(text: str, n_words: int) -> Tuple[Tuple[str, int, int], ...]:
-    """(lowered candidate, start, end) for each run of n_words tokens."""
+def _word_ngrams(text: str, n_words: int) -> Dict[int, List[Tuple[str, int, int]]]:
+    """(lowered candidate, start, end) for each run of n_words tokens, in
+    text order, grouped by the candidate's length."""
     toks = _tokens_with_spans(text)
-    return tuple((" ".join(t[0] for t in toks[i:i + n_words]).lower(),
-                  toks[i][1], toks[i + n_words - 1][2])
-                 for i in range(len(toks) - n_words + 1))
+    by_length: Dict[int, List[Tuple[str, int, int]]] = {}
+    for i in range(len(toks) - n_words + 1):
+        cand = " ".join(t[0] for t in toks[i:i + n_words]).lower()
+        by_length.setdefault(len(cand), []).append((cand, toks[i][1], toks[i + n_words - 1][2]))
+    return by_length
 
 
 def damerau_levenshtein(a: str, b: str, limit: Optional[int] = None) -> int:
@@ -423,20 +428,38 @@ def _typo_threshold(target: str) -> int:
     return 2 if len(target) >= 8 else 1
 
 
-_TypoTarget = Tuple[str, int, int]  # (lowered surface, word count, threshold)
+# (lowered surface, word count, threshold, the surface's characters)
+_TypoTarget = Tuple[str, int, int, FrozenSet[str]]
 
 
-def _typo_match(targets: Tuple[_TypoTarget, ...], text: str) -> Optional[MatchResult]:
+def _typo_match(targets: Tuple[_TypoTarget, ...], text: str,
+                haystack: Optional[str]) -> Optional[MatchResult]:
+    """The typo of a target in text at the least distance, then the earliest
+    start, then from the first target listed.
+
+    A candidate is compared only when it is within `threshold` of the target
+    in length and lacks at most `threshold` of the target's characters: an
+    edit removes at most one of those, so any other candidate is farther
+    off. In ASCII text (`haystack`, the lowered text) that also holds for
+    the whole text, whose characters every candidate's are among. Outside
+    ASCII lowering depends on context (final sigma), so the text is not
+    checked there.
+    """
     best: Optional[Tuple[int, int, int]] = None  # (distance, start, end)
-    for tgt, n_words, threshold in targets:
-        for cand, start, end in _word_ngrams(text, n_words):
-            if abs(len(cand) - len(tgt)) > threshold:
-                continue
-            dist = damerau_levenshtein(tgt, cand, threshold)
-            if dist == 0 or dist > threshold:
-                continue
-            if best is None or (dist, start) < best[:2]:
-                best = (dist, start, end)
+    text_chars = None if haystack is None else set(haystack) | {" "}
+    for tgt, n_words, threshold, chars in targets:
+        if text_chars is not None and len(chars - text_chars) > threshold:
+            continue
+        by_length = _word_ngrams(text, n_words)
+        for length in range(len(tgt) - threshold, len(tgt) + threshold + 1):
+            for cand, start, end in by_length.get(length, ()):
+                if len(chars.difference(cand)) > threshold:
+                    continue
+                dist = damerau_levenshtein(tgt, cand, threshold)
+                if dist == 0 or dist > threshold:
+                    continue
+                if best is None or (dist, start) < best[:2]:
+                    best = (dist, start, end)
     if best is None:
         return None
     dist, start, end = best
@@ -486,7 +509,8 @@ def _match_plan(value: str, slot: Optional[Tuple[str, str]],
         group = sorted((v for v in vlist if v.category is category),
                        key=lambda v: -len(v.surface))
         probes += [_probe(category, v.sub_kind, v.surface) for v in group]
-    targets = tuple((v.surface.lower(), len(v.surface.split()), _typo_threshold(v.surface))
+    targets = tuple((v.surface.lower(), len(v.surface.split()), _typo_threshold(v.surface),
+                     frozenset(v.surface.lower()))
                     for v in vlist
                     if len(v.surface) >= _TYPO_MIN_LEN and v.surface.split())
     plan = _MatchPlan(tuple(probes), targets)
@@ -523,4 +547,4 @@ def match_in_text(value: str, slot: Optional[Tuple[str, str]], text: str,
             span = m.span()
         return MatchResult(category, sub_kind=sub_kind, span=span,
                            matched_surface=text[span[0]:span[1]])
-    return _typo_match(plan.typo_targets, text) or UNRESOLVED
+    return _typo_match(plan.typo_targets, text, haystack) or UNRESOLVED

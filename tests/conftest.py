@@ -260,7 +260,7 @@ def build_planted_corpus():
                 text = f"{text} , {surface} please"
             state = None
             if speaker is Speaker.USER:
-                state = (DialogState.from_dict({(domain, slot): (value,)})
+                state = (DialogState({(domain, slot): (value,)})
                          if i == target else DialogState())
             turns.append(Turn(i, speaker, text, state=state))
         dialogs.append(Dialog(dialog_id, tuple(turns)))

@@ -402,7 +402,7 @@ class TestRecount:
         from dialoscope.corpus import Corpus, Dialog, DialogState, Speaker, Turn
 
         def user(i, text, slots):
-            return Turn(i, Speaker.USER, text, state=DialogState.from_dict(
+            return Turn(i, Speaker.USER, text, state=DialogState(
                 {("test", s): (v,) for s, v in slots.items()}))
 
         mix = Dialog("mix", (

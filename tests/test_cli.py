@@ -296,6 +296,22 @@ class TestValidate:
         assert code == EXIT_FAILURE
         assert out == "duplicate dialog_id 1_00000\n1 violation(s)\n"
 
+    @pytest.mark.parametrize("sub,split", [("test", "train"), ("", "tset")])
+    def test_sgd_unknown_split_exits_one(self, capsys, sgd_path, sub, split):
+        path = sgd_path / sub
+        code, out, err = run(capsys, "validate", "--dataset", "sgd",
+                             "--path", str(path), "--split", split)
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert err == f"error: no SGD split directory '{split}' under {path}\n"
+
+    @pytest.mark.parametrize("sub,split", [("", "test"), ("test", "test"), ("test", "all")])
+    def test_sgd_split_directory(self, capsys, sgd_path, sub, split):
+        code, out, _ = run(capsys, "validate", "--dataset", "sgd",
+                           "--path", str(sgd_path / sub), "--split", split)
+        assert code == EXIT_OK
+        assert out == "ok: 2 dialogs, 6 user turns, no violations\n"
+
     def test_duplicate_smcalflow_dialog_id(self, capsys, tmp_path, smcalflow_raw):
         write_layout(tmp_path, {"c.jsonl": smcalflow_raw + smcalflow_raw[1:]})
         code, out, _ = run(capsys, "validate", "--dataset", "smcalflow",

@@ -12,39 +12,35 @@ from dialoscope.corpus import (Corpus, CorpusError, DialogState, DatasetKind,
 from conftest import SGD_SCHEMA, mwz_dialog, sgd_turn, sgd_user_frame
 
 
-def state(d):
-    return DialogState.from_dict(d)
-
-
 class TestStateUpdate:
     def test_first_turn_diff(self):
-        upd = state_update(DialogState(), state({("train", "day"): ("friday",)}))
+        upd = state_update(DialogState(), DialogState({("train", "day"): ("friday",)}))
         assert upd.added_or_changed == {("train", "day", ("friday",))}
         assert not upd.dropped and not upd.dontcared
 
     def test_changed_value(self):
-        upd = state_update(state({("restaurant", "area"): ("center",)}),
-                           state({("restaurant", "area"): ("north",)}))
+        upd = state_update(DialogState({("restaurant", "area"): ("center",)}),
+                           DialogState({("restaurant", "area"): ("north",)}))
         assert upd.added_or_changed == {("restaurant", "area", ("north",))}
 
     def test_relaxed_to_dontcare(self):
-        upd = state_update(state({("hotel", "stars"): ("4",)}),
-                           state({("hotel", "stars"): ("dontcare",)}))
+        upd = state_update(DialogState({("hotel", "stars"): ("4",)}),
+                           DialogState({("hotel", "stars"): ("dontcare",)}))
         assert upd.dontcared == {("hotel", "stars")}
         assert not upd.added_or_changed
 
     def test_new_slot_set_to_dontcare_counts_as_addition(self):
         upd = state_update(DialogState(),
-                           state({("restaurant", "food"): ("dontcare",)}))
+                           DialogState({("restaurant", "food"): ("dontcare",)}))
         assert upd.added_or_changed == {("restaurant", "food", ("dontcare",))}
 
     def test_dropped_slot(self):
-        upd = state_update(state({("hotel", "area"): ("west",)}), DialogState())
+        upd = state_update(DialogState({("hotel", "area"): ("west",)}), DialogState())
         assert upd.dropped == {("hotel", "area")}
 
     def test_apply_update_inverts(self):
-        prev = state({("a", "b"): ("x",), ("c", "d"): ("y",)})
-        curr = state({("a", "b"): ("z",), ("e", "f"): ("w", "v")})
+        prev = DialogState({("a", "b"): ("x",), ("c", "d"): ("y",)})
+        curr = DialogState({("a", "b"): ("z",), ("e", "f"): ("w", "v")})
         assert apply_update(prev, state_update(prev, curr)) == curr
 
 
@@ -454,3 +450,77 @@ class TestLoaderProperties:
         # the file is JSON lines: replace single lines, not the whole file
         _check_every_value_replaced("smcalflow", {"c.jsonl": lines}, "c.jsonl", junk,
                                     min_depth=2)
+
+
+# ---------------------------------------------------------------------------
+# reference MultiWOZ state parser: the per-turn version that parses every
+# frame, frozen here so the loader's frame memo is checked state for state
+# ---------------------------------------------------------------------------
+
+def reference_multiwoz_state(metadata):
+    entries = {}
+    for domain, frame in metadata.items():
+        for section, prefix in (("semi", ""), ("book", "book ")):
+            for slot, value in frame.get(section, {}).items():
+                if slot == "booked":
+                    continue
+                if isinstance(value, list):
+                    value = value[0] if value else ""
+                if not isinstance(value, str):
+                    value = str(value)
+                if value.strip().lower() in {"", "none", "not mentioned"}:
+                    continue
+                vals = [v.strip() for v in value.split("|") if v.strip()]
+                if vals:
+                    key = (domain.lower(), canonical_slot(prefix + slot))
+                    entries.setdefault(key, []).extend(vals)
+    return DialogState({key: tuple(dict.fromkeys(vals)) for key, vals in entries.items()})
+
+
+# values that compare equal but load differently (1, True, 1.0, "1"), and
+# values that load to nothing or to repeated alternates
+_memo_value = st.sampled_from([1, True, 1.0, "1", "none", " Not Mentioned ", "a|b|a", "b"])
+_memo_section = st.dictionaries(
+    st.sampled_from(["stars", "area", "booked"]),
+    st.one_of(_memo_value, st.lists(_memo_value, max_size=2)), max_size=3)
+_memo_frame = st.fixed_dictionaries({}, optional={"semi": _memo_section, "book": _memo_section})
+
+
+@st.composite
+def _repeating_frames_dialog(draw):
+    """A dialog whose agent turns draw each domain's frame from a small pool,
+    so that consecutive frames are often equal, and often equal only by ==."""
+    pool = draw(st.lists(_memo_frame, min_size=1, max_size=3))
+    frame = st.sampled_from(pool)
+    metadata = st.dictionaries(st.sampled_from(["Hotel", "hotel", "train"]), frame,
+                               min_size=1, max_size=3)
+    metas = draw(st.lists(metadata, min_size=1, max_size=6))
+    log = []
+    for meta in metas:
+        log += [{"text": "hi", "metadata": {}}, {"text": "ok", "metadata": meta}]
+    return {"log": log}
+
+
+class TestMultiwozFrameMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_repeating_frames_dialog(), min_size=1, max_size=2))
+    def test_states_as_reference(self, dialogs):
+        data = {f"D{k}": dialog for k, dialog in enumerate(dialogs)}
+        with tempfile.TemporaryDirectory() as tmp:
+            write_layout(Path(tmp), {"d.json": data})
+            corpus = load_multiwoz(Path(tmp) / "d.json")
+        for dialog in corpus.dialogs:
+            raw = data[dialog.dialog_id]["log"]
+            for turn in dialog.user_turns():
+                # key order and alternate order included
+                expected = reference_multiwoz_state(raw[turn.index + 1]["metadata"])
+                assert list(turn.state.slots.items()) == list(expected.slots.items())
+
+    def test_equal_frames_of_other_types_load_apart(self, tmp_path):
+        log = []
+        for stars in (1, True, 1.0, "1"):
+            log += [{"text": "hi", "metadata": {}},
+                    {"text": "ok", "metadata": {"hotel": {"semi": {"stars": stars}}}}]
+        write_layout(tmp_path, {"d.json": {"D1": {"log": log}}})
+        states = [t.state.slots for t in load_multiwoz(tmp_path / "d.json").dialogs[0].user_turns()]
+        assert [s[("hotel", "stars")] for s in states] == [("1",), ("True",), ("1.0",), ("1",)]

@@ -79,23 +79,23 @@ class TestLoadPredictions:
 
 class TestStatesEqual:
     def test_case_and_whitespace_insensitive(self):
-        a = DialogState.from_dict({("t", "day"): ("Friday",)})
-        b = DialogState.from_dict({("t", "day"): ("friday",)})
+        a = DialogState({("t", "day"): ("Friday",)})
+        b = DialogState({("t", "day"): ("friday",)})
         assert states_equal(a, b)
 
     def test_alternate_values_accepted(self):
-        pred = DialogState.from_dict({("r", "area"): ("center",)})
-        gold = DialogState.from_dict({("r", "area"): ("centre", "center")})
+        pred = DialogState({("r", "area"): ("center",)})
+        gold = DialogState({("r", "area"): ("centre", "center")})
         assert states_equal(pred, gold)
 
     def test_key_set_mismatch(self):
-        a = DialogState.from_dict({("t", "day"): ("friday",)})
+        a = DialogState({("t", "day"): ("friday",)})
         assert not states_equal(a, DialogState())
         assert not states_equal(DialogState(), a)
 
     def test_fuzzy_matching(self):
-        pred = DialogState.from_dict({("r", "name"): ("intercontinental hotl",)})
-        gold = DialogState.from_dict({("r", "name"): ("intercontinental hotel",)})
+        pred = DialogState({("r", "name"): ("intercontinental hotl",)})
+        gold = DialogState({("r", "name"): ("intercontinental hotel",)})
         assert not states_equal(pred, gold)
         assert states_equal(pred, gold, fuzzy=True)
 

@@ -63,8 +63,8 @@ class TestTarget:
 
 class TestState:
     def test_sorted_first_alternate(self):
-        st = DialogState.from_dict({("b", "y"): ("2", "two"),
-                                    ("a", "x"): ("1",)})
+        st = DialogState({("b", "y"): ("2", "two"),
+                         ("a", "x"): ("1",)})
         assert linearize_state(st) == "a:x=1, b:y=2"
 
     def test_empty(self):
@@ -154,7 +154,7 @@ class TestInput:
             "A service for finding and reserving restaurants [user]")
 
     def test_predicted_previous_state(self, dialog):
-        predicted = {("MUL0635.json", 8): DialogState.from_dict(
+        predicted = {("MUL0635.json", 8): DialogState(
             {("train", "day"): ("friday",)})}
         text = linearize_input(dialog, 10,
                                InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,

@@ -114,14 +114,16 @@ MATCH_VALUES = [
     ("    ", None),
     ("café crème", ("restaurant", "name")),
     ("straße", None),
+    ("ΟΔΟΣ ΣΑΣ", None),
 ]
 FILLER = ["please", "a", "table", "for", "at", "the", "in", "town", "okay",
           "I", "need", "to", "leave", "cheap", "centre", "arms", "budget",
-          "naïve", "_", "x_"]
+          "naïve", "_", "x_", "ΟΔΟΣ", "ΣΑΣ", "\u1e9e"]
 PUNCT = [".", ",", "!", "?", "'", "(", ")", "\"", ":", "-", " , ", " . "]
 # non-ASCII letters that case-fold onto ASCII ones (Kelvin sign, long s,
-# dotted capital I) take the texts off the ASCII fast path
-EDIT_CHARS = "aeiourstn019:!. _\u212a\u017f\u0130é"
+# dotted capital I) take the texts off the ASCII fast path; a capital sigma
+# lowercases by its context (final or not), capital sharp s to one letter
+EDIT_CHARS = "aeiourstn019:!. _\u212a\u017f\u0130éΣ\u1e9e"
 
 
 @st.composite
@@ -152,7 +154,7 @@ def value_and_text(draw):
     piece = st.one_of(st.sampled_from(surfaces).flatmap(typo),
                       st.sampled_from(FILLER), st.sampled_from(PUNCT))
     pieces = draw(st.lists(piece, min_size=1, max_size=6))
-    seps = draw(st.lists(st.sampled_from([" ", "", "  "]),
+    seps = draw(st.lists(st.sampled_from([" ", "", "  ", "\t"]),
                          min_size=len(pieces), max_size=len(pieces)))
     return value, slot, "".join(p + s for p, s in zip(pieces, seps))
 
@@ -286,6 +288,27 @@ class TestMatchInText:
     def test_word_bounds_as_reference(self, value, text):
         assert match_in_text(value, None, text) == \
             reference_match_in_text(value, None, text)
+
+    @pytest.mark.parametrize("value,phrase,text", [
+        # two targets of different word counts hit at (1, 0): the first
+        # target listed claims the span, and so its end
+        ("kings college", "kings", "kimgs college is fine"),
+        ("kings", "kings college", "kimgs college is fine"),
+        # a miss in the target's own length comes first in the text, the
+        # hit is one character longer
+        ("centre", None, "cantro then centres"),
+        # the earlier hit is in the longer length bucket
+        ("centre", None, "centres or centr"),
+        # distance 2 on an 8-character target, two of its letters missing
+        ("saturday", None, "leave on saxyrday please"),
+        # words apart by a tab still make a candidate with a space
+        ("st ives", None, "st\tivs"),
+    ])
+    def test_typo_pass_as_reference(self, value, phrase, text):
+        lex = Lexicon({f"*/{value}": {phrase}} if phrase else {}, {}, {})
+        got = match_in_text(value, None, text, lex)
+        assert got == reference_match_in_text(value, None, text, lex)
+        assert got.category is MatchCategory.TYPO
 
     @settings(max_examples=400)
     @given(value_and_text(), st.booleans())
