@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -230,6 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a command builds one large acyclic graph that reference counting
+    # frees; the cyclic collector would only rescan it as it grows
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except UsageError as exc:
@@ -238,6 +243,9 @@ def main(argv=None) -> int:
             analysis.OverrideError, LexiconError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -193,7 +193,8 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
     """Per-turn Lispress exact match for SMCalFlow corpora.
 
     A prediction that does not parse counts as unparseable and wrong, in
-    strict mode too. With honor_refer_flags, turns carrying
+    strict mode too. A gold program that does not parse raises, whether or
+    not its turn has a prediction. With honor_refer_flags, turns carrying
     refer_are_incorrect score 0 no matter the prediction (the dataset
     authors' scorer semantics); such turns whose prediction was actually
     correct are tallied separately.
@@ -206,13 +207,13 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
         for dialog in corpus.dialogs:
             for turn in dialog.user_turns():
                 key = (dialog.dialog_id, turn.index)
-                if key not in predictions:
-                    yield key, False
-                    continue
                 try:
                     gold = lispress.parse(turn.program)
                 except lispress.LispressError as exc:
                     raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
+                if key not in predictions:
+                    yield key, False
+                    continue
                 try:
                     pred = lispress.parse(predictions[key])
                 except lispress.LispressError:

@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from dialoscope import corpus
 from dialoscope.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from dialoscope.lispress import MAX_DEPTH
 from conftest import SGD_SCHEMA
@@ -370,6 +372,21 @@ class TestDeepNesting:
                        f"nesting deeper than {MAX_DEPTH} (at character offset {MAX_DEPTH})\n")
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_unparseable_gold_program_without_prediction_exits_one(self, capsys,
+                                                                   smcalflow_raw, tmp_path):
+        # the gold program is parsed whether or not the turn has a prediction
+        smcalflow_raw[0]["turns"][0]["lispress"] = "(Yield (Foo"
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"dialogue_id": "calflow-0", "turn_index": 2,
+                                     "prediction": "(x)"}) + "\n", "utf-8")
+        code, out, err = run(capsys, "eval", "--dataset", "smcalflow",
+                             "--path", str(tmp_path / "c.jsonl"), "--preds", str(preds),
+                             "--mode", "exact-match")
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert err.startswith("error: dialog calflow-0, turn 0: gold program does not parse: ")
+
     def test_deep_gold_program_is_a_violation(self, capsys, smcalflow_raw, tmp_path):
         smcalflow_raw[0]["turns"][1]["lispress"] = self.DEEP
         write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
@@ -398,6 +415,76 @@ class TestDeepNesting:
         assert code == EXIT_OK
         assert "accuracy                1.0000" in stdout
         assert run(capsys, "analyze", "--dataset", "smcalflow", "--path", str(source))[0] == EXIT_OK
+
+
+class TestCollector:
+    """A command runs with the cyclic collector paused, restores the
+    caller's setting on every exit, and leaves no cyclic garbage that
+    grows with the data."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_setting_survives_every_exit(self, capsys, collector, mwz_path, tmp_path,
+                                         monkeypatch):
+        mwz = ["--dataset", "multiwoz", "--path", str(mwz_path)]
+        during = []
+        validate = corpus.validate_corpus
+        monkeypatch.setattr(corpus, "validate_corpus",
+                            lambda corp: during.append(gc.isenabled()) or validate(corp))
+        assert main(["validate", *mwz]) == EXIT_OK
+        assert during == [False]
+        assert gc.isenabled() is collector
+        assert main(["validate", "--dataset", "multiwoz",
+                     "--path", str(tmp_path / "nope")]) == EXIT_FAILURE
+        assert gc.isenabled() is collector
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *mwz, "--preds", "p.jsonl", "--mode", "exact-match"])
+        assert exc.value.code == EXIT_USAGE
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--workers", "1"],
+        ["analyze", "--workers", "2"],
+        ["linearize", "--repr", "full", "--out", "{root}/records.jsonl"],
+        ["eval", "--mode", "jga", "--preds", "{root}/preds.jsonl"],
+        ["validate"],
+    ], ids=["analyze-1", "analyze-2", "linearize", "eval-jga", "validate"])
+    @pytest.mark.parametrize("collector", [False], indirect=True, ids=["disabled"])
+    def test_cyclic_garbage_does_not_grow_with_the_data(self, capsys, collector, tmp_path,
+                                                         sgd_raw, command):
+        from dialoscope.linearize import linearize_target
+
+        def layout(name, copies):
+            root = tmp_path / name
+            dialogs = [dict(d, dialogue_id=f"{d['dialogue_id']}-{k}")
+                       for k in range(copies) for d in sgd_raw]
+            write_layout(root / "test", {"schema.json": SGD_SCHEMA,
+                                         "dialogues_001.json": dialogs})
+            (root / "preds.jsonl").write_text("".join(
+                json.dumps({"dialogue_id": dialog.dialog_id, "turn_index": turn.index,
+                            "prediction": linearize_target(corpus.state_update(
+                                dialog.previous_user_state(turn.index), turn.state))})
+                + "\n"
+                for dialog in corpus.load_sgd(root, "test").dialogs
+                for turn in dialog.user_turns()), "utf-8")
+            return root
+
+        def garbage(root):
+            gc.collect()
+            argv = [command[0], "--dataset", "sgd", "--path", str(root), "--split", "test",
+                    *(arg.format(root=root) for arg in command[1:])]
+            assert main(argv) == EXIT_OK
+            capsys.readouterr()
+            return gc.collect()
+
+        small, large = layout("small", 1), layout("large", 4)
+        garbage(small)  # first use builds lazy tables and caches
+        assert garbage(small) == garbage(large)
 
 
 class TestInspect:
