@@ -92,8 +92,14 @@ class OverrideError(ValueError):
 
 def _natural(text: str) -> Optional[int]:
     """`text` as a non-negative integer in ASCII digits, else None: no sign,
-    no `_` separator, no other script's digits."""
-    return int(text) if text.isascii() and text.isdigit() else None
+    no `_` separator, no other script's digits, no more digits than int()
+    converts."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past the int/str conversion digit limit
+        return None
 
 
 def apply_overrides(path) -> Overrides:

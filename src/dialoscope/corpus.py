@@ -190,7 +190,8 @@ def state_update(prev: DialogState, curr: DialogState) -> StateUpdate:
     dontcared = set()
     for key, vals in curr_d.items():
         old = prev_d.get(key)
-        if old is not None and set(old) == set(vals):
+        # the loaders' memos make most alternates the previous turn's tuple
+        if old is not None and (old == vals or set(old) == set(vals)):
             continue
         if old is not None and set(vals) == {DONTCARE}:
             dontcared.add(key)
@@ -216,16 +217,21 @@ def apply_update(prev: DialogState, update: StateUpdate) -> DialogState:
 # reading input files
 # ---------------------------------------------------------------------------
 
+# what json.load raises on a malformed document: ValueError covers
+# JSONDecodeError and an integer past the int/str conversion digit limit
+_JSON_ERRORS = (ValueError, RecursionError)
+
+
 def _read_json(path: Path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except FileNotFoundError:
         raise LoadError(f"missing file: {path}")
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"malformed JSON in {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}")
+    except _JSON_ERRORS as exc:
+        raise ParseError(f"malformed JSON in {path}: {exc}")
 
 
 def text_lines(path, error) -> Iterator[Tuple[int, str]]:
@@ -250,7 +256,7 @@ def json_lines(path, error) -> Iterator[Tuple[int, object]]:
             continue
         try:
             value = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except _JSON_ERRORS as exc:
             raise error(f"{path}:{lineno}: malformed JSON: {exc}")
         yield lineno, value
 

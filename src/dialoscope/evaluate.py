@@ -3,8 +3,8 @@
 JGA compares the full cumulative state per user turn; in oracle mode the
 predicted update is applied to the gold previous state, in accumulated
 mode to the running predicted state. SMCalFlow predictions are compared
-program-for-program after canonical printing, with optional honoring of
-the dataset's refer_are_incorrect force-zero flag.
+program-for-program as parsed trees, with optional honoring of the
+dataset's refer_are_incorrect force-zero flag.
 """
 from __future__ import annotations
 
@@ -98,6 +98,10 @@ def canonical_value(value: str) -> str:
 
 
 def _values_match(pred: str, gold_alternates, fuzzy: bool = False) -> bool:
+    # a verbatim alternate also matches after canonicalizing; in oracle mode
+    # every slot the prediction did not touch is gold's own tuple
+    if pred in gold_alternates:
+        return True
     pred_c = canonical_value(pred)
     gold = [canonical_value(g) for g in gold_alternates]
     if pred_c in gold:
@@ -219,8 +223,9 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
                 except lispress.LispressError:
                     yield key, None
                     continue
-                correct = (predictions[key] == turn.program if strict else
-                           lispress.print_canonical(pred) == lispress.print_canonical(gold))
+                # parse(print_canonical(t)) == t for every parsed tree, so
+                # equal trees are exactly equal canonical prints
+                correct = predictions[key] == turn.program if strict else pred == gold
                 if correct and honor_refer_flags and "refer_are_incorrect" in turn.flags:
                     report.correct_but_flagged += 1
                     correct = False

@@ -167,6 +167,10 @@ def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetK
     return records
 
 
+# json.dumps(..., ensure_ascii=False) would build this encoder per record
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def emit_dataset(corpus: Corpus, repr: InputRepresentation, out_path,
                  predicted_states: Optional[PredictedStates] = None) -> int:
     """Write one line-delimited JSON record per user turn, in corpus order.
@@ -179,10 +183,9 @@ def emit_dataset(corpus: Corpus, repr: InputRepresentation, out_path,
             for dialog in corpus.dialogs:
                 for rec in records_for_dialog(dialog, repr, corpus.dataset_kind,
                                               predicted_states, corpus.schemas or None):
-                    f.write(json.dumps(
+                    f.write(_RECORD_ENCODER.encode(
                         {"dialogue_id": rec.dialog_id, "turn_index": rec.turn_index,
-                         "input": rec.input, "target": rec.target},
-                        ensure_ascii=False) + "\n")
+                         "input": rec.input, "target": rec.target}) + "\n")
                     count += 1
     except OSError as exc:
         raise OSError(f"cannot write records to {out_path}: {exc}") from exc

@@ -2,11 +2,12 @@
 
 Lispress is the s-expression program language used to express SMCalFlow
 dialog states. We only need to parse, re-print canonically (for
-exact-match scoring) and walk the tree (for refer/revise detection);
-programs are never executed.
+emitting targets), compare trees (for exact-match scoring) and walk the
+tree (for refer/revise detection); programs are never executed.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -88,6 +89,15 @@ def _string_error(source: str, start: int) -> LispressError:
     return LispressError(f"invalid escape '\\{source[end + 1]}'", end)
 
 
+@functools.lru_cache(maxsize=4096)
+def _atom(tok: str) -> Node:
+    """The Symbol or Number node of one atom token. Nodes are frozen, so
+    every parse shares one node per distinct atom, and comparing two trees
+    mostly meets the same object."""
+    # a number ends in a (Unicode) decimal digit; most atoms do not
+    return Number(tok) if tok[-1].isdecimal() and _NUMBER_RE.match(tok) else Symbol(tok)
+
+
 def _tagged(form) -> TypedLiteral:
     if (isinstance(form, List) and len(form.children) == 2
             and isinstance(form.children[0], Symbol)):
@@ -123,9 +133,7 @@ def parse(source: str) -> Node:
             children = open_lists.pop()[0]
             depth -= 1
         elif head != '"':
-            # a number ends in a (Unicode) decimal digit; most atoms do not
-            node = (Number(tok) if tok[-1].isdecimal() and _NUMBER_RE.match(tok)
-                    else Symbol(tok))
+            node = _atom(tok)
         elif len(tok) == 1:
             raise _string_error(source, _token_offset(source, i))
         else:

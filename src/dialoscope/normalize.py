@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import string
+import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -247,13 +248,27 @@ def _time_variants(value: str) -> List[str]:
     return []
 
 
+# numbers are spelled in words only below 1,000,000, that is with at most
+# this many significant digits; int() never sees a longer digit string
+_WORDS_MAX_DIGITS = 6
+
+
+def _decimal(digits: str) -> str:
+    """str(int(digits)) for a run of decimal digits in any script, without
+    int(), which refuses strings past its digit limit."""
+    if not digits.isascii():
+        digits = "".join(str(unicodedata.decimal(c)) for c in digits)
+    return digits.lstrip("0") or "0"
+
+
 def _number_variants(value: str) -> List[str]:
-    if _INT.match(value):
-        n = int(value)
-        if n < 1000000:
-            words = number_to_words(n)
-            return [words, words.replace(" ", "-")] if " " in words else [words]
-        return []
+    m = _INT.match(value)
+    if m:
+        text = _decimal(m.group())
+        if len(text) > _WORDS_MAX_DIGITS:
+            return []
+        words = number_to_words(int(text))
+        return [words, words.replace(" ", "-")] if " " in words else [words]
     n = _words_to_number().get(value.lower())
     return [str(n)] if n is not None else []
 
@@ -262,9 +277,12 @@ def _currency_variants(value: str) -> List[str]:
     m = _CURRENCY.match(value)
     if not m:
         return []
-    n = int(m.group(1))
-    words = number_to_words(n)
-    return [f"{n} dollars", f"{n} bucks", f"{words} dollars", f"{words} bucks"]
+    text = _decimal(m.group(1))
+    out = [f"{text} dollars", f"{text} bucks"]
+    if len(text) <= _WORDS_MAX_DIGITS:
+        words = number_to_words(int(text))
+        out += [f"{words} dollars", f"{words} bucks"]
+    return out
 
 
 def _alt_spelling_variants(value: str) -> List[str]:

@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 
 import pytest
 
@@ -415,6 +416,84 @@ class TestDeepNesting:
         assert code == EXIT_OK
         assert "accuracy                1.0000" in stdout
         assert run(capsys, "analyze", "--dataset", "smcalflow", "--path", str(source))[0] == EXIT_OK
+
+
+class TestLongIntegers:
+    """Integers past the int/str conversion digit limit are malformed input
+    or plain values, never a traceback."""
+
+    LONG = "1" * 4301
+
+    @pytest.fixture(autouse=True)
+    def digit_limit(self):
+        # the interpreter's default limit, whatever PYTHONINTMAXSTRDIGITS says
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    def dumps(self, doc) -> str:
+        """JSON text of `doc` with each "LONG" string written as the long integer."""
+        return json.dumps(doc).replace('"LONG"', self.LONG)
+
+    @pytest.mark.parametrize("reader", ["multiwoz", "sgd", "smcalflow", "predictions",
+                                        "overrides"])
+    def test_long_integer_exits_one(self, capsys, tmp_path, mwz_raw, sgd_raw,
+                                    smcalflow_raw, reader):
+        mwz = tmp_path / "data.json"
+        mwz.write_text(json.dumps(mwz_raw), "utf-8")
+        bad = tmp_path / "bad"
+        if reader == "multiwoz":
+            mwz_raw["MUL0635.json"]["log"][1]["metadata"]["hotel"]["semi"]["name"] = "LONG"
+            bad.write_text(self.dumps(mwz_raw), "utf-8")
+        elif reader == "sgd":
+            frame = sgd_raw[0]["turns"][0]["frames"][0]
+            frame["state"]["slot_values"]["city"] = ["LONG"]
+            write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA})
+            bad = tmp_path / "test" / "dialogues_001.json"
+            bad.write_text(self.dumps(sgd_raw), "utf-8")
+        elif reader == "smcalflow":
+            smcalflow_raw[0]["turns"][0]["program_execution_oracle"]["has_exception"] = "LONG"
+            bad.write_text("".join(self.dumps(d) + "\n" for d in smcalflow_raw), "utf-8")
+        elif reader == "predictions":
+            bad.write_text(self.dumps({"dialogue_id": "d1", "turn_index": "LONG",
+                                       "prediction": "x"}) + "\n", "utf-8")
+        else:
+            bad.write_text(f"MUL0635.json\t{self.LONG}\ttrain\tdestination\t5\t-\t-\n",
+                           "utf-8")
+        argv, where = {
+            "multiwoz": (["validate", "--dataset", "multiwoz", "--path", str(bad)],
+                         f"malformed JSON in {bad}: "),
+            "sgd": (["validate", "--dataset", "sgd", "--path", str(tmp_path),
+                     "--split", "test"], f"malformed JSON in {bad}: "),
+            "smcalflow": (["validate", "--dataset", "smcalflow", "--path", str(bad)],
+                          f"{bad}:1: malformed JSON: "),
+            "predictions": (["eval", "--dataset", "multiwoz", "--path", str(mwz),
+                             "--preds", str(bad), "--mode", "jga"],
+                            f"{bad}:1: malformed JSON: "),
+            "overrides": (["analyze", "--dataset", "multiwoz", "--path", str(mwz),
+                           "--overrides", str(bad)],
+                          f"{bad}:1: turn_index must be a non-negative integer"),
+        }[reader]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert err.startswith(f"error: {where}")
+
+    @pytest.mark.parametrize("command", ["analyze", "inspect"])
+    @pytest.mark.parametrize("value", [LONG, "$" + "9" * 3000],
+                             ids=["past-the-limit", "dollars"])
+    def test_long_numeric_values_are_analyzed(self, capsys, tmp_path, sgd_raw, command,
+                                              value):
+        # neither is spelled in words: int() refused the first, and the words
+        # of the second recursed without end
+        sgd_raw[0]["turns"][0]["frames"][0]["state"]["slot_values"]["city"] = [value]
+        write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
+                                "test/dialogues_001.json": sgd_raw})
+        code, out, _ = run(capsys, command, "--dataset", "sgd", "--path", str(tmp_path),
+                           "--split", "test", *(["1_00000"] if command == "inspect" else []))
+        assert code == EXIT_OK
+        assert out
 
 
 class TestCollector:

@@ -4,7 +4,7 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dialoscope import lispress
+from dialoscope import evaluate, lispress
 from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState, ParseError,
                                Turn, apply_update, load_multiwoz, load_sgd,
                                load_smcalflow, state_update)
@@ -92,6 +92,15 @@ class TestStatesEqual:
         a = DialogState({("t", "day"): ("friday",)})
         assert not states_equal(a, DialogState())
         assert not states_equal(DialogState(), a)
+
+    def test_verbatim_alternate_is_not_canonicalized(self, monkeypatch):
+        def canonical_value(value):
+            raise AssertionError(f"canonicalized {value!r}")
+        monkeypatch.setattr(evaluate, "canonical_value", canonical_value)
+        pred = DialogState({("r", "area"): ("center",), ("r", "food"): ("thai",)})
+        gold = DialogState({("r", "area"): ("centre", "center"), ("r", "food"): ("thai",)})
+        assert states_equal(pred, gold)
+        assert states_equal(pred, gold, fuzzy=True)
 
     def test_fuzzy_matching(self):
         pred = DialogState({("r", "name"): ("intercontinental hotl",)})

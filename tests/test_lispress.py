@@ -128,6 +128,99 @@ class TestProperties:
         assert scored_correct(printed, printed)
 
 
+@st.composite
+def twin_nodes(draw, node):
+    """A tree that prints like `node` or nearly: each drawn flip turns a Number
+    into the Symbol of the same text, a string into one with one more
+    escaped or plain character, or a `(T x)` list into `#(T x)`, built with
+    the tag or without it."""
+    flip = draw(st.booleans())
+    if flip and isinstance(node, Number):
+        return Symbol(node.text)
+    if flip and isinstance(node, StringLit):
+        return StringLit(node.text + draw(st.sampled_from(['"', "\\", " "])))
+    if isinstance(node, List):
+        children = [draw(twin_nodes(c)) for c in node.children]
+        if flip and len(children) == 2 and isinstance(children[0], Symbol):
+            return draw(st.sampled_from([TypedLiteral(children[0].name, children[1]),
+                                         TypedLiteral("", List(children))]))
+        return List(children)
+    return node
+
+
+_SPACES = st.sampled_from(["", " ", "  ", "\n", "\t ", "\u3000"])
+
+
+@st.composite
+def sources(draw, node):
+    """`node` printed with drawn whitespace around its parens and '#'s and
+    between its forms."""
+    if isinstance(node, TypedLiteral):
+        inner = draw(sources(node.child))
+        if node.tag:
+            inner = f"({draw(_SPACES)}{node.tag} {draw(_SPACES)}{inner}{draw(_SPACES)})"
+        return f"#{draw(_SPACES)}{inner}"
+    if isinstance(node, List):
+        parts = [draw(sources(c)) for c in node.children]
+        return "(" + draw(_SPACES) + "".join(
+            p + (" " + draw(_SPACES) if i + 1 < len(parts) else "")
+            for i, p in enumerate(parts)) + draw(_SPACES) + ")"
+    return print_canonical(node)
+
+
+class TestTreeEquality:
+    """Exact match compares parsed trees; that must be the verdict of
+    comparing their canonical prints."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equal_trees_iff_equal_prints(self, data):
+        a = data.draw(lispress_nodes())
+        b = data.draw(st.one_of(twin_nodes(a), lispress_nodes()))
+        src_a, src_b = data.draw(sources(a)), data.draw(sources(b))
+        tree_a, tree_b = parse(src_a), parse(src_b)
+        same_print = print_canonical(tree_a) == print_canonical(tree_b)
+        assert (tree_a == tree_b) == same_print
+        assert scored_correct(src_a, src_b) == same_print
+
+    @pytest.mark.parametrize("a,b,same", [
+        ("(f 1)", "(f\n\t1 )", True),
+        ("(f 1)", '(f "1")', False),
+        ("(f 1.0)", "(f 1.00)", False),
+        ("1", "+1", False),
+        ("#(T x)", "# ( T  x )", True),
+        ("#(T x)", "(T x)", False),
+        ("#(T x)", "#((T) x)", False),
+        ("#x", "x", False),
+        ('"a\\"b"', '"a\\\\b"', False),
+        ('("a\\"b")', '( "a\\"b" )', True),
+    ])
+    def test_confusable_pairs(self, a, b, same):
+        assert (parse(a) == parse(b)) is same
+        assert (print_canonical(parse(a)) == print_canonical(parse(b))) is same
+        assert scored_correct(a, b) is same
+
+    def test_parses_share_atoms(self):
+        first, second = parse("(f 1 x)"), parse("(g x 1)")
+        assert first.children[1] is second.children[2]
+        assert first.children[2] is second.children[1]
+        assert parse("(x)") is not parse("(x)")  # lists are never shared
+
+    def test_atom_cache_is_bounded(self):
+        cap = lispress._atom.cache_info().maxsize
+        assert cap is not None
+        parse("(" + " ".join(f"atom{i}" for i in range(cap + 10)) + ")")
+        assert lispress._atom.cache_info().currsize <= cap
+
+    @pytest.mark.parametrize("opener,closer,levels", [
+        ("(", ")", 1), ("#", "", 1), ("#(T ", ")", 2)])
+    def test_exact_match_at_the_nesting_bound(self, opener, closer, levels):
+        n = MAX_DEPTH // levels
+        gold = opener * n + "x" + closer * n
+        assert scored_correct(" " + gold.replace("x", " x "), gold)
+        assert not scored_correct(gold.replace("x", "y"), gold)
+
+
 class TestContainsCall:
     def test_refer(self):
         node = parse("(Yield :output (refer (extensionConstraint (Event))))")

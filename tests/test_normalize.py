@@ -197,6 +197,24 @@ class TestVariants:
         got = surfaces(variants("$30"))
         assert "thirty bucks" in got and "30 dollars" in got
 
+    @pytest.mark.parametrize("value,words", [
+        ("0000012", "twelve"), ("999999", "nine hundred ninety nine thousand nine "
+                                            "hundred ninety nine"),
+        ("\u0661\u0662", "twelve")])  # Arabic-Indic digits
+    def test_numbers_below_a_million_are_spelled(self, value, words):
+        got = surfaces(variants(value))
+        assert words in got
+        assert f"{words} dollars" in surfaces(variants("$" + value))
+
+    @pytest.mark.parametrize("digits", ["1000000", "2000000", "0" * 7 + "1234567",
+                                        "9" * 3000, "1" * 4301],
+                             ids=["1e6", "2e6", "leading-zeros", "3000-digits", "4301-digits"])
+    def test_numbers_from_a_million_are_not_spelled(self, digits):
+        number = digits.lstrip("0")
+        assert surfaces(variants(digits)) == [digits]
+        assert set(surfaces(variants("$" + digits))) == {
+            "$" + digits, f"{number} dollars", f"{number} bucks"}
+
     def test_alt_spelling_both_directions(self):
         assert "centre" in surfaces(variants("center"))
         assert "center" in surfaces(variants("centre"))
