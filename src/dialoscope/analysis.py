@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .corpus import (Corpus, DatasetKind, Dialog, Speaker, canonical_slot, gold_program_error,
                      state_update, text_lines)
-from .lispress import LispressError, contains_call, parse
+from .lispress import LispressError, call_heads, parse
 from .normalize import Lexicon, MatchCategory, MatchResult, match_in_text
 
 log = logging.getLogger(__name__)
@@ -248,7 +248,8 @@ def _tally_program_dialog(dialog: Dialog) -> Counter:
             program = parse(turn.program)
         except LispressError as exc:
             raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
-        tally.update(name for name in ("refer", "revise") if contains_call(program, name))
+        heads = call_heads(program)
+        tally.update(name for name in ("refer", "revise") if name in heads)
     return tally
 
 

@@ -11,12 +11,12 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import List as ListT
+from typing import List as ListT, Set
 
 _NUMBER_RE = re.compile(r"^[+-]?\d+(\.\d+)?([eE][+-]?\d+)?$")
 
 # deepest nesting `parse` accepts, counting open '('s and pending '#'s: the
-# printer and the queries recurse once or twice per level, so a deeper tree
+# printer and tree equality recurse once or twice per level, so a deeper tree
 # would exceed Python's recursion limit
 MAX_DEPTH = 200
 
@@ -175,13 +175,17 @@ def print_canonical(node: Node) -> str:
     raise TypeError(f"not a Lispress node: {node!r}")
 
 
-def contains_call(node: Node, fname: str) -> bool:
-    """True iff some list subterm has Symbol(fname) in head position."""
-    if isinstance(node, List):
-        if node.children and isinstance(node.children[0], Symbol) and node.children[0].name == fname:
-            return True
-        return any(contains_call(c, fname) for c in node.children)
-    if isinstance(node, TypedLiteral):
-        return contains_call(node.child, fname)
-    return False
-
+def call_heads(node: Node) -> Set[str]:
+    """The name of every Symbol in head position of a list subterm."""
+    heads = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, List):
+            children = node.children
+            if children and isinstance(children[0], Symbol):
+                heads.add(children[0].name)
+            stack += children
+        elif isinstance(node, TypedLiteral):
+            stack.append(node.child)
+    return heads

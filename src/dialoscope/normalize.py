@@ -75,13 +75,23 @@ class Lexicon:
 
     Keys are "domain/slot/value", "slot/value" or "*/value", all lowercase.
     `match_in_text` caches one match plan per (value, slot) on the lexicon
-    that produced it; the cache takes no part in equality.
+    that produced it. The cache and the index of phrase-key values take no
+    part in equality.
     """
     semantic_map: Dict[str, Set[str]]
     shortcut_map: Dict[str, Set[str]]
     other_map: Dict[str, Set[str]]
     _plans: Dict[Tuple[str, Optional[Tuple[str, str]]], "_MatchPlan"] = field(
         default_factory=dict, compare=False, repr=False)
+    # every lowered value that can hit a semantic or other key: each tail of
+    # a key after one of its '/'s, since a value may hold '/' itself (*/24/7)
+    _phrase_values: FrozenSet[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        keys = [key.split("/") for table in (self.semantic_map, self.other_map)
+                for key in table]
+        self._phrase_values = frozenset(
+            "/".join(parts[i:]) for parts in keys for i in range(1, len(parts)))
 
     @staticmethod
     def empty() -> "Lexicon":
@@ -205,6 +215,8 @@ _ALT_SPELLINGS = [
     ("jewelry", "jewellery"), ("traveling", "travelling"),
 ]
 
+_ALT_WORDS = frozenset(w for pair in _ALT_SPELLINGS for w in pair)
+
 _TIME_24H = re.compile(r"^([01]?\d|2[0-3]):([0-5]\d)$")
 _TIME_12H = re.compile(r"^(1[0-2]|0?\d):([0-5]\d)\s*(am|pm)$", re.IGNORECASE)
 _CURRENCY = re.compile(r"^\$\s?(\d+)(?:\.\d+)?$")
@@ -285,9 +297,8 @@ def _currency_variants(value: str) -> List[str]:
     return out
 
 
-def _alt_spelling_variants(value: str) -> List[str]:
+def _alt_spelling_variants(words: List[str]) -> List[str]:
     out = []
-    words = value.lower().split()
     for a, b in _ALT_SPELLINGS:
         for src, dst in ((a, b), (b, a)):
             if src in words:
@@ -295,13 +306,15 @@ def _alt_spelling_variants(value: str) -> List[str]:
     return out
 
 
-def _weekday_variants(value: str) -> List[str]:
-    v = value.lower()
-    if v in _WEEKDAYS:
-        return [_WEEKDAYS[v]]
-    if v in _WEEKDAY_ABBR:
-        return [_WEEKDAY_ABBR[v]]
-    return []
+def _can_render(value: str, lexicon: Lexicon) -> bool:
+    """False when no rendering family of `variants` runs on the value: the
+    union of the gates there."""
+    lowered = value.lower()
+    return (value[0].isdigit() or value[0] == "$" or ":" in value
+            or lowered in _words_to_number() or lowered in _WEEKDAYS
+            or lowered in _WEEKDAY_ABBR or lowered in lexicon.shortcut_map
+            or lowered in lexicon._phrase_values
+            or not _ALT_WORDS.isdisjoint(lowered.split()))
 
 
 def variants(value: str, slot: Optional[Tuple[str, str]] = None,
@@ -314,8 +327,9 @@ def variants(value: str, slot: Optional[Tuple[str, str]] = None,
     if not value:
         raise ValueError("value must be non-empty")
     lexicon = lexicon or Lexicon.empty()
+    lowered = value.lower()
     out = [Variant(value, MatchCategory.VERBATIM)]
-    seen = {value.lower()}
+    seen = {lowered}
 
     def add(surfaces, kind: Optional[EntityKind],
             category=MatchCategory.ENTITY_RECOGNITION):
@@ -325,14 +339,25 @@ def variants(value: str, slot: Optional[Tuple[str, str]] = None,
                 seen.add(s.lower())
                 out.append(Variant(s, category, kind))
 
-    add(_number_variants(value), EntityKind.NUMBER)
-    add(_currency_variants(value), EntityKind.NUMBER)
-    add(_time_variants(value), EntityKind.DATE_TIME)
-    add(_weekday_variants(value), EntityKind.SHORTCUT)
-    add(_alt_spelling_variants(value), EntityKind.ALT_SPELLING)
-    add(lexicon.shortcuts(value), EntityKind.SHORTCUT)
-    add(lexicon.semantic_phrases(value, slot), None, MatchCategory.SEMANTIC_UNDERSTANDING)
-    add(lexicon.other_phrases(value, slot), None, MatchCategory.OTHER)
+    # a family runs only when its regex or table can match the value; keep
+    # `_can_render` the union of these gates
+    if value[0].isdigit() or lowered in _words_to_number():
+        add(_number_variants(value), EntityKind.NUMBER)
+    if value[0] == "$":
+        add(_currency_variants(value), EntityKind.NUMBER)
+    if ":" in value:
+        add(_time_variants(value), EntityKind.DATE_TIME)
+    weekday = _WEEKDAYS.get(lowered) or _WEEKDAY_ABBR.get(lowered)
+    if weekday:
+        add([weekday], EntityKind.SHORTCUT)
+    words = lowered.split()
+    if not _ALT_WORDS.isdisjoint(words):
+        add(_alt_spelling_variants(words), EntityKind.ALT_SPELLING)
+    if lowered in lexicon.shortcut_map:
+        add(lexicon.shortcuts(value), EntityKind.SHORTCUT)
+    if lowered in lexicon._phrase_values:
+        add(lexicon.semantic_phrases(value, slot), None, MatchCategory.SEMANTIC_UNDERSTANDING)
+        add(lexicon.other_phrases(value, slot), None, MatchCategory.OTHER)
     return out
 
 
@@ -366,21 +391,16 @@ def _find_word_bounded_ascii(needle: str, haystack: str) -> int:
     return -1
 
 
-_EDGE_PUNCT = ".,;!?\"'()[]"
+# a token is a run of non-space characters stripped of this punctuation at
+# both edges: it starts and ends with a character that is neither
+_TOKEN_CHAR = r"[^\s" + re.escape(".,;!?\"'()[]") + "]"
+_TOKEN_RE = re.compile(_TOKEN_CHAR + r"(?:\S*" + _TOKEN_CHAR + ")?")
 
 
 # one text's tokens serve the n-gram lists of each word count its values have
 @lru_cache(maxsize=1024)
 def _tokens_with_spans(text: str) -> List[Tuple[str, int, int]]:
-    toks = []
-    for m in re.finditer(r"\S+", text):
-        tok, start, end = m.group(), m.start(), m.end()
-        stripped = tok.strip(_EDGE_PUNCT)
-        if not stripped:
-            continue
-        offset = tok.index(stripped[0]) if stripped else 0
-        toks.append((stripped, start + offset, start + offset + len(stripped)))
-    return toks
+    return [(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
 # the backward search re-reads each utterance of a dialog for every slot of
@@ -391,10 +411,13 @@ def _word_ngrams(text: str, n_words: int) -> Dict[int, List[Tuple[str, int, int]
     """(lowered candidate, start, end) for each run of n_words tokens, in
     text order, grouped by the candidate's length."""
     toks = _tokens_with_spans(text)
+    cands = [t[0] for t in toks]
+    if n_words > 1:
+        cands = [" ".join(cands[i:i + n_words]) for i in range(len(cands) - n_words + 1)]
     by_length: Dict[int, List[Tuple[str, int, int]]] = {}
-    for i in range(len(toks) - n_words + 1):
-        cand = " ".join(t[0] for t in toks[i:i + n_words]).lower()
-        by_length.setdefault(len(cand), []).append((cand, toks[i][1], toks[i + n_words - 1][2]))
+    for cand, first, last in zip(cands, toks, toks[n_words - 1:]):
+        cand = cand.lower()
+        by_length.setdefault(len(cand), []).append((cand, first[1], last[2]))
     return by_length
 
 
@@ -521,16 +544,17 @@ def _match_plan(value: str, slot: Optional[Tuple[str, str]],
     plan = lexicon._plans.get((value, slot))
     if plan is not None:
         return plan
-    vlist = variants(value, slot, lexicon)
     probes = [_probe(MatchCategory.VERBATIM, None, value)]
-    for category in _PROBE_ORDER:
-        group = sorted((v for v in vlist if v.category is category),
-                       key=lambda v: -len(v.surface))
-        probes += [_probe(category, v.sub_kind, v.surface) for v in group]
-    targets = tuple((v.surface.lower(), len(v.surface.split()), _typo_threshold(v.surface),
-                     frozenset(v.surface.lower()))
-                    for v in vlist
-                    if len(v.surface) >= _TYPO_MIN_LEN and v.surface.split())
+    surfaces = [value]
+    if _can_render(value, lexicon):
+        vlist = variants(value, slot, lexicon)
+        for category in _PROBE_ORDER:
+            group = sorted((v for v in vlist if v.category is category),
+                           key=lambda v: -len(v.surface))
+            probes += [_probe(category, v.sub_kind, v.surface) for v in group]
+        surfaces = [v.surface for v in vlist]
+    targets = tuple((s.lower(), len(s.split()), _typo_threshold(s), frozenset(s.lower()))
+                    for s in surfaces if len(s) >= _TYPO_MIN_LEN and s.split())
     plan = _MatchPlan(tuple(probes), targets)
     if len(lexicon._plans) >= _PLAN_CACHE_MAX:
         lexicon._plans.clear()

@@ -12,7 +12,7 @@ from dialoscope.corpus import (DatasetKind, load_multiwoz, load_sgd, load_smcalf
                                state_update)
 from dialoscope.evaluate import jga
 from dialoscope.linearize import linearize_target
-from dialoscope.lispress import contains_call, parse
+from dialoscope.lispress import List, Symbol, TypedLiteral, parse
 from dialoscope.normalize import MatchCategory, default_lexicon, match_in_text
 
 
@@ -301,6 +301,17 @@ class TestHistogram:
         assert all(d >= 2 for d, _ in histogram(report))
 
 
+def _calls(node, fname) -> bool:
+    """True iff some list subterm has Symbol(fname) in head position."""
+    if isinstance(node, List):
+        if node.children and node.children[0] == Symbol(fname):
+            return True
+        return any(_calls(c, fname) for c in node.children)
+    if isinstance(node, TypedLiteral):
+        return _calls(node.child, fname)
+    return False
+
+
 def recount(corpus, lexicon=None, overrides=None) -> dict:
     """The report JSON of `corpus`, counted afresh from what each user turn
     means: `trace_turn` for frame corpora, the parsed gold program for
@@ -318,7 +329,7 @@ def recount(corpus, lexicon=None, overrides=None) -> dict:
     if corpus.dataset_kind is DatasetKind.SMCALFLOW:
         programs = [parse(turn.program) for _, turn in turns]
         doc["smcalflow"] = {
-            name: pct(sum(contains_call(p, name) for p in programs))
+            name: pct(sum(_calls(p, name) for p in programs))
             for name in ("refer", "revise")}
         return doc
 

@@ -8,7 +8,7 @@ from dialoscope import lispress
 from dialoscope.corpus import Corpus, DatasetKind, Dialog, ParseError, Speaker, Turn
 from dialoscope.evaluate import exact_match_score
 from dialoscope.lispress import (MAX_DEPTH, LispressError, List, Number, StringLit, Symbol,
-                                 TypedLiteral, contains_call, parse, print_canonical)
+                                 TypedLiteral, call_heads, parse, print_canonical)
 
 
 def scored_correct(pred: str, gold: str, strict: bool = False) -> bool:
@@ -69,7 +69,7 @@ class TestParse:
         at_bound = opener * n + "x" + closer * n
         node = parse(at_bound)
         assert parse(print_canonical(node)) == node
-        assert not contains_call(node, "absent")
+        assert call_heads(node) == ({"x"} if opener == "(" else set())
         deeper = "(" + at_bound + ")"
         with pytest.raises(LispressError) as exc:
             parse(deeper)
@@ -221,23 +221,42 @@ class TestTreeEquality:
         assert not scored_correct(gold.replace("x", "y"), gold)
 
 
-class TestContainsCall:
+class TestCallHeads:
     def test_refer(self):
         node = parse("(Yield :output (refer (extensionConstraint (Event))))")
-        assert contains_call(node, "refer")
-        assert not contains_call(node, "revise")
+        assert call_heads(node) == {"Yield", "refer", "extensionConstraint", "Event"}
+        assert "revise" not in call_heads(node)
 
     def test_symbol_leaf(self):
-        assert not contains_call(Symbol("refer"), "refer")
+        assert call_heads(Symbol("refer")) == set()
+
+    def test_only_head_position(self):
+        assert call_heads(parse("(a refer (revise) ((b)) ())")) == {"a", "revise", "b"}
 
     def test_nested_depth_three(self):
         node = parse("(a (b (revise (c))))")
-        assert contains_call(node, "revise")
+        assert "revise" in call_heads(node)
+
+    def test_inside_typed_literal(self):
+        # a tag is not a call
+        assert call_heads(parse("#(T (refer x))")) == {"refer"}
 
     def test_monotone_under_embedding(self):
         inner = parse("(refer (x))")
         outer = List([Symbol("wrap"), inner])
-        assert contains_call(outer, "refer")
+        assert call_heads(outer) == call_heads(inner) | {"wrap"}
+
+    @given(lispress_nodes(), st.booleans())
+    def test_every_head_of_a_list_subterm(self, node, tagged):
+        def heads(n):
+            if isinstance(n, TypedLiteral):
+                return heads(n.child)
+            if not isinstance(n, List):
+                return set()
+            out = {n.children[0].name} if n.children and isinstance(n.children[0], Symbol) else set()
+            return out.union(*map(heads, n.children))
+        node = TypedLiteral("T", List([node, node])) if tagged else node
+        assert call_heads(node) == heads(node)
 
 
 class TestExactMatch:

@@ -3,8 +3,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dialoscope import normalize
 from dialoscope.normalize import (EntityKind, Lexicon, LexiconError,
-                                  MatchCategory, MatchResult, UNRESOLVED,
+                                  MatchCategory, MatchResult, UNRESOLVED, Variant,
                                   damerau_levenshtein, default_lexicon,
                                   load_lexicon, match_in_text, variants)
 
@@ -31,6 +32,57 @@ def _ref_tokens(text):
         offset = tok.index(stripped[0])
         toks.append((stripped, start + offset, start + offset + len(stripped)))
     return toks
+
+
+def _ref_ngrams(text, n_words):
+    by_length = {}
+    toks = _ref_tokens(text)
+    for i in range(len(toks) - n_words + 1):
+        cand = " ".join(t[0] for t in toks[i:i + n_words]).lower()
+        by_length.setdefault(len(cand), []).append((cand, toks[i][1], toks[i + n_words - 1][2]))
+    return by_length
+
+
+_REF_WEEKDAYS = {"monday": "mon", "tuesday": "tue", "wednesday": "wed", "thursday": "thu",
+                 "friday": "fri", "saturday": "sat", "sunday": "sun"}
+_REF_WEEKDAY_ABBR = {abbr: full for full, abbr in _REF_WEEKDAYS.items()}
+_REF_WEEKDAY_ABBR.update({"tues": "tuesday", "thur": "thursday", "thurs": "thursday"})
+_REF_ALT_SPELLINGS = [
+    ("center", "centre"), ("theater", "theatre"), ("color", "colour"),
+    ("neighborhood", "neighbourhood"), ("gray", "grey"),
+    ("catalog", "catalogue"), ("favorite", "favourite"),
+    ("jewelry", "jewellery"), ("traveling", "travelling"),
+]
+
+
+def _ref_variants(value, slot=None, lexicon=None):
+    """`variants` with every rendering family run on every value; the number,
+    currency and time generators are the module's own."""
+    lexicon = lexicon or Lexicon.empty()
+    out = [Variant(value, MatchCategory.VERBATIM)]
+    seen = {value.lower()}
+
+    def add(surfaces, kind, category=MatchCategory.ENTITY_RECOGNITION):
+        for s in surfaces:
+            s = s.strip()
+            if s and s.lower() not in seen:
+                seen.add(s.lower())
+                out.append(Variant(s, category, kind))
+
+    v = value.lower()
+    words = v.split()
+    add(normalize._number_variants(value), EntityKind.NUMBER)
+    add(normalize._currency_variants(value), EntityKind.NUMBER)
+    add(normalize._time_variants(value), EntityKind.DATE_TIME)
+    add([_REF_WEEKDAYS[v]] if v in _REF_WEEKDAYS else
+        [_REF_WEEKDAY_ABBR[v]] if v in _REF_WEEKDAY_ABBR else [], EntityKind.SHORTCUT)
+    add([" ".join(dst if w == src else w for w in words)
+         for a, b in _REF_ALT_SPELLINGS for src, dst in ((a, b), (b, a)) if src in words],
+        EntityKind.ALT_SPELLING)
+    add(lexicon.shortcuts(value), EntityKind.SHORTCUT)
+    add(lexicon.semantic_phrases(value, slot), None, MatchCategory.SEMANTIC_UNDERSTANDING)
+    add(lexicon.other_phrases(value, slot), None, MatchCategory.OTHER)
+    return out
 
 
 def _ref_distance(a, b):
@@ -79,7 +131,7 @@ def _ref_typo(targets, text):
 def reference_match_in_text(value, slot, text, lexicon=None):
     if not value or not text:
         return UNRESOLVED
-    vlist = variants(value, slot, lexicon or Lexicon.empty())
+    vlist = _ref_variants(value, slot, lexicon)
     span = _ref_find(value, text)
     if span:
         return MatchResult(MatchCategory.VERBATIM, span=span,
@@ -157,6 +209,52 @@ def value_and_text(draw):
     seps = draw(st.lists(st.sampled_from([" ", "", "  ", "\t"]),
                          min_size=len(pieces), max_size=len(pieces)))
     return value, slot, "".join(p + s for p, s in zip(pieces, seps))
+
+
+# values that reach every gate of `variants`: digits in any script (and
+# superscripts, digits that are not decimal), number words, `$` amounts,
+# clock times with whitespace around them, weekdays in any case, alternative
+# spellings inside longer values, shortcut keys and lexicon-key values
+DIGITS = "0123456789\u0661\u0662\u0966\u096f\uff11\uff19\u00b2\u2460"
+_cased = st.sampled_from([str.lower, str.upper, str.title, str.capitalize])
+_digit_runs = st.text(alphabet=DIGITS, min_size=1, max_size=8)
+_clock = st.builds(
+    "{}{}:{:02d}{}{}".format,
+    st.sampled_from(["", " ", "\t", "\n"]), st.integers(0, 25), st.integers(0, 61),
+    st.sampled_from(["", " am", "pm", " PM", "Am", "  pm"]),
+    st.sampled_from(["", " ", "\n", " \n"]))
+_VALUE_WORDS = (["zero", "one", "twelve", "twenty", "twenty-one", "twenty one",
+                 "nine hundred ninety-nine", "seven thousand", "minus one"]
+                + list(_REF_WEEKDAYS) + list(_REF_WEEKDAY_ABBR)
+                + [w for pair in _REF_ALT_SPELLINGS for w in pair]
+                + ["san francisco", "nyc", "cheap", "inexpensive", "dontcare", "24/7",
+                   "a/b", "guesthouse", "7", "14", "yes", "true", "north"])
+_value_piece = st.one_of(
+    _digit_runs,
+    st.builds("${}{}{}".format, st.sampled_from(["", " ", "  "]), _digit_runs,
+              st.sampled_from(["", ".50", ".", "x"])),
+    _clock,
+    st.builds(lambda case, w: case(w), _cased, st.sampled_from(_VALUE_WORDS)),
+    st.text(alphabet="ab/:$1 \u0130\u03a3", min_size=1, max_size=5))
+renderable_values = st.lists(_value_piece, min_size=1, max_size=3).map(" ".join).filter(bool)
+slots = st.sampled_from([None, ("hotel", "name"), ("restaurant", "pricerange"),
+                         ("Hotel", "Name"), ("hotel/name", "a")])
+
+
+@st.composite
+def lexicons(draw, value):
+    """A lexicon whose keys name the value, or one of its words, in every key
+    form, beside keys that name nothing drawn."""
+    parts = [value.lower()] + value.lower().split() + ["a/b", "b", "zz"]
+    key = st.builds("{}/{}".format,
+                    st.sampled_from(["*", "name", "hotel/name", "pricerange",
+                                     "restaurant/pricerange", "hotel/name/a", "x"]),
+                    st.sampled_from(parts))
+    phrases = st.sets(st.sampled_from(["around the clock", "a bargain", "the ab",
+                                       "Twelve", " ", "nyc"]), min_size=1, max_size=2)
+    table = st.dictionaries(key, phrases, max_size=4)
+    shortcuts = st.dictionaries(st.sampled_from(parts), phrases, max_size=2)
+    return Lexicon(draw(table), draw(shortcuts), draw(table))
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +336,55 @@ class TestVariants:
     def test_empty_value_rejected(self):
         with pytest.raises(ValueError):
             variants("")
+
+    @settings(max_examples=500)
+    @given(renderable_values, slots, st.data())
+    def test_gated_families_as_reference(self, value, slot, data):
+        lex = data.draw(st.one_of(st.just(DEFAULT_LEXICON), lexicons(value)))
+        assert variants(value, slot, lex) == _ref_variants(value, slot, lex)
+        # a value planned without `variants` still matches every rendering
+        for v in _ref_variants(value, slot, lex):
+            text = f"so {v.surface} then"
+            assert match_in_text(value, slot, text, lex) == \
+                reference_match_in_text(value, slot, text, lex)
+
+    @pytest.mark.parametrize("line,value,slot,phrase", [
+        ("*/24/7: around the clock", "24/7", None, "around the clock"),
+        ("hotel/name/a/b: the ab", "A/B", ("Hotel", "name"), "the ab"),
+        ("hotel/name/a/b: the ab", "a/b", ("name", "a"), None),
+        ("hotel/name/a/b: the ab", "b", ("hotel/name", "a"), "the ab"),
+        ("!other */24/7: all hours", "24/7", ("x", "y"), "all hours"),
+    ])
+    def test_value_holding_a_slash(self, tmp_path, line, value, slot, phrase):
+        p = tmp_path / "lex.txt"
+        p.write_text(line + "\n", "utf-8")
+        lex = load_lexicon(p)
+        phrases = [v.surface for v in variants(value, slot, lex)
+                   if v.category in (MatchCategory.SEMANTIC_UNDERSTANDING, MatchCategory.OTHER)]
+        assert phrases == ([phrase] if phrase else [])
+        text = "open around the clock, all hours, at the ab"
+        result = match_in_text(value, slot, text, lex)
+        assert result == reference_match_in_text(value, slot, text, lex)
+        assert result.resolved is bool(phrase)
+
+
+class TestTokens:
+    @settings(max_examples=400)
+    @given(st.lists(st.one_of(
+        st.sampled_from(list(".,;!?\"'()[] \t\n\u3000\x1c-_:aZ") + [
+            "\u03a3", "\u03c2", "\u03c3", "\u039f\u0394\u039f\u03a3", "\u0130", "\u00df",
+            "\u00e9", "caf\u00e9", "Centre"]),
+        st.characters(blacklist_categories=("Cs",))), max_size=30).map("".join),
+        st.integers(1, 3))
+    def test_ngrams_as_reference(self, text, n_words):
+        assert normalize._tokens_with_spans(text) == _ref_tokens(text)
+        assert normalize._word_ngrams(text, n_words) == _ref_ngrams(text, n_words)
+
+    @pytest.mark.parametrize("text", [
+        "", " \t\n", "((.))", "(a)", "'tis the [end].", "a.b, c!?d", "\u039f\u0394\u039f\u03a3. \u03a3\u0391\u03a3!"])
+    def test_edges(self, text):
+        for n_words in (1, 2, 3):
+            assert normalize._word_ngrams(text, n_words) == _ref_ngrams(text, n_words)
 
 
 class TestMatchInText:
