@@ -106,8 +106,7 @@ def cmd_eval(args) -> int:
                               fuzzy_values=args.fuzzy_sgd_matching)
     print(result.table())
     if args.out:
-        write_text(args.out,
-                   json.dumps(result.to_json(), indent=2, ensure_ascii=False) + "\n")
+        write_text(args.out, evaluate.report_json_text(result.to_json()))
     return EXIT_OK
 
 

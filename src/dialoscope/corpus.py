@@ -328,15 +328,24 @@ def _parse_multiwoz_frame(domain: str, frame, path, dialog_id, turn):
     return entries, all_str
 
 
+def _same_key_order(a: dict, b: dict) -> bool:
+    """Whether the equal domain frames `a` and `b` list their slots in the
+    same order."""
+    return (tuple(a.get("semi", ())) == tuple(b.get("semi", ()))
+            and tuple(a.get("book", ())) == tuple(b.get("book", ())))
+
+
 def _parse_multiwoz_state(metadata: dict, path, dialog_id, turn,
                           memo: _FrameMemo) -> DialogState:
     slots: Slots = {}
     for domain, frame in metadata.items():
         # most frames equal the domain's frame one user turn earlier. A frame
         # is remembered only when every value it read was a string: 1, 1.0
-        # and True are equal but coerce to different strings
+        # and True are equal but coerce to different strings. Dict == ignores
+        # key order, which orders two or more entries
         hit = memo.get(domain)
-        if hit is not None and hit[0] == frame:
+        if hit is not None and hit[0] == frame and (
+                len(hit[1]) < 2 or _same_key_order(hit[0], frame)):
             entries = hit[1]
         else:
             entries, all_str = _parse_multiwoz_frame(domain, frame, path, dialog_id, turn)
@@ -473,42 +482,76 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
             raise StructuralError(
                 f"{_where(path, dialog_id)}: references service {svc!r} not in schema")
     turns: List[Turn] = []
-    cumulative: Slots = {}
+    # service -> (its last raw slot_values, their entries), in the order the
+    # services were last restated: the cumulative state joins the entries
+    restated: Dict[str, Tuple[dict, Slots]] = {}
+    order: Tuple[str, ...] = ()
+    state = DialogState({})
+    user, agent = Speaker.USER, Speaker.AGENT  # faster than the enum's attributes
     for i, t in enumerate(_check(raw.get("turns", []), list, "turns", path, dialog_id)):
-        _check(t, dict, "turn", path, dialog_id, i)
-        speaker = _check(t.get("speaker", ""), str, "speaker", path, dialog_id, i).upper()
-        utterance = _check(t.get("utterance", ""), str, "utterance", path, dialog_id, i)
+        if not isinstance(t, dict):
+            raise _type_error("turn", dict, t, path, dialog_id, i)
+        speaker = t.get("speaker", "")
+        if not isinstance(speaker, str):
+            raise _type_error("speaker", str, speaker, path, dialog_id, i)
+        utterance = t.get("utterance", "")
+        if not isinstance(utterance, str):
+            raise _type_error("utterance", str, utterance, path, dialog_id, i)
+        speaker = speaker.upper()
         if speaker != ("USER" if i % 2 == 0 else "SYSTEM"):
             raise StructuralError(f"{_where(path, dialog_id, i)}: non-alternating speakers")
         if speaker == "SYSTEM":
-            turns.append(Turn(i, Speaker.AGENT, utterance))
+            turns.append(Turn(i, agent, utterance))
             continue
-        for frame in _check(t.get("frames", []), list, "frames", path, dialog_id, i):
-            _check(frame, dict, "frame", path, dialog_id, i)
+        frames = t.get("frames", [])
+        if not isinstance(frames, list):
+            raise _type_error("frames", list, frames, path, dialog_id, i)
+        changed = False  # whether a service's entries changed
+        for frame in frames:
+            if not isinstance(frame, dict):
+                raise _type_error("frame", dict, frame, path, dialog_id, i)
             svc = frame.get("service", "")
             if not isinstance(svc, str) or svc not in schemas:
                 raise StructuralError(f"{_where(path, dialog_id, i)}: "
                                       f"frame references service {svc!r} not in schema")
-            state = _check(frame.get("state", {}), dict, "frame state", path, dialog_id, i)
-            slot_values = _check(state.get("slot_values", {}), dict, "slot_values",
-                                 path, dialog_id, i)
-            # rebuild this service's slice of the cumulative state; SGD frames
-            # restate a service's whole state on every turn, so most slot
-            # entries repeat an earlier one. The rebuild is a new dict, so
-            # the states of earlier turns, which share theirs, never change
-            cumulative = {k: v for k, v in cumulative.items() if k[0] != svc}
-            for slot, values in slot_values.items():
-                # checked first: tuple() of a string or object could equal a key
-                if not isinstance(values, list):
-                    raise _type_error(f"values of slot {slot!r}", list, values,
-                                      path, dialog_id, i)
-                try:
-                    key, vals = memo[(svc, slot, tuple(values))]
-                except (KeyError, TypeError):  # TypeError: an unhashable, so invalid, value
-                    key, vals = _sgd_slot(memo, svc, slot, values, path, dialog_id, i)
-                if vals:
-                    cumulative[key] = vals
-        turns.append(Turn(i, Speaker.USER, utterance, state=DialogState(cumulative)))
+            frame_state = frame.get("state", {})
+            if not isinstance(frame_state, dict):
+                raise _type_error("frame state", dict, frame_state, path, dialog_id, i)
+            slot_values = frame_state.get("slot_values", {})
+            if not isinstance(slot_values, dict):
+                raise _type_error("slot_values", dict, slot_values, path, dialog_id, i)
+            # SGD frames restate a service's whole state on every turn. An
+            # equal slot_values that lists its slots in the same order has
+            # the same entries: dict == ignores order, and of two raw slots
+            # with one canonical name the later one wins
+            old = restated.pop(svc, None)
+            if (old is not None and old[0] == slot_values
+                    and (len(slot_values) < 2 or list(old[0]) == list(slot_values))):
+                entries = old[1]
+            else:
+                changed = True
+                entries = {}
+                for slot, values in slot_values.items():
+                    # checked first: tuple() of a string or object could equal a key
+                    if not isinstance(values, list):
+                        raise _type_error(f"values of slot {slot!r}", list, values,
+                                          path, dialog_id, i)
+                    try:
+                        key, vals = memo[(svc, slot, tuple(values))]
+                    except (KeyError, TypeError):  # TypeError: an unhashable, so invalid, value
+                        key, vals = _sgd_slot(memo, svc, slot, values, path, dialog_id, i)
+                    if vals:
+                        entries[key] = vals
+            # restating a service moves it last
+            restated[svc] = (slot_values, entries)
+        if changed or tuple(restated) != order:
+            order = tuple(restated)
+            # a new mapping: the states of earlier turns keep theirs
+            slots: Slots = {}
+            for _, entries in restated.values():
+                slots.update(entries)
+            state = DialogState(slots)
+        turns.append(Turn(i, user, utterance, state))
     if not turns:
         raise StructuralError(f"{_where(path, dialog_id)}: empty dialog")
     return Dialog(dialog_id, tuple(turns), services=services)

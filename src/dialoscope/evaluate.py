@@ -9,12 +9,14 @@ dataset's refer_are_incorrect force-zero flag.
 from __future__ import annotations
 
 import difflib
+import json
 import logging
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as json_string
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import lispress
-from .corpus import (Corpus, DatasetKind, DialogState, DONTCARE, EMPTY_STATE,
+from .corpus import (Corpus, DatasetKind, DialogState, DONTCARE, EMPTY_STATE, Speaker,
                      apply_update, gold_program_error, json_lines)
 from .linearize import TargetParseError, parse_target
 
@@ -93,6 +95,23 @@ class ScoreReport:
         return "\n".join(lines)
 
 
+def report_json_text(doc: dict) -> str:
+    """`json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"` for a
+    `ScoreReport.to_json()` document, whose last key is its verdict list.
+    The verdicts are formatted directly: the indenting encoder is pure
+    Python, and the verdicts are most of the document."""
+    head = json.dumps({**doc, "verdicts": []}, indent=2, ensure_ascii=False)
+    if not doc["verdicts"]:
+        return head + "\n"
+    rows = ",\n".join(
+        f'    {{\n      "dialogue_id": {json_string(v["dialogue_id"])},\n'
+        f'      "turn_index": {v["turn_index"]},\n'
+        f'      "correct": {"true" if v["correct"] else "false"}\n    }}'
+        for v in doc["verdicts"])
+    # head ends in `"verdicts": []\n}`
+    return f"{head[:-4]}[\n{rows}\n  ]\n}}\n"
+
+
 def canonical_value(value: str) -> str:
     return " ".join(value.strip().lower().split())
 
@@ -149,17 +168,21 @@ def _predicted_states(corpus: Corpus, predictions: Dict[PredKey, str], oracle: b
     if corpus.dataset_kind is DatasetKind.SMCALFLOW:
         raise ValueError("JGA applies to MultiWOZ/SGD corpora only")
     for dialog in corpus.dialogs:
-        state = EMPTY_STATE
-        for turn in dialog.user_turns():
+        state = gold = EMPTY_STATE
+        for turn in dialog.turns:
+            if turn.speaker is not Speaker.USER:
+                continue
             key = (dialog.dialog_id, turn.index)
             if oracle:
-                state = dialog.previous_user_state(turn.index)
+                state = gold
             try:
                 update = parse_target(predictions[key]) if key in predictions else None
             except TargetParseError:
                 update = None
             if update is not None:
                 state = apply_update(state, update)
+            if turn.state is not None:
+                gold = turn.state
             yield key, turn, state, update is not None
 
 

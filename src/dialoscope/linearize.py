@@ -7,9 +7,9 @@ Lispress program for SMCalFlow.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as json_string
 from typing import Dict, List, Optional, Tuple
 
 from . import lispress
@@ -105,11 +105,13 @@ PredictedStates = Dict[Tuple[str, int], DialogState]
 def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
                     kind: DatasetKind,
                     predicted_states: Optional[PredictedStates] = None,
-                    schemas: Optional[Dict[str, str]] = None) -> str:
+                    schemas: Optional[Dict[str, str]] = None,
+                    previous_state: Optional[DialogState] = None) -> str:
     """Tagged concatenation of the selected context for one user turn.
 
-    The previous state is the gold one, or with `predicted_states` the
-    predicted state at the preceding user turn."""
+    The previous state is `previous_state` when given, else the gold one,
+    or with `predicted_states` the predicted state at the preceding user
+    turn."""
     turn = dialog.turns[turn_index]
     if turn.speaker is not Speaker.USER:
         raise ValueError(f"{dialog.dialog_id}: turn {turn_index} is not a user turn")
@@ -124,7 +126,9 @@ def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
         parts = [tagged(t) for t in dialog.turns[:turn_index + 1]]
     else:
         if repr is InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE:
-            parts.append(f"{state_tag} {_previous_state_text(dialog, turn_index, predicted_states)}".rstrip())
+            if previous_state is None:
+                previous_state = _previous_state(dialog, turn_index, predicted_states)
+            parts.append(f"{state_tag} {linearize_state(previous_state)}".rstrip())
         if repr in (InputRepresentation.PLUS_LAST_AGENT_TURN,
                     InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE):
             if turn_index > 0:
@@ -139,42 +143,48 @@ def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
     return text
 
 
-def _previous_state_text(dialog, turn_index, predicted_states) -> str:
+def _previous_state(dialog, turn_index, predicted_states) -> DialogState:
     if predicted_states is None:
-        return linearize_state(dialog.previous_user_state(turn_index))
+        return dialog.previous_user_state(turn_index)
     for t in reversed(dialog.turns[:turn_index]):
         if t.speaker is Speaker.USER:
-            return linearize_state(
-                predicted_states.get((dialog.dialog_id, t.index), EMPTY_STATE))
-    return ""
+            return predicted_states.get((dialog.dialog_id, t.index), EMPTY_STATE)
+    return EMPTY_STATE
 
 
 def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetKind,
                        predicted_states: Optional[PredictedStates] = None,
                        schemas: Optional[Dict[str, str]] = None) -> List[Seq2SeqRecord]:
+    """One record per user turn, from one walk over the turns that carries
+    the previous gold state and the previous state that a prev-state input
+    shows (gold, or predicted)."""
     records = []
-    for turn in dialog.user_turns():
-        inp = linearize_input(dialog, turn.index, repr, kind, predicted_states, schemas)
+    prev_gold = shown = EMPTY_STATE
+    for turn in dialog.turns:
+        if turn.speaker is not Speaker.USER:
+            continue
+        inp = linearize_input(dialog, turn.index, repr, kind, predicted_states, schemas,
+                              previous_state=shown)
         if kind is DatasetKind.SMCALFLOW:
             try:
                 target = linearize_target(turn.program)
             except lispress.LispressError as exc:
                 raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
         else:
-            prev = dialog.previous_user_state(turn.index)
-            target = linearize_target(state_update(prev, turn.state))
+            target = linearize_target(state_update(prev_gold, turn.state))
+        if turn.state is not None:
+            prev_gold = turn.state
+        shown = (prev_gold if predicted_states is None else
+                 predicted_states.get((dialog.dialog_id, turn.index), EMPTY_STATE))
         records.append(Seq2SeqRecord(dialog.dialog_id, turn.index, inp, target))
     return records
-
-
-# json.dumps(..., ensure_ascii=False) would build this encoder per record
-_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def emit_dataset(corpus: Corpus, repr: InputRepresentation, out_path,
                  predicted_states: Optional[PredictedStates] = None) -> int:
     """Write one line-delimited JSON record per user turn, in corpus order.
 
+    Each line is the bytes of `json.dumps(record, ensure_ascii=False)`.
     Records go to a temporary file as each dialog is linearized, which
     replaces `out_path` only once every record is written."""
     count = 0
@@ -183,9 +193,10 @@ def emit_dataset(corpus: Corpus, repr: InputRepresentation, out_path,
             for dialog in corpus.dialogs:
                 for rec in records_for_dialog(dialog, repr, corpus.dataset_kind,
                                               predicted_states, corpus.schemas or None):
-                    f.write(_RECORD_ENCODER.encode(
-                        {"dialogue_id": rec.dialog_id, "turn_index": rec.turn_index,
-                         "input": rec.input, "target": rec.target}) + "\n")
+                    f.write(f'{{"dialogue_id": {json_string(rec.dialog_id)}, '
+                            f'"turn_index": {rec.turn_index}, '
+                            f'"input": {json_string(rec.input)}, '
+                            f'"target": {json_string(rec.target)}}}\n')
                     count += 1
     except OSError as exc:
         raise OSError(f"cannot write records to {out_path}: {exc}") from exc

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dialoscope.corpus import (Corpus, CorpusError, DialogState, DatasetKind,
-                               LoadError, Speaker, StructuralError, apply_update,
+from dialoscope.corpus import (Corpus, CorpusError, Dialog, DialogState, DatasetKind,
+                               LoadError, Speaker, StructuralError, Turn, _check,
+                               _sgd_dialog, _type_error, _where, apply_update,
                                canonical_slot, load_multiwoz, load_sgd,
                                load_smcalflow, state_update, validate_corpus)
 from conftest import SGD_SCHEMA, mwz_dialog, sgd_turn, sgd_user_frame
@@ -487,11 +488,19 @@ _memo_frame = st.fixed_dictionaries({}, optional={"semi": _memo_section, "book":
 
 
 @st.composite
+def _reordered(draw, frame):
+    """`frame` with the slots of each section in a drawn order."""
+    return {section: {slot: slots[slot] for slot in draw(st.permutations(list(slots)))}
+            for section, slots in frame.items()}
+
+
+@st.composite
 def _repeating_frames_dialog(draw):
     """A dialog whose agent turns draw each domain's frame from a small pool,
-    so that consecutive frames are often equal, and often equal only by ==."""
+    or a copy of one that lists its slots in another order, so that
+    consecutive frames are often equal, and often equal only by ==."""
     pool = draw(st.lists(_memo_frame, min_size=1, max_size=3))
-    frame = st.sampled_from(pool)
+    frame = st.sampled_from(pool).flatmap(lambda f: st.just(f) | _reordered(f))
     metadata = st.dictionaries(st.sampled_from(["Hotel", "hotel", "train"]), frame,
                                min_size=1, max_size=3)
     metas = draw(st.lists(metadata, min_size=1, max_size=6))
@@ -516,6 +525,16 @@ class TestMultiwozFrameMemo:
                 expected = reference_multiwoz_state(raw[turn.index + 1]["metadata"])
                 assert list(turn.state.slots.items()) == list(expected.slots.items())
 
+    def test_equal_frames_in_another_slot_order_load_in_their_order(self, tmp_path):
+        log = []
+        for semi in ({"area": "north", "name": "x"}, {"name": "x", "area": "north"}):
+            log += [{"text": "hi", "metadata": {}},
+                    {"text": "ok", "metadata": {"hotel": {"semi": semi}}}]
+        write_layout(tmp_path, {"d.json": {"D1": {"log": log}}})
+        states = [t.state.slots for t in load_multiwoz(tmp_path / "d.json").dialogs[0].user_turns()]
+        assert [list(s) for s in states] == [[("hotel", "area"), ("hotel", "name")],
+                                             [("hotel", "name"), ("hotel", "area")]]
+
     def test_equal_frames_of_other_types_load_apart(self, tmp_path):
         log = []
         for stars in (1, True, 1.0, "1"):
@@ -524,3 +543,153 @@ class TestMultiwozFrameMemo:
         write_layout(tmp_path, {"d.json": {"D1": {"log": log}}})
         states = [t.state.slots for t in load_multiwoz(tmp_path / "d.json").dialogs[0].user_turns()]
         assert [s[("hotel", "stars")] for s in states] == [("1",), ("True",), ("1.0",), ("1",)]
+
+
+# ---------------------------------------------------------------------------
+# reference SGD dialog loader: the version that rebuilt the cumulative state
+# from every frame, frozen here so the loader's frame reuse is checked state
+# for state and error for error
+# ---------------------------------------------------------------------------
+
+def reference_sgd_dialog(raw, path, schemas, memo):
+    _check(raw, dict, "dialog", path)
+    dialog_id = _check(raw.get("dialogue_id", "?"), str, "dialogue_id", path)
+    services = tuple(_check(raw.get("services", []), list, "services", path, dialog_id))
+    for svc in services:
+        if not isinstance(svc, str) or svc not in schemas:
+            raise StructuralError(
+                f"{_where(path, dialog_id)}: references service {svc!r} not in schema")
+    turns = []
+    cumulative = {}
+    for i, t in enumerate(_check(raw.get("turns", []), list, "turns", path, dialog_id)):
+        _check(t, dict, "turn", path, dialog_id, i)
+        speaker = _check(t.get("speaker", ""), str, "speaker", path, dialog_id, i).upper()
+        utterance = _check(t.get("utterance", ""), str, "utterance", path, dialog_id, i)
+        if speaker != ("USER" if i % 2 == 0 else "SYSTEM"):
+            raise StructuralError(f"{_where(path, dialog_id, i)}: non-alternating speakers")
+        if speaker == "SYSTEM":
+            turns.append(Turn(i, Speaker.AGENT, utterance))
+            continue
+        for frame in _check(t.get("frames", []), list, "frames", path, dialog_id, i):
+            _check(frame, dict, "frame", path, dialog_id, i)
+            svc = frame.get("service", "")
+            if not isinstance(svc, str) or svc not in schemas:
+                raise StructuralError(f"{_where(path, dialog_id, i)}: "
+                                      f"frame references service {svc!r} not in schema")
+            state = _check(frame.get("state", {}), dict, "frame state", path, dialog_id, i)
+            slot_values = _check(state.get("slot_values", {}), dict, "slot_values",
+                                 path, dialog_id, i)
+            cumulative = {k: v for k, v in cumulative.items() if k[0] != svc}
+            for slot, values in slot_values.items():
+                if not isinstance(values, list):
+                    raise _type_error(f"values of slot {slot!r}", list, values,
+                                      path, dialog_id, i)
+                try:
+                    key, vals = memo[(svc, slot, tuple(values))]
+                except (KeyError, TypeError):
+                    for v in values:
+                        if not isinstance(v, str):
+                            raise _type_error(f"value of slot {slot!r}", str, v,
+                                              path, dialog_id, i)
+                    key = (svc, canonical_slot(slot))
+                    vals = tuple(dict.fromkeys(
+                        v for v in values if v.strip().lower() not in {"", "none", "not mentioned"}))
+                    memo[(svc, slot, tuple(values))] = (key, vals)
+                if vals:
+                    cumulative[key] = vals
+        turns.append(Turn(i, Speaker.USER, utterance, state=DialogState(cumulative)))
+    if not turns:
+        raise StructuralError(f"{_where(path, dialog_id)}: empty dialog")
+    return Dialog(dialog_id, tuple(turns), services=services)
+
+
+_SGD_MEMO_SCHEMAS = {"Restaurants_1": "", "Hotels_1": ""}
+# "City" and "ci_ty" canonicalize to "city"
+_sgd_memo_values = st.lists(
+    st.sampled_from(["a", "b", "none", "", " Not Mentioned "]), max_size=3)
+_SGD_MEMO_JUNK = [3, "abc", None, {"a": ["b"]}, [3], [["a"]], ["a", None]]
+_sgd_memo_junk = st.sampled_from(_SGD_MEMO_JUNK)
+
+
+@st.composite
+def _sgd_memo_slot_values(draw):
+    """A slot_values object; about one slot value in twenty is not a list of strings."""
+    return {slot: draw(_sgd_memo_junk if draw(st.integers(0, 19)) == 0 else _sgd_memo_values)
+            for slot in draw(st.lists(st.sampled_from(["city", "City", "ci_ty", "date"]),
+                                      unique=True, max_size=4))}
+
+
+@st.composite
+def _repeating_sgd_dialog(draw):
+    """A dialog whose frames draw their slot_values from a small pool: the
+    same object, an equal copy, or a copy listing its slots in another
+    order. A turn holds zero to three frames, so a service can appear twice
+    in one turn and the services change order. One dialog in five has a
+    turn, frame, or a field the loader checks replaced by a junk value."""
+    pool = draw(st.lists(_sgd_memo_slot_values(), min_size=1, max_size=3))
+    turns = []
+    for _ in range(draw(st.integers(1, 6))):
+        frames = []
+        for _ in range(draw(st.integers(0, 3))):
+            slot_values = draw(st.sampled_from(pool))
+            copy = draw(st.sampled_from(["same", "equal", "reordered"]))
+            if copy == "equal":
+                slot_values = json.loads(json.dumps(slot_values))
+            elif copy == "reordered":
+                slot_values = {slot: slot_values[slot]
+                               for slot in draw(st.permutations(list(slot_values)))}
+            frames.append({"service": draw(st.sampled_from(sorted(_SGD_MEMO_SCHEMAS))),
+                           "state": {"slot_values": slot_values}})
+        turns += [sgd_turn("USER", "u", frames), sgd_turn("SYSTEM", "s")]
+    dialog = {"dialogue_id": "S1", "services": [], "turns": turns}
+    checked = [path for path in _paths(dialog)
+               if path[-1:] in [("speaker",), ("utterance",), ("frames",), ("service",),
+                                ("state",), ("slot_values",)]
+               or len(path) in (2, 4) and path[0] == "turns"]
+    if draw(st.integers(0, 4)) == 0:
+        dialog = _replaced(dialog, draw(st.sampled_from(checked)), draw(_sgd_memo_junk))
+    return dialog
+
+
+def _sgd_outcome(load, dialogs):
+    """Each dialog's per-user-turn slot items, read once every dialog is
+    loaded; or the type and message of the error that stopped the load."""
+    memo = {}
+    try:
+        loaded = [load(raw, Path("d.json"), _SGD_MEMO_SCHEMAS, memo) for raw in dialogs]
+    except CorpusError as exc:
+        return type(exc), str(exc)
+    return [[list(t.state.slots.items()) for t in dialog.user_turns()] for dialog in loaded]
+
+
+class TestSgdFrameMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_repeating_sgd_dialog(), min_size=1, max_size=2))
+    def test_states_and_errors_as_reference(self, dialogs):
+        # key order and alternate order included
+        assert _sgd_outcome(_sgd_dialog, dialogs) == _sgd_outcome(reference_sgd_dialog, dialogs)
+
+    def test_every_value_replaced_fails_as_reference(self, sgd_raw):
+        for path in list(_paths(sgd_raw))[1:]:
+            for junk in _SGD_MEMO_JUNK:
+                dialogs = _replaced(sgd_raw, path, junk)
+                assert (_sgd_outcome(_sgd_dialog, dialogs)
+                        == _sgd_outcome(reference_sgd_dialog, dialogs)), (path, junk)
+
+    def test_reordered_frame_loads_in_its_order(self):
+        frames = [{"city": ["a"], "date": ["b"]}, {"date": ["b"], "city": ["a"]}]
+        raw = {"dialogue_id": "S1", "turns": [
+            turn for sv in frames
+            for turn in (sgd_turn("USER", "u", [sgd_user_frame("Hotels_1", sv)]),
+                         sgd_turn("SYSTEM", "s"))]}
+        dialog = _sgd_dialog(raw, Path("d.json"), _SGD_MEMO_SCHEMAS, {})
+        assert [[slot for _, slot in t.state.slots] for t in dialog.user_turns()] == [
+            ["city", "date"], ["date", "city"]]
+
+    def test_unchanged_turn_shares_the_state(self):
+        frame = sgd_user_frame("Hotels_1", {"city": ["a"]})
+        raw = {"dialogue_id": "S1", "turns": [
+            sgd_turn("USER", "u", [frame]), sgd_turn("SYSTEM", "s"),
+            sgd_turn("USER", "u", [json.loads(json.dumps(frame))])]}
+        first, second = _sgd_dialog(raw, Path("d.json"), _SGD_MEMO_SCHEMAS, {}).user_turns()
+        assert second.state is first.state

@@ -288,6 +288,35 @@ class TestScoreReport:
         assert ScoreReport(metric="jga-oracle").accuracy == 0.0
 
 
+# text that JSON escapes, that a line splitter could take for a line end,
+# lone surrogates and characters outside the BMP
+_json_text = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\u2029",
+                     "\ud800", "\udfff", "\U0001f600", "é"]),
+    st.characters()), max_size=8)
+
+
+class TestReportJsonText:
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(
+        ScoreReport, metric=_json_text, correct=st.integers(0, 10**6),
+        total=st.integers(0, 10**6), missing=st.integers(0, 10**6),
+        unparseable=st.integers(0, 10**6), correct_but_flagged=st.integers(0, 10**6),
+        verdicts=st.lists(st.tuples(_json_text, st.integers(), st.booleans()), max_size=5)),
+        st.one_of(st.none(), st.floats()))
+    def test_equals_indented_dumps(self, report, accuracy):
+        doc = report.to_json()
+        if accuracy is not None:
+            doc["accuracy"] = accuracy
+        assert evaluate.report_json_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+    def test_empty_verdicts(self):
+        doc = ScoreReport(metric="jga").to_json()
+        text = evaluate.report_json_text(doc)
+        assert text.endswith('"verdicts": []\n}\n')
+        assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # equivalence with the scorers before the shared fold and scoring loop
 # ---------------------------------------------------------------------------

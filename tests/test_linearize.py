@@ -1,10 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dialoscope.corpus import (DatasetKind, DialogState, ParseError, StateUpdate,
-                               load_multiwoz, load_sgd, load_smcalflow)
-from dialoscope.linearize import (InputRepresentation, TargetParseError,
+from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState, ParseError,
+                               Speaker, StateUpdate, Turn, load_multiwoz, load_sgd,
+                               load_smcalflow, state_update)
+from dialoscope.linearize import (InputRepresentation, Seq2SeqRecord, TargetParseError,
                                   emit_dataset, linearize_input,
                                   linearize_state, linearize_target,
                                   parse_target, records_for_dialog)
@@ -187,7 +191,87 @@ class TestRecords:
         assert all(r.target.startswith("(") for r in records)
 
 
+def reference_records(dialog, repr, kind, predicted_states=None, schemas=None):
+    """`records_for_dialog` as it was before it carried the previous state:
+    each turn looks its previous state up."""
+    records = []
+    for turn in dialog.user_turns():
+        inp = linearize_input(dialog, turn.index, repr, kind, predicted_states, schemas)
+        if kind is DatasetKind.SMCALFLOW:
+            target = linearize_target(turn.program)
+        else:
+            target = linearize_target(
+                state_update(dialog.previous_user_state(turn.index), turn.state))
+        records.append(Seq2SeqRecord(dialog.dialog_id, turn.index, inp, target))
+    return records
+
+
+def _some_predicted_states(corpus):
+    """A predicted state, unlike the gold one, for every other user turn."""
+    return {(dialog.dialog_id, turn.index): DialogState({("pred", "slot"): (str(turn.index),)})
+            for dialog in corpus.dialogs for turn in dialog.user_turns()[::2]}
+
+
+class TestRecordsAsReference:
+    def _check(self, corpus, with_predictions):
+        predicted = _some_predicted_states(corpus) if with_predictions else None
+        for repr in InputRepresentation:
+            for dialog in corpus.dialogs:
+                args = (dialog, repr, corpus.dataset_kind, predicted, corpus.schemas or None)
+                assert records_for_dialog(*args) == reference_records(*args)
+
+    @pytest.mark.parametrize("with_predictions", [False, True])
+    def test_fixtures(self, mwz_path, sgd_path, smcalflow_path, with_predictions):
+        self._check(load_multiwoz(mwz_path), with_predictions)
+        self._check(load_sgd(sgd_path, "test"), with_predictions)
+        if not with_predictions:
+            self._check(load_smcalflow(smcalflow_path), with_predictions)
+
+    @pytest.mark.parametrize("with_predictions", [False, True])
+    def test_planted(self, planted, with_predictions):
+        self._check(planted[0], with_predictions)
+
+
+# text that JSON escapes, or that a line splitter could take for a line end;
+# no lone surrogate, which a UTF-8 file cannot hold
+_json_text = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\r", "\u2028", "\u2029",
+                     "\U0001f600", "é"]),
+    st.characters(exclude_categories=["Cs"])), max_size=6)
+
+
+@st.composite
+def _json_text_corpus(draw):
+    dialogs = []
+    for k in range(draw(st.integers(1, 2))):
+        turns = []
+        for i in range(draw(st.integers(1, 4))):
+            if i % 2:
+                turns.append(Turn(i, Speaker.AGENT, draw(_json_text)))
+                continue
+            state = DialogState({("dom", draw(_json_text)): (draw(_json_text),)})
+            turns.append(Turn(i, Speaker.USER, draw(_json_text), state=state))
+        dialogs.append(Dialog(f"{draw(_json_text)}-{k}", tuple(turns)))
+    return Corpus(DatasetKind.MULTIWOZ, "test", tuple(dialogs))
+
+
 class TestEmitDataset:
+    @settings(max_examples=100, deadline=None)
+    @given(_json_text_corpus(), st.sampled_from(list(InputRepresentation)))
+    def test_each_line_is_json_dumps(self, corpus, repr):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.jsonl"
+            emit_dataset(corpus, repr, out)
+            with open(out, "r", encoding="utf-8", newline="") as f:
+                lines = f.read().split("\n")
+        records = [rec for dialog in corpus.dialogs
+                   for rec in records_for_dialog(dialog, repr, corpus.dataset_kind)]
+        assert lines == [json.dumps({"dialogue_id": rec.dialog_id,
+                                     "turn_index": rec.turn_index,
+                                     "input": rec.input, "target": rec.target},
+                                    ensure_ascii=False)
+                         for rec in records] + [""]
+
     def test_emit_counts_and_shape(self, mwz_path, tmp_path):
         corpus = load_multiwoz(mwz_path)
         out = tmp_path / "out.jsonl"
