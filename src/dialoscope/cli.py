@@ -84,7 +84,7 @@ def cmd_linearize(args) -> int:
     predicted_states = None
     if args.previous_state == "predicted":
         preds = evaluate.load_predictions(args.preds)
-        predicted_states, _ = evaluate.accumulate_predicted_states(corp, preds)
+        predicted_states = evaluate.accumulate_predicted_states(corp, preds)
     count = linearize.emit_dataset(corp, repr_, args.out, predicted_states)
     print(f"wrote {count} records to {args.out}")
     return EXIT_OK

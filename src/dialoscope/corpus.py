@@ -143,7 +143,7 @@ class Turn:
 class Dialog:
     dialog_id: str
     turns: Tuple[Turn, ...]
-    services: Tuple[str, ...] = ()
+    services: Tuple[str, ...] = ()  # SGD only: the services the dialog names
 
     def user_turns(self) -> List[Turn]:
         return [t for t in self.turns if t.speaker is Speaker.USER]
@@ -291,6 +291,13 @@ def _check(value, kind, what: str, path, dialog_id=None, turn=None):
     raise _type_error(what, kind, value, path, dialog_id, turn)
 
 
+def _add_dialog(dialogs: Dict[str, Dialog], dialog: Dialog, path) -> None:
+    """Keep `dialog` under its id; an id kept before raises, naming `path`."""
+    if dialog.dialog_id in dialogs:
+        raise StructuralError(f"{_where(path, dialog.dialog_id)}: duplicate dialog id")
+    dialogs[dialog.dialog_id] = dialog
+
+
 # ---------------------------------------------------------------------------
 # MultiWOZ
 # ---------------------------------------------------------------------------
@@ -408,35 +415,31 @@ def load_multiwoz(path, split: str = "all") -> Corpus:
         raise LoadError(f"split {split!r} selected no dialogs from {path}")
 
     dialogs = []
+    user, agent = Speaker.USER, Speaker.AGENT  # faster than the enum's attributes
     for dialog_id in ids:
         log = _check(data[dialog_id], dict, "dialog", path, dialog_id).get("log")
         if not isinstance(log, list) or not log:
             raise StructuralError(f"{_where(path, dialog_id)}: missing or empty turn log")
         turns: List[Turn] = []
-        domains = set()
         memo: _FrameMemo = {}
-        for i, entry in enumerate(log):
-            utterance, metadata = _multiwoz_entry(entry, path, dialog_id, i)
-            is_user = i % 2 == 0
-            if is_user and metadata:
+        # one (user, agent) exchange per step: the cumulative belief state
+        # of a user turn lives in the following wizard turn's metadata
+        for i in range(0, len(log), 2):
+            utterance, metadata = _multiwoz_entry(log[i], path, dialog_id, i)
+            if metadata:
                 raise StructuralError(f"{_where(path, dialog_id, i)}: "
                                       "non-alternating speakers (state on a user turn)")
-            if not is_user and not metadata:
-                raise StructuralError(f"{_where(path, dialog_id, i)}: "
+            if i + 1 == len(log):
+                raise StructuralError(
+                    f"{_where(path, dialog_id, i)}: user turn has no system annotation")
+            reply, metadata = _multiwoz_entry(log[i + 1], path, dialog_id, i + 1)
+            if not metadata:
+                raise StructuralError(f"{_where(path, dialog_id, i + 1)}: "
                                       "non-alternating speakers (no state on an agent turn)")
-            if is_user:
-                # cumulative belief state for a user turn lives in the
-                # following wizard turn's metadata
-                if i + 1 >= len(log):
-                    raise StructuralError(
-                        f"{_where(path, dialog_id, i)}: user turn has no system annotation")
-                _, agent_metadata = _multiwoz_entry(log[i + 1], path, dialog_id, i + 1)
-                state = _parse_multiwoz_state(agent_metadata, path, dialog_id, i + 1, memo)
-                turns.append(Turn(i, Speaker.USER, utterance, state=state))
-                domains |= {dom for dom, _ in state.slots}
-            else:
-                turns.append(Turn(i, Speaker.AGENT, utterance))
-        dialogs.append(Dialog(dialog_id, tuple(turns), services=tuple(sorted(domains))))
+            state = _parse_multiwoz_state(metadata, path, dialog_id, i + 1, memo)
+            turns.append(Turn(i, user, utterance, state))
+            turns.append(Turn(i + 1, agent, reply))
+        dialogs.append(Dialog(dialog_id, tuple(turns)))
     return Corpus(DatasetKind.MULTIWOZ, split, tuple(dialogs))
 
 
@@ -578,12 +581,13 @@ def load_sgd(path, split: str = "test") -> Corpus:
         raise LoadError(f"no dialogues_*.json files under {split_dir}")
 
     memo: _SlotMemo = {}
-    dialogs = [_sgd_dialog(raw, file, schemas, memo)
-               for file in dialog_files
-               for raw in _check(_read_json(file), list, "dialogues file", file)]
+    dialogs: Dict[str, Dialog] = {}
+    for file in dialog_files:
+        for raw in _check(_read_json(file), list, "dialogues file", file):
+            _add_dialog(dialogs, _sgd_dialog(raw, file, schemas, memo), file)
     if not dialogs:
         raise LoadError(f"no dialogs found under {split_dir}")
-    return Corpus(DatasetKind.SGD, split, tuple(dialogs), schemas=schemas)
+    return Corpus(DatasetKind.SGD, split, tuple(dialogs.values()), schemas=schemas)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +601,7 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
     followed by the agent's reply; a trailing empty agent reply is dropped
     so dialogs may end on a user turn.
     """
-    dialogs = []
+    dialogs: Dict[str, Dialog] = {}
     for lineno, raw in json_lines(path, ParseError):
         line_path = f"{path}:{lineno}"
         _check(raw, dict, "dialog", line_path)
@@ -623,10 +627,10 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
                 turns.append(Turn(len(turns), Speaker.AGENT, agent_text))
         if not turns:
             raise StructuralError(f"{_where(line_path, dialog_id)}: empty dialog")
-        dialogs.append(Dialog(dialog_id, tuple(turns)))
+        _add_dialog(dialogs, Dialog(dialog_id, tuple(turns)), line_path)
     if not dialogs:
         raise LoadError(f"empty SMCalFlow file: {path}")
-    return Corpus(DatasetKind.SMCALFLOW, split, tuple(dialogs))
+    return Corpus(DatasetKind.SMCALFLOW, split, tuple(dialogs.values()))
 
 
 def _utt_text(utt, path, dialog_id, turn) -> str:
@@ -643,23 +647,19 @@ def _utt_text(utt, path, dialog_id, turn) -> str:
 # ---------------------------------------------------------------------------
 
 def validate_corpus(corpus: Corpus) -> List[str]:
-    """Human-readable violations of the invariants a loaded corpus can still
-    break (empty = clean): a dialog id used twice, and an SMCalFlow gold
-    program that does not parse. Every structural check is the loader's."""
+    """Human-readable violations of the one invariant a loaded corpus can
+    still break (empty = clean): an SMCalFlow gold program that does not
+    parse, in the words `analyze`, `linearize` and `eval` stop with. Every
+    other check is the loader's."""
     from . import lispress
 
     violations = []
-    seen_ids = set()
+    if corpus.dataset_kind is not DatasetKind.SMCALFLOW:
+        return violations
     for dialog in corpus.dialogs:
-        if dialog.dialog_id in seen_ids:
-            violations.append(f"duplicate dialog_id {dialog.dialog_id}")
-        seen_ids.add(dialog.dialog_id)
-        if corpus.dataset_kind is not DatasetKind.SMCALFLOW:
-            continue
         for turn in dialog.user_turns():
             try:
                 lispress.parse(turn.program)
             except lispress.LispressError as exc:
-                violations.append(
-                    f"{dialog.dialog_id}: turn {turn.index} program does not parse: {exc}")
+                violations.append(str(gold_program_error(dialog.dialog_id, turn.index, exc)))
     return violations

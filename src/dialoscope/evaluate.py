@@ -201,17 +201,13 @@ def jga(corpus: Corpus, predictions: Dict[PredKey, str], mode: str = "oracle",
         for key, turn, state, parsed in _predicted_states(corpus, predictions, mode == "oracle")))
 
 
-def accumulate_predicted_states(corpus: Corpus,
-                                predictions: Dict[PredKey, str]
-                                ) -> Tuple[Dict[PredKey, DialogState], List[PredKey]]:
-    """Running fold of predicted updates per dialog.
-
-    Returns per-user-turn cumulative predicted states plus the keys whose
-    prediction was missing or unparseable (treated as an empty update).
-    """
-    folded = list(_predicted_states(corpus, predictions, oracle=False))
-    return ({key: state for key, _, state, _ in folded},
-            [key for key, _, _, parsed in folded if not parsed])
+def accumulate_predicted_states(corpus: Corpus, predictions: Dict[PredKey, str]
+                                ) -> Dict[PredKey, DialogState]:
+    """Running fold of predicted updates per dialog: the cumulative predicted
+    state at each user turn. A missing or unparseable prediction applies no
+    update."""
+    return {key: state
+            for key, _, state, _ in _predicted_states(corpus, predictions, oracle=False)}
 
 
 def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],

@@ -104,14 +104,12 @@ PredictedStates = Dict[Tuple[str, int], DialogState]
 
 def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
                     kind: DatasetKind,
-                    predicted_states: Optional[PredictedStates] = None,
                     schemas: Optional[Dict[str, str]] = None,
                     previous_state: Optional[DialogState] = None) -> str:
     """Tagged concatenation of the selected context for one user turn.
 
-    The previous state is `previous_state` when given, else the gold one,
-    or with `predicted_states` the predicted state at the preceding user
-    turn."""
+    A prev-state input shows `previous_state`, by default the gold state at
+    the preceding user turn."""
     turn = dialog.turns[turn_index]
     if turn.speaker is not Speaker.USER:
         raise ValueError(f"{dialog.dialog_id}: turn {turn_index} is not a user turn")
@@ -127,7 +125,7 @@ def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
     else:
         if repr is InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE:
             if previous_state is None:
-                previous_state = _previous_state(dialog, turn_index, predicted_states)
+                previous_state = dialog.previous_user_state(turn_index)
             parts.append(f"{state_tag} {linearize_state(previous_state)}".rstrip())
         if repr in (InputRepresentation.PLUS_LAST_AGENT_TURN,
                     InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE):
@@ -143,15 +141,6 @@ def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
     return text
 
 
-def _previous_state(dialog, turn_index, predicted_states) -> DialogState:
-    if predicted_states is None:
-        return dialog.previous_user_state(turn_index)
-    for t in reversed(dialog.turns[:turn_index]):
-        if t.speaker is Speaker.USER:
-            return predicted_states.get((dialog.dialog_id, t.index), EMPTY_STATE)
-    return EMPTY_STATE
-
-
 def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetKind,
                        predicted_states: Optional[PredictedStates] = None,
                        schemas: Optional[Dict[str, str]] = None) -> List[Seq2SeqRecord]:
@@ -163,8 +152,7 @@ def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetK
     for turn in dialog.turns:
         if turn.speaker is not Speaker.USER:
             continue
-        inp = linearize_input(dialog, turn.index, repr, kind, predicted_states, schemas,
-                              previous_state=shown)
+        inp = linearize_input(dialog, turn.index, repr, kind, schemas, previous_state=shown)
         if kind is DatasetKind.SMCALFLOW:
             try:
                 target = linearize_target(turn.program)

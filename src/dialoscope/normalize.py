@@ -421,31 +421,30 @@ def _word_ngrams(text: str, n_words: int) -> Dict[int, List[Tuple[str, int, int]
     return by_length
 
 
-def damerau_levenshtein(a: str, b: str, limit: Optional[int] = None) -> int:
-    """Optimal string alignment distance (adjacent transposition counts 1).
+def damerau_levenshtein(a: str, b: str, limit: int) -> int:
+    """Optimal string alignment distance (adjacent transposition counts 1),
+    or `limit + 1` for any distance above `limit`.
 
-    With `limit`, a distance above it is returned as `limit + 1`, and only
-    the diagonal band |i - j| <= limit is computed (cells outside it are
-    above the limit anyway). The computation stops once the result is
+    Only the diagonal band |i - j| <= limit is computed (cells outside it
+    are above the limit anyway). The computation stops once the result is
     certain: at once when the lengths differ by more than `limit`, else at
     the first row whose minimum exceeds it; row minima never decrease
-    (Ukkonen 1985).
+    (Ukkonen 1985). `limit=max(len(a), len(b))` gives the exact distance.
     """
     la, lb = len(a), len(b)
-    if limit is not None and abs(la - lb) > limit:
+    if abs(la - lb) > limit:
         return limit + 1
     if la == 0 or lb == 0:
         return max(la, lb)
-    width = max(la, lb) if limit is None else limit
-    cap = width + 1  # stands for every value outside the band
+    cap = limit + 1  # stands for every value outside the band
     prev2: List[int] = []
-    prev = [j if j <= width else cap for j in range(lb + 1)]
+    prev = [j if j <= limit else cap for j in range(lb + 1)]
     for i in range(1, la + 1):
         ca = a[i - 1]
         curr = [cap] * (lb + 1)
-        if i <= width:
+        if i <= limit:
             curr[0] = i
-        for j in range(max(1, i - width), min(lb, i + width) + 1):
+        for j in range(max(1, i - limit), min(lb, i + limit) + 1):
             d = prev[j - 1] + (ca != b[j - 1])
             if prev[j] < d:
                 d = prev[j] + 1
@@ -455,7 +454,7 @@ def damerau_levenshtein(a: str, b: str, limit: Optional[int] = None) -> int:
                     and prev2[j - 2] < d):
                 d = prev2[j - 2] + 1
             curr[j] = d
-        if limit is not None and min(curr) > limit:
+        if min(curr) > limit:
             return cap
         prev2, prev = prev, curr
     return min(prev[lb], cap)

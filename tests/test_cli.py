@@ -294,10 +294,33 @@ class TestValidate:
         write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
                                 "test/dialogues_001.json": sgd_raw,
                                 "test/dialogues_002.json": sgd_raw[:1]})
-        code, out, _ = run(capsys, "validate", "--dataset", "sgd",
-                           "--path", str(tmp_path), "--split", "test")
+        code, out, err = run(capsys, "validate", "--dataset", "sgd",
+                             "--path", str(tmp_path), "--split", "test")
         assert code == EXIT_FAILURE
-        assert out == "duplicate dialog_id 1_00000\n1 violation(s)\n"
+        assert out == ""
+        assert err == (f"error: {tmp_path / 'test' / 'dialogues_002.json'}: "
+                       "dialog 1_00000: duplicate dialog id\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "linearize", "eval"])
+    def test_copied_sgd_file_stops_every_command(self, capsys, tmp_path, sgd_raw, command):
+        # a dialogues file copied under a second name: every turn would count twice
+        write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
+                                "test/dialogues_001.json": sgd_raw,
+                                "test/dialogues_005.json": sgd_raw})
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"dialogue_id": "1_00000", "turn_index": 0,
+                                     "prediction": ""}) + "\n", "utf-8")
+        out_path = tmp_path / "out.jsonl"
+        extra = {"analyze": [],
+                 "linearize": ["--repr", "user", "--out", str(out_path)],
+                 "eval": ["--preds", str(preds), "--mode", "jga-oracle"]}[command]
+        code, out, err = run(capsys, command, "--dataset", "sgd", "--path", str(tmp_path),
+                             "--split", "test", *extra)
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert err == (f"error: {tmp_path / 'test' / 'dialogues_005.json'}: "
+                       "dialog 1_00000: duplicate dialog id\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("sub,split", [("test", "train"), ("", "tset")])
     def test_sgd_unknown_split_exits_one(self, capsys, sgd_path, sub, split):
@@ -317,10 +340,11 @@ class TestValidate:
 
     def test_duplicate_smcalflow_dialog_id(self, capsys, tmp_path, smcalflow_raw):
         write_layout(tmp_path, {"c.jsonl": smcalflow_raw + smcalflow_raw[1:]})
-        code, out, _ = run(capsys, "validate", "--dataset", "smcalflow",
-                           "--path", str(tmp_path / "c.jsonl"))
+        code, out, err = run(capsys, "validate", "--dataset", "smcalflow",
+                             "--path", str(tmp_path / "c.jsonl"))
         assert code == EXIT_FAILURE
-        assert out == "duplicate dialog_id calflow-1\n1 violation(s)\n"
+        assert out == ""
+        assert err == f"error: {tmp_path / 'c.jsonl'}:3: dialog calflow-1: duplicate dialog id\n"
 
 
 class TestDeepNesting:
@@ -394,7 +418,22 @@ class TestDeepNesting:
         code, out, _ = run(capsys, "validate", "--dataset", "smcalflow",
                            "--path", str(tmp_path / "c.jsonl"))
         assert code == EXIT_FAILURE
-        assert out.startswith("calflow-0: turn 2 program does not parse: nesting deeper than")
+        assert out.startswith(
+            "dialog calflow-0, turn 2: gold program does not parse: nesting deeper than")
+
+    @pytest.mark.parametrize("program", ["(Yield (Foo", DEEP])
+    def test_validate_words_a_bad_gold_program_as_analyze_does(self, capsys, smcalflow_raw,
+                                                               tmp_path, program):
+        smcalflow_raw[0]["turns"][1]["lispress"] = program
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
+        path = ["--dataset", "smcalflow", "--path", str(tmp_path / "c.jsonl")]
+        code, out, _ = run(capsys, "validate", *path)
+        assert code == EXIT_FAILURE
+        violation, summary = out.splitlines()
+        assert summary == "1 violation(s)"
+        code, _, err = run(capsys, "analyze", *path)
+        assert code == EXIT_FAILURE
+        assert err == f"error: {violation}\n"
 
     def test_program_at_the_bound_parses_and_prints(self, capsys, smcalflow_raw, tmp_path):
         smcalflow_raw[0]["turns"][1]["lispress"] = self.AT_BOUND

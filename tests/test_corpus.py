@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dialoscope.corpus import (Corpus, CorpusError, Dialog, DialogState, DatasetKind,
                                LoadError, Speaker, StructuralError, Turn, _check,
-                               _sgd_dialog, _type_error, _where, apply_update,
-                               canonical_slot, load_multiwoz, load_sgd,
+                               _parse_multiwoz_state, _sgd_dialog, _type_error, _where,
+                               apply_update, canonical_slot, load_multiwoz, load_sgd,
                                load_smcalflow, state_update, validate_corpus)
 from conftest import SGD_SCHEMA, mwz_dialog, sgd_turn, sgd_user_frame
 
@@ -164,6 +164,23 @@ class TestLoadSgd:
     def test_deterministic(self, sgd_path):
         assert load_sgd(sgd_path, "test") == load_sgd(sgd_path, "test")
 
+    def test_dialog_id_in_two_files_rejected(self, tmp_path, sgd_raw):
+        # a dialogues file copied under a second name
+        write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
+                                "test/dialogues_001.json": sgd_raw,
+                                "test/dialogues_005.json": sgd_raw})
+        with pytest.raises(StructuralError) as exc:
+            load_sgd(tmp_path, "test")
+        assert str(exc.value) == (f"{tmp_path / 'test' / 'dialogues_005.json'}: "
+                                  "dialog 1_00000: duplicate dialog id")
+
+    def test_dialog_id_twice_in_one_file_rejected(self, tmp_path, sgd_raw):
+        write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
+                                "test/dialogues_001.json": sgd_raw + sgd_raw[1:]})
+        with pytest.raises(StructuralError) as exc:
+            load_sgd(tmp_path, "test")
+        assert str(exc.value).endswith(f"dialog {sgd_raw[1]['dialogue_id']}: duplicate dialog id")
+
 
 class TestLoadSmcalflow:
     def test_load(self, smcalflow_path):
@@ -190,6 +207,13 @@ class TestLoadSmcalflow:
         with pytest.raises(Exception) as exc:
             load_smcalflow(p)
         assert ":2" in str(exc.value)
+
+    def test_dialog_id_on_two_lines_rejected(self, tmp_path, smcalflow_raw):
+        p = tmp_path / "c.jsonl"
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw + smcalflow_raw[:1]})
+        with pytest.raises(StructuralError) as exc:
+            load_smcalflow(p)
+        assert str(exc.value) == f"{p}:3: dialog calflow-0: duplicate dialog id"
 
     def test_missing_program_is_structural(self, tmp_path):
         p = tmp_path / "noprog.jsonl"
@@ -385,9 +409,10 @@ _sgd_pair = st.tuples(
                           optional={"frames": st.lists(_sgd_frame, max_size=2)}),
     st.fixed_dictionaries({"speaker": st.just("SYSTEM"), "utterance": _value}))
 _sgd_dialogue_list = st.lists(st.fixed_dictionaries(
-    {"dialogue_id": st.just("S1"),
+    {"dialogue_id": st.sampled_from(["S1", "S2"]),
      "turns": st.lists(_sgd_pair, min_size=1, max_size=3).map(_flatten)},
-    optional={"services": st.lists(_sgd_services, max_size=2)}), min_size=1, max_size=2)
+    optional={"services": st.lists(_sgd_services, max_size=2)}),
+    min_size=1, max_size=2, unique_by=lambda d: d["dialogue_id"])
 
 _smc_utterance = st.one_of(st.none(), _value, st.fixed_dictionaries({"original_text": _value}))
 _smc_turn = st.fixed_dictionaries(
@@ -397,7 +422,8 @@ _smc_turn = st.fixed_dictionaries(
                   {}, optional={"refer_are_incorrect": st.booleans()})})
 _smc_lines = st.lists(st.fixed_dictionaries(
     {"dialogue_id": st.sampled_from(["C1", "C2"]),
-     "turns": st.lists(_smc_turn, min_size=1, max_size=3)}), min_size=1, max_size=2)
+     "turns": st.lists(_smc_turn, min_size=1, max_size=3)}),
+    min_size=1, max_size=2, unique_by=lambda d: d["dialogue_id"])
 
 
 def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
@@ -543,6 +569,120 @@ class TestMultiwozFrameMemo:
         write_layout(tmp_path, {"d.json": {"D1": {"log": log}}})
         states = [t.state.slots for t in load_multiwoz(tmp_path / "d.json").dialogs[0].user_turns()]
         assert [s[("hotel", "stars")] for s in states] == [("1",), ("True",), ("1.0",), ("1",)]
+
+
+# ---------------------------------------------------------------------------
+# reference MultiWOZ loader: the per-entry loop that read each agent entry
+# twice, as its user turn's look-ahead and as itself, frozen here so the
+# exchange walk is checked turn for turn and error for error
+# ---------------------------------------------------------------------------
+
+def reference_load_multiwoz(data, path):
+    def entry_of(entry, turn):
+        _check(entry, dict, "log entry", path, dialog_id, turn)
+        return (_check(entry.get("text", ""), str, "text", path, dialog_id, turn),
+                _check(entry.get("metadata", {}), dict, "metadata", path, dialog_id, turn))
+
+    dialogs = []
+    for dialog_id in data:
+        log = _check(data[dialog_id], dict, "dialog", path, dialog_id).get("log")
+        if not isinstance(log, list) or not log:
+            raise StructuralError(f"{_where(path, dialog_id)}: missing or empty turn log")
+        turns = []
+        memo = {}
+        for i, entry in enumerate(log):
+            utterance, metadata = entry_of(entry, i)
+            is_user = i % 2 == 0
+            if is_user and metadata:
+                raise StructuralError(f"{_where(path, dialog_id, i)}: "
+                                      "non-alternating speakers (state on a user turn)")
+            if not is_user and not metadata:
+                raise StructuralError(f"{_where(path, dialog_id, i)}: "
+                                      "non-alternating speakers (no state on an agent turn)")
+            if is_user:
+                if i + 1 >= len(log):
+                    raise StructuralError(
+                        f"{_where(path, dialog_id, i)}: user turn has no system annotation")
+                _, agent_metadata = entry_of(log[i + 1], i + 1)
+                state = _parse_multiwoz_state(agent_metadata, path, dialog_id, i + 1, memo)
+                turns.append(Turn(i, Speaker.USER, utterance, state=state))
+            else:
+                turns.append(Turn(i, Speaker.AGENT, utterance))
+        dialogs.append(Dialog(dialog_id, tuple(turns)))
+    return dialogs
+
+
+_BAD_ENTRIES = [None, 3, "entry", ["x"]]
+_BAD_TEXTS = [None, 3, ["x"], {"a": "b"}]
+_BAD_METADATA = [None, 3, "meta", ["x"]]
+_LAST_ENTRIES = [{"text": "hi"}, {"text": "hi", "metadata": {"hotel": {}}},
+                 {"text": 3, "metadata": {"x": 3}}, {"text": "hi", "metadata": 3}, None]
+_BAD_FRAMES = [[], "x", 3, {"semi": []}, {"book": "x"}, {"semi": {"area": "x"}, "book": 3}]
+
+
+@st.composite
+def _broken_log(draw):
+    """A well-formed log with zero to three drawn faults (metadata on a user
+    entry, empty agent metadata, a non-dict entry or metadata, a non-string
+    text, or a frame that does not parse), and maybe an odd length."""
+    log = list(draw(_repeating_frames_dialog())["log"])
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["user-metadata", "agent-metadata-empty",
+                                      "entry", "text", "metadata", "frame"]))
+        i = draw(st.integers(0, len(log) - 1))
+        if fault == "user-metadata":
+            i -= i % 2
+        elif fault in ("agent-metadata-empty", "frame"):
+            i |= 1
+        entry = log[i] if isinstance(log[i], dict) else {}
+        if fault == "user-metadata":
+            log[i] = {**entry, "metadata": draw(st.sampled_from([{"hotel": {}}, {"x": 3}]))}
+        elif fault == "agent-metadata-empty":
+            log[i] = draw(st.sampled_from([{**entry, "metadata": {}}, {"text": "ok"}]))
+        elif fault == "entry":
+            log[i] = draw(st.sampled_from(_BAD_ENTRIES))
+        elif fault == "text":
+            log[i] = {**entry, "text": draw(st.sampled_from(_BAD_TEXTS))}
+        elif fault == "metadata":
+            log[i] = {**entry, "metadata": draw(st.sampled_from(_BAD_METADATA))}
+        else:
+            metadata = entry.get("metadata")
+            metadata = dict(metadata) if isinstance(metadata, dict) else {}
+            metadata[draw(st.sampled_from(["hotel", "train"]))] = draw(st.sampled_from(_BAD_FRAMES))
+            log[i] = {**entry, "metadata": metadata}
+    if draw(st.booleans()):  # an odd length, ending in a user entry that may be faulty too
+        log.append(draw(st.sampled_from(_LAST_ENTRIES)))
+    return {"log": log}
+
+
+def _mwz_outcome(dialogs):
+    """Each dialog's turns as plain values, or the type and message of the
+    error that stopped the load."""
+    if isinstance(dialogs, Exception):
+        return type(dialogs), str(dialogs)
+    return [(d.dialog_id, [(t.index, t.speaker, t.utterance,
+                            None if t.state is None else list(t.state.slots.items()))
+                           for t in d.turns]) for d in dialogs]
+
+
+class TestMultiwozWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_broken_log(), min_size=1, max_size=2))
+    def test_turns_and_errors_as_reference(self, logs):
+        data = {f"D{k}": log for k, log in enumerate(logs)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.json"
+            write_layout(Path(tmp), {"d.json": data})
+            try:
+                new = load_multiwoz(path).dialogs
+            except CorpusError as exc:
+                new = exc
+            try:
+                ref = reference_load_multiwoz(data, path)
+            except CorpusError as exc:
+                ref = exc
+        # key order and alternate order included
+        assert _mwz_outcome(new) == _mwz_outcome(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -191,19 +191,16 @@ class TestJga:
 class TestAccumulatePredictedStates:
     def test_gold_fold_matches_gold_states(self, mwz_path):
         corpus = load_multiwoz(mwz_path)
-        states, flagged = accumulate_predicted_states(corpus,
-                                                      gold_predictions(corpus))
-        assert flagged == []
+        states = accumulate_predicted_states(corpus, gold_predictions(corpus))
         for dialog in corpus.dialogs:
             for turn in dialog.user_turns():
                 assert states[(dialog.dialog_id, turn.index)] == turn.state
 
-    def test_missing_treated_as_empty_update_and_flagged(self, mwz_path):
+    def test_missing_treated_as_empty_update(self, mwz_path):
         corpus = load_multiwoz(mwz_path)
         preds = gold_predictions(corpus)
         del preds[("SNG0073.json", 2)]
-        states, flagged = accumulate_predicted_states(corpus, preds)
-        assert flagged == [("SNG0073.json", 2)]
+        states = accumulate_predicted_states(corpus, preds)
         # state at turn 2 equals the turn-0 state (nothing applied)
         assert states[("SNG0073.json", 2)] == states[("SNG0073.json", 0)]
 
@@ -358,22 +355,19 @@ def reference_jga(corpus, predictions, mode="oracle", fuzzy_values=False):
 
 def reference_accumulate(corpus, predictions):
     """`accumulate_predicted_states` before the shared fold."""
-    states, flagged = {}, []
+    states = {}
     for dialog in corpus.dialogs:
         running = DialogState()
         for turn in dialog.user_turns():
             key = (dialog.dialog_id, turn.index)
             try:
                 update = parse_target(predictions.get(key, ""))
-                if key not in predictions:
-                    flagged.append(key)
             except TargetParseError:
                 update = None
-                flagged.append(key)
             if update is not None:
                 running = apply_update(running, update)
             states[key] = running
-    return states, flagged
+    return states
 
 
 def reference_exact_match(corpus, predictions, honor_refer_flags=False, strict=False):
@@ -462,9 +456,8 @@ class TestEquivalence:
                 assert new.to_json() == ref.to_json()
                 assert new.table() == ref.table()
                 assert new_log == ref_log
-            states, flagged = accumulate_predicted_states(corpus, preds)
-            ref_states, ref_flagged = reference_accumulate(corpus, preds)
-            assert flagged == ref_flagged
+            states = accumulate_predicted_states(corpus, preds)
+            ref_states = reference_accumulate(corpus, preds)
             assert list(states) == list(ref_states)
             for key, ref_state in ref_states.items():
                 assert states[key].slots == ref_state.slots

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState, ParseError,
-                               Speaker, StateUpdate, Turn, load_multiwoz, load_sgd,
+from dialoscope.corpus import (EMPTY_STATE, Corpus, DatasetKind, Dialog, DialogState,
+                               ParseError, Speaker, StateUpdate, Turn, load_multiwoz, load_sgd,
                                load_smcalflow, state_update)
 from dialoscope.linearize import (InputRepresentation, Seq2SeqRecord, TargetParseError,
                                   emit_dataset, linearize_input,
@@ -158,12 +158,11 @@ class TestInput:
             "A service for finding and reserving restaurants [user]")
 
     def test_predicted_previous_state(self, dialog):
-        predicted = {("MUL0635.json", 8): DialogState(
-            {("train", "day"): ("friday",)})}
+        predicted = DialogState({("train", "day"): ("friday",)})
         text = linearize_input(dialog, 10,
                                InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,
-                               DatasetKind.MULTIWOZ, predicted_states=predicted)
-        assert "[states] train:day=friday" in text
+                               DatasetKind.MULTIWOZ, previous_state=predicted)
+        assert text.startswith("[states] train:day=friday [agent]")
 
 
 class TestRecords:
@@ -193,10 +192,18 @@ class TestRecords:
 
 def reference_records(dialog, repr, kind, predicted_states=None, schemas=None):
     """`records_for_dialog` as it was before it carried the previous state:
-    each turn looks its previous state up."""
+    each turn looks its previous state up, the predicted one at the
+    preceding user turn or, by default, the gold one."""
     records = []
     for turn in dialog.user_turns():
-        inp = linearize_input(dialog, turn.index, repr, kind, predicted_states, schemas)
+        previous = None
+        if predicted_states is not None:
+            previous = EMPTY_STATE
+            for t in reversed(dialog.turns[:turn.index]):
+                if t.speaker is Speaker.USER:
+                    previous = predicted_states.get((dialog.dialog_id, t.index), EMPTY_STATE)
+                    break
+        inp = linearize_input(dialog, turn.index, repr, kind, schemas, previous_state=previous)
         if kind is DatasetKind.SMCALFLOW:
             target = linearize_target(turn.program)
         else:

@@ -507,6 +507,11 @@ class TestMatchInText:
         assert r.category is MatchCategory.VERBATIM
 
 
+def full_distance(a, b):
+    """The exact distance: no distance exceeds the longer length."""
+    return damerau_levenshtein(a, b, limit=max(len(a), len(b)))
+
+
 class TestDamerauLevenshtein:
     @pytest.mark.parametrize("a,b,d", [
         ("abc", "abc", 0),
@@ -518,20 +523,20 @@ class TestDamerauLevenshtein:
         ("", "ab", 2),
     ])
     def test_known_distances(self, a, b, d):
-        assert damerau_levenshtein(a, b) == d
+        assert full_distance(a, b) == d
 
     @given(st.text(max_size=10), st.text(max_size=10))
     def test_symmetric(self, a, b):
-        assert damerau_levenshtein(a, b) == damerau_levenshtein(b, a)
+        assert full_distance(a, b) == full_distance(b, a)
 
     @given(st.text(max_size=10))
     def test_identity(self, a):
-        assert damerau_levenshtein(a, a) == 0
+        assert full_distance(a, a) == 0
 
     @given(st.text(alphabet="abcd", max_size=10),
            st.text(alphabet="abcd", max_size=10), st.sampled_from([1, 2]))
     def test_limit_caps_the_distance(self, a, b, k):
-        full = damerau_levenshtein(a, b)
+        full = full_distance(a, b)
         assert full == _ref_distance(a, b)
         assert damerau_levenshtein(a, b, limit=k) == min(full, k + 1)
 
