@@ -36,7 +36,7 @@ class ContextClass(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SlotTrace:
     slot: Tuple[str, str]
     value: str
@@ -53,7 +53,7 @@ class SlotTrace:
         return self.match.category
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TurnAnalysis:
     """A user turn's traces; empty `slot_traces` means nothing to predict."""
     dialog_id: str

@@ -2,17 +2,21 @@
 import contextlib
 import os
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence, Tuple
 
 
 @contextlib.contextmanager
 def write_atomically(path) -> Iterator[IO[str]]:
     """A UTF-8 text file next to `path` that replaces it when the block ends
     cleanly; if the block raises, the file is removed and `path` is left as
-    it was. Nothing is fsynced: this guards against a failed run, not a crash."""
+    it was. Failing to create the file raises an OSError naming `path`.
+    Nothing is fsynced: this guards against a failed run, not a crash."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    f = open(tmp, "x", encoding="utf-8")
+    try:
+        f = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with f:
             yield f
@@ -23,6 +27,16 @@ def write_atomically(path) -> Iterator[IO[str]]:
         raise
 
 
+def write_texts(files: Sequence[Tuple[object, str]]) -> None:
+    """Write each (path, text) pair. Every temporary file is created and
+    written before the first replaces its target, so a failure to create or
+    write any of them leaves every target as it was."""
+    with contextlib.ExitStack() as stack:
+        # the stack exits last-entered first: entering in reverse replaces
+        # the targets in the given order, so of two equal paths the later wins
+        for path, text in reversed(files):
+            stack.enter_context(write_atomically(path)).write(text)
+
+
 def write_text(path, text: str) -> None:
-    with write_atomically(path) as f:
-        f.write(text)
+    write_texts([(path, text)])

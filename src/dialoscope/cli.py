@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, corpus, evaluate, linearize, report
-from .atomic import write_text
+from .atomic import write_text, write_texts
 from .corpus import DatasetKind
 from .normalize import LexiconError, default_lexicon, load_lexicon
 
@@ -59,15 +59,12 @@ def cmd_analyze(args) -> int:
     corp = _load_corpus(args)
     doc = analysis.analyze_corpus(corp, _load_lexicon(args),
                                   _load_overrides(args), workers=args.workers)
-    # compute everything before touching the filesystem so a failure never
-    # leaves partial outputs behind
-    md, csv = report.markdown(doc), report.histogram_csv(doc)
-    if args.out:
-        write_text(args.out, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
-    if args.markdown:
-        write_text(args.markdown, md)
-    if args.histogram:
-        write_text(args.histogram, csv)
+    # every output is rendered, and written to its temporary file, before
+    # any replaces its target, so a failure leaves no new output behind
+    md = report.markdown(doc)
+    outputs = [(args.out, json.dumps(doc, indent=2, ensure_ascii=False) + "\n"),
+               (args.markdown, md), (args.histogram, report.histogram_csv(doc))]
+    write_texts([(path, text) for path, text in outputs if path])
     print(md)
     return EXIT_OK
 

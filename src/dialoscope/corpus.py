@@ -97,14 +97,16 @@ def _value_tuple(vals: Iterable[str]) -> Tuple[str, ...]:
 Slots = Dict[Tuple[str, str], Tuple[str, ...]]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class DialogState:
     """Cumulative slot-value frame: (domain, slot) -> alternates.
 
     Alternates model MultiWOZ 2.4's "a|b" multi-value annotations. They keep
     source order, so that emitting "the first alternate" is deterministic,
     hold no duplicates and are never empty. Equality is order-insensitive on
-    each alternate set. The mapping is shared, never mutated.
+    each alternate set. The mapping is shared, never mutated:
+    tests/test_value_types.py::TestCorpusIsNotMutated checks that nothing
+    the library runs on a loaded corpus changes it.
     """
     slots: Slots = field(default_factory=dict)
 
@@ -121,7 +123,7 @@ class DialogState:
 EMPTY_STATE = DialogState()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StateUpdate:
     """Per-turn diff between consecutive cumulative states."""
     added_or_changed: FrozenSet[Tuple[str, str, Tuple[str, ...]]] = frozenset()
@@ -129,7 +131,7 @@ class StateUpdate:
     dontcared: FrozenSet[Tuple[str, str]] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Turn:
     index: int
     speaker: Speaker
@@ -139,7 +141,7 @@ class Turn:
     flags: FrozenSet[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Dialog:
     dialog_id: str
     turns: Tuple[Turn, ...]

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from . import lispress
 from .atomic import write_atomically
 from .corpus import (Corpus, DatasetKind, Dialog, DialogState, DONTCARE, EMPTY_STATE,
-                     Speaker, StateUpdate, gold_program_error, state_update)
+                     Speaker, StateUpdate, Turn, gold_program_error, state_update)
 
 
 class InputRepresentation(str, Enum):
@@ -26,7 +26,7 @@ class InputRepresentation(str, Enum):
     FULL_DIALOG_HISTORY = "full"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Seq2SeqRecord:
     dialog_id: str
     turn_index: int
@@ -102,26 +102,30 @@ def parse_target(text: str) -> StateUpdate:
 PredictedStates = Dict[Tuple[str, int], DialogState]
 
 
+def _tagged(turn: Turn, tags: Dict[Speaker, str]) -> str:
+    return f"{tags[turn.speaker]} {turn.utterance}".rstrip()
+
+
 def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
                     kind: DatasetKind,
                     schemas: Optional[Dict[str, str]] = None,
-                    previous_state: Optional[DialogState] = None) -> str:
+                    previous_state: Optional[DialogState] = None,
+                    history: Optional[List[str]] = None) -> str:
     """Tagged concatenation of the selected context for one user turn.
 
     A prev-state input shows `previous_state`, by default the gold state at
-    the preceding user turn."""
+    the preceding user turn. A full input joins `history`, the tagged turns
+    up to and including this one, tagged here when not given."""
     turn = dialog.turns[turn_index]
     if turn.speaker is not Speaker.USER:
         raise ValueError(f"{dialog.dialog_id}: turn {turn_index} is not a user turn")
     tags = _PROGRAM_TAGS if kind is DatasetKind.SMCALFLOW else _FRAME_TAGS
     state_tag = _PROGRAM_STATE_TAG if kind is DatasetKind.SMCALFLOW else _FRAME_STATE_TAG
 
-    def tagged(t) -> str:
-        return f"{tags[t.speaker]} {t.utterance}".rstrip()
-
     parts: List[str] = []
     if repr is InputRepresentation.FULL_DIALOG_HISTORY:
-        parts = [tagged(t) for t in dialog.turns[:turn_index + 1]]
+        parts = history if history is not None else [
+            _tagged(t, tags) for t in dialog.turns[:turn_index + 1]]
     else:
         if repr is InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE:
             if previous_state is None:
@@ -130,8 +134,8 @@ def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
         if repr in (InputRepresentation.PLUS_LAST_AGENT_TURN,
                     InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE):
             if turn_index > 0:
-                parts.append(tagged(dialog.turns[turn_index - 1]))
-        parts.append(tagged(turn))
+                parts.append(_tagged(dialog.turns[turn_index - 1], tags))
+        parts.append(_tagged(turn, tags))
 
     text = " ".join(parts)
     if kind is DatasetKind.SGD and schemas is not None:
@@ -146,13 +150,18 @@ def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetK
                        schemas: Optional[Dict[str, str]] = None) -> List[Seq2SeqRecord]:
     """One record per user turn, from one walk over the turns that carries
     the previous gold state and the previous state that a prev-state input
-    shows (gold, or predicted)."""
+    shows (gold, or predicted), and for a full input the tagged turns so far."""
     records = []
     prev_gold = shown = EMPTY_STATE
+    tags = _PROGRAM_TAGS if kind is DatasetKind.SMCALFLOW else _FRAME_TAGS
+    history = [] if repr is InputRepresentation.FULL_DIALOG_HISTORY else None
     for turn in dialog.turns:
+        if history is not None:
+            history.append(_tagged(turn, tags))
         if turn.speaker is not Speaker.USER:
             continue
-        inp = linearize_input(dialog, turn.index, repr, kind, schemas, previous_state=shown)
+        inp = linearize_input(dialog, turn.index, repr, kind, schemas,
+                              previous_state=shown, history=history)
         if kind is DatasetKind.SMCALFLOW:
             try:
                 target = linearize_target(turn.program)

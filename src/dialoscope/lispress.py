@@ -35,7 +35,7 @@ class Symbol:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StringLit:
     text: str
 
@@ -46,13 +46,13 @@ class Number:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TypedLiteral:
     tag: str
     child: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class List:
     children: ListT["Node"] = field(default_factory=list)
 
@@ -91,9 +91,9 @@ def _string_error(source: str, start: int) -> LispressError:
 
 @functools.lru_cache(maxsize=4096)
 def _atom(tok: str) -> Node:
-    """The Symbol or Number node of one atom token. Nodes are frozen, so
-    every parse shares one node per distinct atom, and comparing two trees
-    mostly meets the same object."""
+    """The Symbol or Number node of one atom token. These two node types
+    are frozen, so every parse shares one node per distinct atom, and
+    comparing two trees mostly meets the same object."""
     # a number ends in a (Unicode) decimal digit; most atoms do not
     return Number(tok) if tok[-1].isdecimal() and _NUMBER_RE.match(tok) else Symbol(tok)
 

@@ -38,14 +38,14 @@ class EntityKind(str, Enum):
     SHORTCUT = "shortcut"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Variant:
     surface: str
     category: MatchCategory
     sub_kind: Optional[EntityKind] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MatchResult:
     category: MatchCategory
     sub_kind: Optional[EntityKind] = None
@@ -513,7 +513,7 @@ def _typo_match(targets: Tuple[_TypoTarget, ...], text: str,
 _Probe = Tuple[MatchCategory, Optional[EntityKind], str, Optional[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class _MatchPlan:
     """The part of matching a (value, slot) that does not depend on the text."""
     # the value itself, then every other generated surface, in precedence

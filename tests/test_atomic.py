@@ -1,6 +1,6 @@
 import pytest
 
-from dialoscope.atomic import write_atomically, write_text
+from dialoscope.atomic import write_atomically, write_text, write_texts
 
 
 def test_replaces_the_target(tmp_path):
@@ -29,3 +29,21 @@ def test_failure_without_a_target_creates_nothing(tmp_path):
             f.write("{}\n")
             raise RuntimeError
     assert list(tmp_path.iterdir()) == []
+
+
+def test_texts_replace_no_target_until_every_one_is_written(tmp_path):
+    first = tmp_path / "report.json"
+    first.write_text("old\n", "utf-8")
+    missing = tmp_path / "missing-dir" / "report.md"
+    with pytest.raises(FileNotFoundError, match="report.md'$") as info:
+        write_texts([(first, "new\n"), (missing, "new\n")])
+    assert info.value.filename == str(missing)
+    assert first.read_text("utf-8") == "old\n"
+    assert list(tmp_path.iterdir()) == [first]
+
+
+def test_texts_to_one_path_leave_the_last(tmp_path):
+    out = tmp_path / "report.md"
+    write_texts([(out, "first\n"), (out, "second\n")])
+    assert out.read_text("utf-8") == "second\n"
+    assert list(tmp_path.iterdir()) == [out]

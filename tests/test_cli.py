@@ -39,6 +39,25 @@ class TestAnalyze:
         assert out_md.read_text("utf-8").startswith("# multiwoz")
         assert out_csv.read_text("utf-8").startswith("delta_c,count")
 
+    @pytest.mark.parametrize("old", [None, "old report\n"])
+    def test_unwritable_output_leaves_every_output_as_it_was(self, capsys, mwz_path,
+                                                             tmp_path, old):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_json = out_dir / "r.json"
+        if old is not None:
+            out_json.write_text(old, "utf-8")
+        out_md = tmp_path / "missing-dir" / "x.md"
+        code, _, err = run(capsys, "analyze", "--dataset", "multiwoz",
+                           "--path", str(mwz_path), "--out", str(out_json),
+                           "--markdown", str(out_md),
+                           "--histogram", str(out_dir / "r.csv"))
+        assert code == EXIT_FAILURE
+        assert err == f"error: [Errno 2] No such file or directory: '{out_md}'\n"
+        assert [p.name for p in out_dir.iterdir()] == ([] if old is None else ["r.json"])
+        if old is not None:
+            assert out_json.read_text("utf-8") == old
+
     def test_overrides_flag(self, capsys, mwz_path, tmp_path):
         ov = tmp_path / "ov.tsv"
         ov.write_text("MUL0635.json\t10\ttrain\tdestination\t5\t-"
