@@ -9,7 +9,9 @@ manual-adjudication override file or reported as unresolved.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -260,19 +262,21 @@ def _tally_dialog(dialog: Dialog, kind: DatasetKind, lexicon: Optional[Lexicon],
     return _tally_frame_dialog(dialog, lexicon, overrides)
 
 
-# set once per pool worker, so the lexicon and overrides are pickled once
-# per worker and the lexicon's match-plan cache stays warm across dialogs
+# set once per pool worker, so the corpus, lexicon and overrides reach each
+# worker once, a task is a dialog index, and the lexicon's match-plan cache
+# stays warm across dialogs
 _worker_args: tuple = ()
 
 
-def _init_worker(kind: DatasetKind, lexicon: Optional[Lexicon],
-                 overrides: Optional[Overrides]) -> None:
+def _init_worker(dialogs: Tuple[Dialog, ...], kind: DatasetKind,
+                 lexicon: Optional[Lexicon], overrides: Optional[Overrides]) -> None:
     global _worker_args
-    _worker_args = (kind, lexicon, overrides)
+    _worker_args = (dialogs, kind, lexicon, overrides)
 
 
-def _tally_in_worker(dialog: Dialog) -> Counter:
-    return _tally_dialog(dialog, *_worker_args)
+def _tally_in_worker(index: int) -> Counter:
+    dialogs, kind, lexicon, overrides = _worker_args
+    return _tally_dialog(dialogs[index], kind, lexicon, overrides)
 
 
 def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
@@ -290,13 +294,20 @@ def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
 
     The merge is pure counting (associative and commutative), so results
     are identical for any worker count. The pool never exceeds the CPU count.
+    On Linux its workers are forked, which is unsafe in a process that runs
+    other threads.
     """
     kind = corpus.dataset_kind
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(corpus.dialogs) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(kind, lexicon, overrides)) as pool:
-            tallies = list(pool.map(_tally_in_worker, corpus.dialogs, chunksize=16))
+        # forking hands the workers the corpus without pickling it; spawn,
+        # the default on macOS and Windows, pickles it once per worker
+        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                                 initializer=_init_worker,
+                                 initargs=(corpus.dialogs, kind, lexicon, overrides)) as pool:
+            tallies = list(pool.map(_tally_in_worker, range(len(corpus.dialogs)),
+                                    chunksize=16))
     else:
         tallies = [_tally_dialog(d, kind, lexicon, overrides) for d in corpus.dialogs]
     total: Counter = Counter()

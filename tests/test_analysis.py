@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from dialoscope import analysis
 from dialoscope.analysis import (ContextClass, OverrideError, analyze_corpus,
                                  apply_overrides, histogram, trace_turn)
-from dialoscope.corpus import (DatasetKind, load_multiwoz, load_sgd, load_smcalflow,
-                               state_update)
+from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState, Speaker, Turn,
+                               load_multiwoz, load_sgd, load_smcalflow, state_update)
 from dialoscope.evaluate import jga
 from dialoscope.linearize import linearize_target
 from dialoscope.lispress import List, Symbol, TypedLiteral, parse
@@ -228,8 +230,6 @@ class TestAnalyzeCorpus:
         assert report["relaxation"] == pytest.approx(100 * 1 / 9)
 
     def test_all_empty_updates(self, lexicon):
-        from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState,
-                                       Speaker, Turn)
         dialog = Dialog("d0", (
             Turn(0, Speaker.USER, "hello", state=DialogState()),))
         corpus = Corpus(DatasetKind.MULTIWOZ, "toy", (dialog,))
@@ -248,12 +248,12 @@ class TestAnalyzeCorpus:
             analyze_corpus(corpus, lexicon, workers=4)
 
     def test_pool_is_clamped_to_cpu_count(self, planted, lexicon, monkeypatch):
-        # a stand-in executor records the pool size and runs in-process, so
-        # no large pool is ever started
-        sizes = []
+        # a stand-in executor records the pool size and the tasks and runs
+        # in-process, so no large pool is ever started
+        sizes, tasks = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 sizes.append(max_workers)
                 initializer(*initargs)
 
@@ -264,7 +264,8 @@ class TestAnalyzeCorpus:
                 return False
 
             def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+                tasks.extend(items)
+                return map(fn, tasks)
 
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(analysis, "_worker_args", ())
@@ -272,8 +273,57 @@ class TestAnalyzeCorpus:
         corpus, _ = planted
         pooled = analyze_corpus(corpus, lexicon, workers=64)
         assert sizes == [3]
+        # a task is a dialog index: no dialog is sent to a worker
+        assert tasks == list(range(len(corpus.dialogs)))
         assert pooled == analyze_corpus(corpus, lexicon, workers=1)
         assert sizes == [3]  # one worker runs serially, without a pool
+
+    def test_no_dialog_is_pickled_for_the_pool(self, planted, lexicon, monkeypatch):
+        # forked workers inherit the corpus and are sent dialog indices, so
+        # a dialog that cannot be pickled does not stop a real pool
+        started = []
+
+        def fork_pool(*args, mp_context=None, **kwargs):
+            method = (mp_context or multiprocessing.get_context()).get_start_method()
+            if method != "fork":
+                pytest.skip(f"the pool starts its workers by {method}, which pickles")
+            started.append(method)
+            return ProcessPoolExecutor(*args, mp_context=mp_context, **kwargs)
+
+        def refuse(self, protocol):
+            raise AssertionError(f"dialog {self.dialog_id} was pickled")
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", fork_pool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(Dialog, "__reduce_ex__", refuse)
+        corpus, _ = planted
+        pooled = analyze_corpus(corpus, lexicon, workers=2)
+        assert started == ["fork"]
+        assert pooled == analyze_corpus(corpus, lexicon, workers=1)
+
+    def test_spawned_workers_match_serial(self, planted, lexicon, monkeypatch):
+        # macOS and Windows start workers by spawn, which pickles the corpus,
+        # lexicon and overrides once per worker; the pool forks on Linux, so
+        # only this test takes that path there. A partial would not do: the
+        # context analyze_corpus passes would override its keyword
+        spawn = multiprocessing.get_context("spawn")
+
+        def spawn_pool(*args, mp_context=None, **kwargs):
+            return ProcessPoolExecutor(*args, mp_context=spawn, **kwargs)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", spawn_pool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        planted_corpus, _ = planted
+        # a value no utterance surfaces, filled in by an override
+        unplaced = Dialog("unplaced", (Turn(0, Speaker.USER, "somewhere my wife likes",
+                                            DialogState({("test", "venue"): ("blue door",)})),))
+        corpus = Corpus(planted_corpus.dataset_kind, planted_corpus.split,
+                        planted_corpus.dialogs + (unplaced,))
+        overrides = {("unplaced", 0, "test", "venue"): analysis.Override(
+            3, MatchCategory.OTHER, ContextClass.USER_KNOWLEDGE)}
+        serial = analyze_corpus(corpus, lexicon, overrides, workers=1)
+        assert serial != analyze_corpus(corpus, lexicon, workers=1)
+        assert analyze_corpus(corpus, lexicon, overrides, workers=2) == serial
 
     def test_normalization_denominator_is_tracked_turns(self, planted, lexicon):
         corpus, _ = planted
@@ -410,7 +460,6 @@ class TestRecount:
     def test_mixed_turns(self, lexicon):
         # a typo two edits away, two categories in one turn, a dropped slot,
         # overrides with two context classes and an unresolved slot
-        from dialoscope.corpus import Corpus, Dialog, DialogState, Speaker, Turn
 
         def user(i, text, slots):
             return Turn(i, Speaker.USER, text, state=DialogState(

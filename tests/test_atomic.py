@@ -42,6 +42,27 @@ def test_texts_replace_no_target_until_every_one_is_written(tmp_path):
     assert list(tmp_path.iterdir()) == [first]
 
 
+def test_texts_onto_a_directory_replace_no_target(tmp_path):
+    first = tmp_path / "report.json"
+    first.write_text("old\n", "utf-8")
+    directory = tmp_path / "report.md"
+    directory.mkdir()
+    with pytest.raises(IsADirectoryError, match="report.md'$") as info:
+        write_texts([(first, "new\n"), (directory, "new\n")])
+    assert info.value.filename == str(directory)
+    assert first.read_text("utf-8") == "old\n"
+    assert sorted(tmp_path.iterdir()) == [first, directory]
+    assert list(directory.iterdir()) == []
+
+
+def test_a_link_to_a_directory_is_replaced(tmp_path):
+    (tmp_path / "dir").mkdir()
+    link = tmp_path / "report.md"
+    link.symlink_to("dir")
+    write_text(link, "new\n")
+    assert not link.is_symlink() and link.read_text("utf-8") == "new\n"
+
+
 def test_texts_to_one_path_leave_the_last(tmp_path):
     out = tmp_path / "report.md"
     write_texts([(out, "first\n"), (out, "second\n")])

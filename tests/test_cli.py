@@ -1,9 +1,13 @@
 import gc
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dialoscope
 from dialoscope import corpus
 from dialoscope.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from dialoscope.lispress import MAX_DEPTH
@@ -57,6 +61,43 @@ class TestAnalyze:
         assert [p.name for p in out_dir.iterdir()] == ([] if old is None else ["r.json"])
         if old is not None:
             assert out_json.read_text("utf-8") == old
+
+    def test_directory_target_leaves_every_output_as_it_was(self, capsys, mwz_path,
+                                                            tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_json = out_dir / "r.json"
+        out_json.write_text("old report\n", "utf-8")
+        out_md = out_dir / "d"
+        out_md.mkdir()
+        code, _, err = run(capsys, "analyze", "--dataset", "multiwoz",
+                           "--path", str(mwz_path), "--out", str(out_json),
+                           "--markdown", str(out_md))
+        assert code == EXIT_FAILURE
+        assert err == f"error: [Errno 21] Is a directory: '{out_md}'\n"
+        assert out_json.read_text("utf-8") == "old report\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["d", "r.json"]
+        assert list(out_md.iterdir()) == []
+
+    def test_worker_warnings_reach_stderr(self, capfd, mwz_path, tmp_path):
+        # a fresh process, as a user runs it: under pytest the root logger
+        # has handlers, so a warning would not reach stderr in-process
+        ov = tmp_path / "ov.tsv"
+        ov.write_text("MUL0635.json\t10\ttrain\tarriveby\t9\t-\tsituational\n", "utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(dialoscope.__file__).parents[1]))
+        reports = []
+        for workers in ("1", "2"):
+            out_json = tmp_path / f"r{workers}.json"
+            code = subprocess.call(
+                [sys.executable, "-m", "dialoscope.cli", "analyze", "--dataset", "multiwoz",
+                 "--path", str(mwz_path), "--overrides", str(ov), "--out", str(out_json),
+                 "--workers", workers], env=env)
+            err = capfd.readouterr().err
+            assert code == EXIT_OK
+            assert err == ("override for resolved slot "
+                           "('MUL0635.json', 10, 'train', 'arriveby') ignored\n")
+            reports.append(out_json.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_overrides_flag(self, capsys, mwz_path, tmp_path):
         ov = tmp_path / "ov.tsv"

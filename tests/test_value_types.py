@@ -99,7 +99,7 @@ class TestValueSemantics:
 
     def test_pickled_dialog_keeps_a_shared_state_shared(self):
         # SGD turns whose frames changed nothing share one state; this is
-        # what the analyze pool sends its workers
+        # what a spawned analyze pool sends each worker
         dialog = Dialog("d", (Turn(0, Speaker.USER, "north", STATE),
                               Turn(1, Speaker.AGENT, "ok"),
                               Turn(2, Speaker.USER, "yes", STATE)), ("hotels",))
