@@ -7,7 +7,7 @@ predictions (JGA and Lispress exact match).
 """
 from .corpus import (Corpus, Dialog, DialogState, DatasetKind, Speaker,
                      StateUpdate, Turn, apply_update, load_multiwoz, load_sgd,
-                     load_smcalflow, state_update, validate_corpus)
+                     load_smcalflow, state_update)
 from .analysis import (ContextClass, SlotTrace, TurnAnalysis, analyze_corpus,
                        apply_overrides, histogram, trace_turn)
 from .normalize import (Lexicon, MatchCategory, MatchResult, default_lexicon,

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .corpus import (Corpus, DatasetKind, Dialog, Speaker, canonical_slot, gold_program_error,
-                     state_update, text_lines)
-from .lispress import LispressError, call_heads, parse
+from .corpus import Corpus, DatasetKind, Dialog, Speaker, canonical_slot, state_update, text_lines
+from .lispress import call_heads
 from .normalize import Lexicon, MatchCategory, MatchResult, match_in_text
 
 log = logging.getLogger(__name__)
@@ -246,11 +245,7 @@ def _tally_program_dialog(dialog: Dialog) -> Counter:
     tally: Counter = Counter()
     for turn in dialog.user_turns():
         tally["user_turns"] += 1
-        try:
-            program = parse(turn.program)
-        except LispressError as exc:
-            raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
-        heads = call_heads(program)
+        heads = call_heads(turn.tree)
         tally.update(name for name in ("refer", "revise") if name in heads)
     return tally
 

@@ -2,9 +2,9 @@
 
 All three datasets are loaded into the same Corpus/Dialog/Turn shape:
 user turns carry either a cumulative slot-value DialogState (MultiWOZ,
-SGD) or a Lispress program source (SMCalFlow). Values are kept verbatim
-from the source files; only slot *names* are canonicalized at load time
-via a versioned mapping table.
+SGD) or a Lispress program, as source text and parsed tree (SMCalFlow).
+Values are kept verbatim from the source files; only slot *names* are
+canonicalized at load time via a versioned mapping table.
 """
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+
+from . import lispress
 
 DONTCARE = "dontcare"
 _ABSENT_VALUES = {"", "none", "not mentioned"}
@@ -137,7 +139,8 @@ class Turn:
     speaker: Speaker
     utterance: str
     state: Optional[DialogState] = None
-    program: Optional[str] = None
+    program: Optional[str] = None  # SMCalFlow: the gold program's source text
+    tree: Optional[lispress.Node] = None  # and its parsed tree
     flags: FrozenSet[str] = frozenset()
 
 
@@ -273,12 +276,8 @@ def _where(path, dialog_id=None, turn=None) -> str:
     return where
 
 
-_KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
-
-
-def gold_program_error(dialog_id: str, turn_index: int, exc: Exception) -> ParseError:
-    """The error for a user turn whose gold Lispress program does not parse."""
-    return ParseError(f"dialog {dialog_id}, turn {turn_index}: gold program does not parse: {exc}")
+_KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string",
+               bool: "a JSON boolean"}
 
 
 def _type_error(what: str, kind, value, path, dialog_id=None, turn=None) -> ParseError:
@@ -599,9 +598,9 @@ def load_sgd(path, split: str = "test") -> Corpus:
 def load_smcalflow(path, split: str = "train") -> Corpus:
     """Load a line-delimited SMCalFlow dialog file.
 
-    Each source exchange becomes a user turn (with its Lispress program)
-    followed by the agent's reply; a trailing empty agent reply is dropped
-    so dialogs may end on a user turn.
+    Each source exchange becomes a user turn (with its Lispress program,
+    parsed once here) followed by the agent's reply; a trailing empty agent
+    reply is dropped so dialogs may end on a user turn.
     """
     dialogs: Dict[str, Dialog] = {}
     for lineno, raw in json_lines(path, ParseError):
@@ -617,13 +616,21 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
             if program is None:
                 raise StructuralError(f"{_where(line_path, dialog_id, k)}: missing a program")
             _check(program, str, "lispress", line_path, dialog_id, k)
-            flags = set()
             oracle = _check(t.get("program_execution_oracle", {}), dict,
                             "program_execution_oracle", line_path, dialog_id, k)
-            if oracle.get("refer_are_incorrect") or t.get("refer_are_incorrect"):
-                flags.add("refer_are_incorrect")
-            turns.append(Turn(len(turns), Speaker.USER, user_text,
-                              program=program, flags=frozenset(flags)))
+            # errors from here on name the turn index records and predictions use
+            flagged = False
+            for source, what in ((t, "refer_are_incorrect"),
+                                 (oracle, "program_execution_oracle.refer_are_incorrect")):
+                flagged |= _check(source.get("refer_are_incorrect", False), bool,
+                                  what, line_path, dialog_id, len(turns))
+            try:
+                tree = lispress.parse(program)
+            except lispress.LispressError as exc:
+                raise ParseError(f"{_where(line_path, dialog_id, len(turns))}: "
+                                 f"gold program does not parse: {exc}") from exc
+            turns.append(Turn(len(turns), Speaker.USER, user_text, program=program, tree=tree,
+                              flags=frozenset({"refer_are_incorrect"} if flagged else ())))
             agent_text = _utt_text(t.get("agent_utterance"), line_path, dialog_id, k)
             if agent_text or k + 1 < len(source_turns):
                 turns.append(Turn(len(turns), Speaker.AGENT, agent_text))
@@ -644,24 +651,8 @@ def _utt_text(utt, path, dialog_id, turn) -> str:
     return _check(utt.get("original_text", ""), str, "original_text", path, dialog_id, turn)
 
 
-# ---------------------------------------------------------------------------
-# structural validation (used by the CLI validate subcommand)
-# ---------------------------------------------------------------------------
-
 def validate_corpus(corpus: Corpus) -> List[str]:
-    """Human-readable violations of the one invariant a loaded corpus can
-    still break (empty = clean): an SMCalFlow gold program that does not
-    parse, in the words `analyze`, `linearize` and `eval` stop with. Every
-    other check is the loader's."""
-    from . import lispress
-
-    violations = []
-    if corpus.dataset_kind is not DatasetKind.SMCALFLOW:
-        return violations
-    for dialog in corpus.dialogs:
-        for turn in dialog.user_turns():
-            try:
-                lispress.parse(turn.program)
-            except lispress.LispressError as exc:
-                violations.append(str(gold_program_error(dialog.dialog_id, turn.index, exc)))
-    return violations
+    """The violations a loaded corpus holds: none, since every check,
+    including that each SMCalFlow gold program parses, is the loader's.
+    Kept for callers written against the earlier validation API."""
+    return []

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import lispress
 from .corpus import (Corpus, DatasetKind, DialogState, DONTCARE, EMPTY_STATE, Speaker,
-                     apply_update, gold_program_error, json_lines)
+                     apply_update, json_lines)
 from .linearize import TargetParseError, parse_target
 
 log = logging.getLogger(__name__)
@@ -215,9 +215,9 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
                       strict: bool = False) -> ScoreReport:
     """Per-turn Lispress exact match for SMCalFlow corpora.
 
-    A prediction that does not parse counts as unparseable and wrong, in
-    strict mode too. A gold program that does not parse raises, whether or
-    not its turn has a prediction. With honor_refer_flags, turns carrying
+    Each prediction is compared with the gold tree the loader parsed. A
+    prediction that does not parse counts as unparseable and wrong, in
+    strict mode too. With honor_refer_flags, turns carrying
     refer_are_incorrect score 0 no matter the prediction (the dataset
     authors' scorer semantics); such turns whose prediction was actually
     correct are tallied separately.
@@ -230,10 +230,6 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
         for dialog in corpus.dialogs:
             for turn in dialog.user_turns():
                 key = (dialog.dialog_id, turn.index)
-                try:
-                    gold = lispress.parse(turn.program)
-                except lispress.LispressError as exc:
-                    raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
                 if key not in predictions:
                     yield key, False
                     continue
@@ -244,7 +240,7 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
                     continue
                 # parse(print_canonical(t)) == t for every parsed tree, so
                 # equal trees are exactly equal canonical prints
-                correct = predictions[key] == turn.program if strict else pred == gold
+                correct = predictions[key] == turn.program if strict else pred == turn.tree
                 if correct and honor_refer_flags and "refer_are_incorrect" in turn.flags:
                     report.correct_but_flagged += 1
                     correct = False

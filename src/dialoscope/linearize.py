@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from . import lispress
 from .atomic import write_atomically
 from .corpus import (Corpus, DatasetKind, Dialog, DialogState, DONTCARE, EMPTY_STATE,
-                     Speaker, StateUpdate, Turn, gold_program_error, state_update)
+                     Speaker, StateUpdate, Turn, state_update)
 
 
 class InputRepresentation(str, Enum):
@@ -56,12 +56,10 @@ def linearize_target(update) -> str:
     Frame updates: sorted `domain:slot=value` entries; a relaxation to
     "dontcare" emits that literal and a dropped slot emits value "none"
     (the scripts' absent-marker), so accumulation can replay relaxations.
-    SMCalFlow: the Lispress program, canonically printed.
+    SMCalFlow: the parsed Lispress program, canonically printed.
     """
-    if isinstance(update, str):
-        return lispress.print_canonical(lispress.parse(update))
     if not isinstance(update, StateUpdate):
-        raise TypeError(f"expected StateUpdate or program text, got {type(update)}")
+        return lispress.print_canonical(update)  # a TypeError if not a parsed program
     entries = [(dom, slot, vals[0]) for dom, slot, vals in update.added_or_changed]
     entries += [(dom, slot, DONTCARE) for dom, slot in update.dontcared]
     entries += [(dom, slot, "none") for dom, slot in update.dropped]
@@ -162,13 +160,8 @@ def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetK
             continue
         inp = linearize_input(dialog, turn.index, repr, kind, schemas,
                               previous_state=shown, history=history)
-        if kind is DatasetKind.SMCALFLOW:
-            try:
-                target = linearize_target(turn.program)
-            except lispress.LispressError as exc:
-                raise gold_program_error(dialog.dialog_id, turn.index, exc) from exc
-        else:
-            target = linearize_target(state_update(prev_gold, turn.state))
+        target = linearize_target(turn.tree if kind is DatasetKind.SMCALFLOW
+                                  else state_update(prev_gold, turn.state))
         if turn.state is not None:
             prev_gold = turn.state
         shown = (prev_gold if predicted_states is None else

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import dialoscope
-from dialoscope import corpus
+from dialoscope import cli, corpus
 from dialoscope.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from dialoscope.corpus import DatasetKind
 from dialoscope.lispress import MAX_DEPTH
 from conftest import SGD_SCHEMA
 from test_corpus import MALFORMED, write_layout
@@ -152,18 +153,6 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert "nothing to predict" in out
 
-    def test_unparseable_gold_program_exits_one(self, capsys, smcalflow_raw, tmp_path):
-        smcalflow_raw[0]["turns"][1]["lispress"] = "(Yield (foo"
-        source = tmp_path / "calflow.jsonl"
-        source.write_text("\n".join(json.dumps(d) for d in smcalflow_raw), "utf-8")
-        out = tmp_path / "report.json"
-        code, _, err = run(capsys, "analyze", "--dataset", "smcalflow", "--path", str(source),
-                           "--out", str(out))
-        assert code == EXIT_FAILURE
-        assert err == ("error: dialog calflow-0, turn 2: gold program does not parse: "
-                       "unbalanced '(' (at character offset 7)\n")
-        assert not out.exists()
-
 
 class TestLinearize:
     def test_emit(self, capsys, mwz_path, tmp_path):
@@ -193,7 +182,7 @@ class TestLinearize:
         code, _, err = run(capsys, "linearize", "--dataset", "smcalflow",
                            "--path", str(source), "--repr", "full", "--out", str(out))
         assert code == EXIT_FAILURE
-        assert "dialog calflow-0, turn 2" in err
+        assert f"{source}:1: dialog calflow-0, turn 2" in err
         assert not out.exists()
         assert list(tmp_path.iterdir()) == [source]
 
@@ -206,8 +195,8 @@ class TestLinearize:
         code, stdout, err = run(capsys, "linearize", "--dataset", "smcalflow",
                                 "--path", str(source), "--repr", "user", "--out", str(out))
         assert (code, stdout) == (EXIT_FAILURE, "")
-        assert err == ("error: dialog calflow-0, turn 0: gold program does not parse: "
-                       "empty input (at character offset 0)\n")
+        assert err == (f"error: {source}:1: dialog calflow-0, turn 0: "
+                       "gold program does not parse: empty input (at character offset 0)\n")
         assert not out.exists()
         assert run(capsys, "analyze", "--dataset", "smcalflow",
                    "--path", str(source)) == (EXIT_FAILURE, "", err)
@@ -282,7 +271,7 @@ class TestEval:
                            "--preds", str(preds), "--mode", "exact-match",
                            "--out", str(out))
         assert code == EXIT_FAILURE
-        assert "error: dialog calflow-0, turn 2: gold program does not parse" in err
+        assert f"error: {source}:1: dialog calflow-0, turn 2: gold program does not parse" in err
         assert err.count("character offset") == 1
         assert "Traceback" not in err
         assert not out.exists()
@@ -338,16 +327,6 @@ class TestValidate:
                            "--path", str(mwz_path))
         assert code == EXIT_OK
         assert "no violations" in out
-
-    def test_corrupt_smcalflow_program(self, capsys, tmp_path):
-        p = tmp_path / "bad.jsonl"
-        p.write_text(json.dumps({"dialogue_id": "d", "turns": [
-            {"user_utterance": {"original_text": "hi"},
-             "lispress": "(unbalanced"}]}) + "\n", "utf-8")
-        code, out, _ = run(capsys, "validate", "--dataset", "smcalflow",
-                           "--path", str(p))
-        assert code == EXIT_FAILURE
-        assert "violation" in out
 
     def test_duplicate_sgd_dialog_id(self, capsys, tmp_path, sgd_raw):
         # the same dialog in two dialogues files of one split
@@ -453,8 +432,9 @@ class TestDeepNesting:
         code, _, err = run(capsys, command, "--dataset", "smcalflow",
                            "--path", str(tmp_path / "c.jsonl"), *extra)
         assert code == EXIT_FAILURE
-        assert err == ("error: dialog calflow-0, turn 2: gold program does not parse: "
-                       f"nesting deeper than {MAX_DEPTH} (at character offset {MAX_DEPTH})\n")
+        assert err == (f"error: {tmp_path / 'c.jsonl'}:1: dialog calflow-0, turn 2: gold program "
+                       f"does not parse: nesting deeper than {MAX_DEPTH} "
+                       f"(at character offset {MAX_DEPTH})\n")
         assert not (tmp_path / "out.jsonl").exists()
 
     def test_unparseable_gold_program_without_prediction_exits_one(self, capsys,
@@ -470,16 +450,8 @@ class TestDeepNesting:
                              "--mode", "exact-match")
         assert code == EXIT_FAILURE
         assert out == ""
-        assert err.startswith("error: dialog calflow-0, turn 0: gold program does not parse: ")
-
-    def test_deep_gold_program_is_a_violation(self, capsys, smcalflow_raw, tmp_path):
-        smcalflow_raw[0]["turns"][1]["lispress"] = self.DEEP
-        write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
-        code, out, _ = run(capsys, "validate", "--dataset", "smcalflow",
-                           "--path", str(tmp_path / "c.jsonl"))
-        assert code == EXIT_FAILURE
-        assert out.startswith(
-            "dialog calflow-0, turn 2: gold program does not parse: nesting deeper than")
+        assert err.startswith(f"error: {tmp_path / 'c.jsonl'}:1: dialog calflow-0, turn 0: "
+                              "gold program does not parse: ")
 
     @pytest.mark.parametrize("program", ["(Yield (Foo", DEEP])
     def test_validate_words_a_bad_gold_program_as_analyze_does(self, capsys, smcalflow_raw,
@@ -487,13 +459,11 @@ class TestDeepNesting:
         smcalflow_raw[0]["turns"][1]["lispress"] = program
         write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
         path = ["--dataset", "smcalflow", "--path", str(tmp_path / "c.jsonl")]
-        code, out, _ = run(capsys, "validate", *path)
-        assert code == EXIT_FAILURE
-        violation, summary = out.splitlines()
-        assert summary == "1 violation(s)"
-        code, _, err = run(capsys, "analyze", *path)
-        assert code == EXIT_FAILURE
-        assert err == f"error: {violation}\n"
+        code, out, err = run(capsys, "validate", *path)
+        assert (code, out) == (EXIT_FAILURE, "")
+        assert err.startswith(f"error: {tmp_path / 'c.jsonl'}:1: dialog calflow-0, turn 2: "
+                              "gold program does not parse: ")
+        assert run(capsys, "analyze", *path) == (EXIT_FAILURE, "", err)
 
     def test_program_at_the_bound_parses_and_prints(self, capsys, smcalflow_raw, tmp_path):
         smcalflow_raw[0]["turns"][1]["lispress"] = self.AT_BOUND
@@ -515,6 +485,45 @@ class TestDeepNesting:
         assert code == EXIT_OK
         assert "accuracy                1.0000" in stdout
         assert run(capsys, "analyze", "--dataset", "smcalflow", "--path", str(source))[0] == EXIT_OK
+
+
+class TestBadGoldProgram:
+    """A gold program that does not parse is a load error: every command
+    stops on it with one line naming the file, line, dialog and turn, and
+    replaces no output."""
+
+    @pytest.mark.parametrize("command", ["analyze", "linearize", "eval", "validate", "inspect"])
+    @pytest.mark.parametrize("program,reason", [
+        ("(Yield (foo", "unbalanced '(' (at character offset 7)"),
+        ("", "empty input (at character offset 0)"),
+        ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+         f"nesting deeper than {MAX_DEPTH} (at character offset {MAX_DEPTH})"),
+    ], ids=["unbalanced", "empty", "deep"])
+    def test_every_command_stops_on_it(self, capsys, smcalflow_raw, tmp_path, command,
+                                       program, reason):
+        smcalflow_raw[0]["turns"][1]["lispress"] = program
+        source = tmp_path / "c.jsonl"
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"dialogue_id": "calflow-0", "turn_index": 2,
+                                     "prediction": "(x)"}) + "\n", "utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "old").write_text("old output\n", "utf-8")
+        out = ["--out", str(out_dir / "old")]
+        extra = {"analyze": [*out, "--markdown", str(out_dir / "r.md"),
+                             "--histogram", str(out_dir / "r.csv")],
+                 "linearize": ["--repr", "user", *out],
+                 "eval": ["--preds", str(preds), "--mode", "exact-match", *out],
+                 "validate": [],
+                 "inspect": ["calflow-1"]}[command]
+        code, stdout, err = run(capsys, command, "--dataset", "smcalflow",
+                                "--path", str(source), *extra)
+        assert (code, stdout) == (EXIT_FAILURE, "")
+        assert err == (f"error: {source}:1: dialog calflow-0, turn 2: "
+                       f"gold program does not parse: {reason}\n")
+        assert [p.name for p in out_dir.iterdir()] == ["old"]
+        assert (out_dir / "old").read_text("utf-8") == "old output\n"
 
 
 class TestLongIntegers:
@@ -611,9 +620,9 @@ class TestCollector:
                                          monkeypatch):
         mwz = ["--dataset", "multiwoz", "--path", str(mwz_path)]
         during = []
-        validate = corpus.validate_corpus
-        monkeypatch.setattr(corpus, "validate_corpus",
-                            lambda corp: during.append(gc.isenabled()) or validate(corp))
+        load = cli._LOADERS[DatasetKind.MULTIWOZ]
+        monkeypatch.setitem(cli._LOADERS, DatasetKind.MULTIWOZ,
+                            lambda *args: during.append(gc.isenabled()) or load(*args))
         assert main(["validate", *mwz]) == EXIT_OK
         assert during == [False]
         assert gc.isenabled() is collector

@@ -5,11 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dialoscope import lispress
 from dialoscope.corpus import (Corpus, CorpusError, Dialog, DialogState, DatasetKind,
-                               LoadError, Speaker, StructuralError, Turn, _check,
+                               LoadError, ParseError, Speaker, StructuralError, Turn, _check,
                                _parse_multiwoz_state, _sgd_dialog, _type_error, _where,
                                apply_update, canonical_slot, load_multiwoz, load_sgd,
-                               load_smcalflow, state_update, validate_corpus)
+                               load_smcalflow, state_update)
 from conftest import SGD_SCHEMA, mwz_dialog, sgd_turn, sgd_user_frame
 
 
@@ -190,8 +191,29 @@ class TestLoadSmcalflow:
         users = d0.user_turns()
         assert len(users) == 3
         assert all(t.program for t in users)
+        assert users[0].tree == lispress.parse("(Yield :output (Today))")
         assert "refer_are_incorrect" in users[1].flags
         assert "refer_are_incorrect" not in users[0].flags
+
+    def test_gold_program_that_does_not_parse(self, tmp_path, smcalflow_raw):
+        # the turn is the turn_index of records and predictions: exchange 1 is turn 2
+        smcalflow_raw[1]["turns"] = smcalflow_raw[0]["turns"][:2]
+        smcalflow_raw[1]["turns"][1] = {**smcalflow_raw[1]["turns"][1], "lispress": "(a b"}
+        p = tmp_path / "c.jsonl"
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
+        with pytest.raises(ParseError) as exc:
+            load_smcalflow(p)
+        assert str(exc.value) == (f"{p}:2: dialog calflow-1, turn 2: gold program does not "
+                                  "parse: unbalanced '(' (at character offset 0)")
+        assert exc.value.__cause__.offset == 0
+
+    def test_refer_flag_at_the_turn(self, tmp_path, smcalflow_raw):
+        # the fixture flags turn 2 under program_execution_oracle
+        smcalflow_raw[0]["turns"][0]["refer_are_incorrect"] = True
+        smcalflow_raw[0]["turns"][1]["refer_are_incorrect"] = False
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
+        users = load_smcalflow(tmp_path / "c.jsonl").dialogs[0].user_turns()
+        assert [sorted(t.flags) for t in users] == [["refer_are_incorrect"]] * 2 + [[]]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.jsonl"
@@ -225,9 +247,13 @@ class TestLoadSmcalflow:
 
 class TestValidate:
     def test_clean_fixtures(self, mwz_path, sgd_path, smcalflow_path):
-        assert validate_corpus(load_multiwoz(mwz_path)) == []
-        assert validate_corpus(load_sgd(sgd_path, "test")) == []
-        assert validate_corpus(load_smcalflow(smcalflow_path)) == []
+        # what `validate` reports: each fixture loads, with every user turn
+        # holding its state or its gold program's tree
+        for corpus in (load_multiwoz(mwz_path), load_sgd(sgd_path, "test")):
+            assert all(t.state is not None for d in corpus.dialogs for t in d.user_turns())
+        corpus = load_smcalflow(smcalflow_path)
+        assert all(t.tree == lispress.parse(t.program)
+                   for d in corpus.dialogs for t in d.user_turns())
 
     def test_accumulation_identity_holds_on_fixtures(self, mwz_path, sgd_path):
         from dialoscope.corpus import EMPTY_STATE
@@ -238,11 +264,6 @@ class TestValidate:
                     running = apply_update(running,
                                            state_update(running, turn.state))
                     assert running == turn.state
-
-    def test_broken_state_flagged(self, planted):
-        corpus, _ = planted
-        violations = validate_corpus(corpus)
-        assert violations == []
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +331,16 @@ MALFORMED = {
     "smc-lispress-not-string": ("smcalflow", {"c.jsonl": [
         {"dialogue_id": "C1", "turns": [_smc_turn(), _smc_turn(lispress=["x"])]}]},
         "c.jsonl", ["c.jsonl", "dialog C1", "turn 1", "lispress"]),
+    # a truthy string would flag the turn, and --honor-refer-flags score it 0
+    "smc-refer-flag-is-string": ("smcalflow", {"c.jsonl": [
+        {"dialogue_id": "C1", "turns": [_smc_turn(), _smc_turn(refer_are_incorrect="false")]}]},
+        "c.jsonl", ["c.jsonl:1", "dialog C1", "turn 2",
+                    "refer_are_incorrect must be a JSON boolean, got str"]),
+    "smc-oracle-refer-flag-is-number": ("smcalflow", {"c.jsonl": [
+        {"dialogue_id": "C1", "turns": [_smc_turn(program_execution_oracle={
+            "refer_are_incorrect": 0})]}]},
+        "c.jsonl", ["c.jsonl:1", "dialog C1", "turn 0",
+                    "program_execution_oracle.refer_are_incorrect must be a JSON boolean"]),
 }
 
 
@@ -431,8 +462,9 @@ def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
     deeper (a whole file at depth 1) replaced by a junk value: each load
     returns a Corpus or raises a CorpusError. In a returned Corpus, turn
     indexes are positions, speakers alternate starting with the user, every
-    user turn has a state (MultiWOZ, SGD) or a program (SMCalFlow), and
-    every state's alternates are non-empty and hold no duplicates."""
+    user turn has a state (MultiWOZ, SGD) or a program whose tree is its
+    parse (SMCalFlow), and every state's alternates are non-empty and hold
+    no duplicates."""
     paths = [p for p in _paths(files) if len(p) >= min_depth]
     variants = [files] + [_replaced(files, p, junk[k % len(junk)]) for k, p in enumerate(paths)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -449,7 +481,7 @@ def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
                     (Speaker.USER, Speaker.AGENT)[i % 2] for i in range(len(dialog.turns))]
                 for turn in dialog.user_turns():
                     if dataset == "smcalflow":
-                        assert turn.program is not None
+                        assert turn.tree == lispress.parse(turn.program)
                         continue
                     assert turn.state is not None
                     for vals in turn.state.slots.values():

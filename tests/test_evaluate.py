@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import evaluate, lispress
-from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState, ParseError,
-                               Turn, apply_update, load_multiwoz, load_sgd,
-                               load_smcalflow, state_update)
+from dialoscope.corpus import (DatasetKind, DialogState, ParseError, apply_update,
+                               load_multiwoz, load_sgd, load_smcalflow, state_update)
 from dialoscope.evaluate import (PredictionFileError, ScoreReport,
                                  accumulate_predicted_states,
                                  exact_match_score, jga, load_predictions,
@@ -255,19 +254,16 @@ class TestExactMatch:
         assert not verdicts[("calflow-0", 0)] and not verdicts[("calflow-1", 0)]
         assert report.correct == report.total - 2
 
-    def test_unparseable_gold_names_dialog_and_turn(self, smcalflow_path):
-        corpus = load_smcalflow(smcalflow_path)
-        dialog = corpus.dialogs[0]
-        broken = dialog.turns[2]
-        turns = list(dialog.turns)
-        turns[2] = Turn(broken.index, broken.speaker, broken.utterance,
-                        program="(Yield (foo")
-        corpus = Corpus(corpus.dataset_kind, corpus.split,
-                        (Dialog(dialog.dialog_id, tuple(turns)),))
+    def test_unparseable_gold_names_dialog_and_turn(self, smcalflow_raw, tmp_path):
+        # the loader parses each gold program, so no corpus reaches the scorer
+        # with one that does not parse
+        smcalflow_raw[0]["turns"][1]["lispress"] = "(Yield (foo"
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in smcalflow_raw), "utf-8")
         with pytest.raises(ParseError) as exc:
-            exact_match_score(corpus, {("calflow-0", 2): "(Yield (foo))"})
+            load_smcalflow(path)
         assert str(exc.value).startswith(
-            "dialog calflow-0, turn 2: gold program does not parse: ")
+            f"{path}:1: dialog calflow-0, turn 2: gold program does not parse: ")
         assert str(exc.value).count("character offset") == 1
 
 

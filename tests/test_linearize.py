@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dialoscope import linearize, lispress
 from dialoscope.corpus import (EMPTY_STATE, Corpus, DatasetKind, Dialog, DialogState,
-                               ParseError, Speaker, StateUpdate, Turn, load_multiwoz, load_sgd,
+                               Speaker, StateUpdate, Turn, load_multiwoz, load_sgd,
                                load_smcalflow, state_update)
 from dialoscope.linearize import (InputRepresentation, Seq2SeqRecord, TargetParseError,
                                   emit_dataset, linearize_input,
@@ -36,7 +37,7 @@ class TestTarget:
             "hotel:area=none, restaurant:pricerange=dontcare"
 
     def test_smcalflow_target_is_canonical(self):
-        assert linearize_target("( Yield  :output ( Today ) )") == \
+        assert linearize_target(lispress.parse("( Yield  :output ( Today ) )")) == \
             "(Yield :output (Today))"
 
     def test_parse_round_trip(self):
@@ -61,8 +62,10 @@ class TestTarget:
                 parse_target(twice)
 
     def test_bad_type(self):
-        with pytest.raises(TypeError):
-            linearize_target(42)
+        # program text too: a program is parsed once, by the loader
+        for update in (42, "(Yield :output (Today))"):
+            with pytest.raises(TypeError):
+                linearize_target(update)
 
 
 class TestState:
@@ -205,7 +208,7 @@ def reference_records(dialog, repr, kind, predicted_states=None, schemas=None):
                     break
         inp = linearize_input(dialog, turn.index, repr, kind, schemas, previous_state=previous)
         if kind is DatasetKind.SMCALFLOW:
-            target = linearize_target(turn.program)
+            target = lispress.print_canonical(lispress.parse(turn.program))
         else:
             target = linearize_target(
                 state_update(dialog.previous_user_state(turn.index), turn.state))
@@ -288,19 +291,25 @@ class TestEmitDataset:
         rec = json.loads(lines[0])
         assert set(rec) == {"dialogue_id", "turn_index", "input", "target"}
 
-    def test_failure_leaves_the_old_output(self, smcalflow_raw, tmp_path):
-        # the second dialog's gold program does not parse, so the first
-        # dialog's records are already written when the error comes
-        smcalflow_raw[1]["turns"][0]["lispress"] = "(Yield ("
-        source = tmp_path / "calflow.jsonl"
-        source.write_text("\n".join(json.dumps(d) for d in smcalflow_raw), "utf-8")
+    def test_failure_leaves_the_old_output(self, smcalflow_path, tmp_path, monkeypatch):
+        # the second dialog fails, so the first dialog's records are already
+        # written when the error comes
+        corpus = load_smcalflow(smcalflow_path)
+        linearized = []
+
+        def records(dialog, *args):
+            if dialog is corpus.dialogs[1]:
+                raise ValueError(f"dialog {dialog.dialog_id} fails")
+            linearized.append(dialog.dialog_id)
+            return records_for_dialog(dialog, *args)
+        monkeypatch.setattr(linearize, "records_for_dialog", records)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         out = out_dir / "records.jsonl"
         out.write_text("old records\n", "utf-8")
-        with pytest.raises(ParseError, match="dialog calflow-1, turn 0"):
-            emit_dataset(load_smcalflow(source), InputRepresentation.FULL_DIALOG_HISTORY,
-                         out)
+        with pytest.raises(ValueError, match="dialog calflow-1 fails"):
+            emit_dataset(corpus, InputRepresentation.FULL_DIALOG_HISTORY, out)
+        assert linearized == ["calflow-0"]
         assert out.read_text("utf-8") == "old records\n"
         assert [p.name for p in out_dir.iterdir()] == ["records.jsonl"]
 

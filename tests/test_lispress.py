@@ -1,11 +1,14 @@
+import json
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import lispress
-from dialoscope.corpus import Corpus, DatasetKind, Dialog, ParseError, Speaker, Turn
+from dialoscope.corpus import ParseError, load_smcalflow
 from dialoscope.evaluate import exact_match_score
 from dialoscope.lispress import (MAX_DEPTH, LispressError, List, Number, StringLit, Symbol,
                                  TypedLiteral, call_heads, parse, print_canonical)
@@ -13,9 +16,12 @@ from dialoscope.lispress import (MAX_DEPTH, LispressError, List, Number, StringL
 
 def scored_correct(pred: str, gold: str, strict: bool = False) -> bool:
     """Whether `exact_match_score` counts `pred` correct on a one-turn
-    SMCalFlow corpus whose gold program is `gold`."""
-    corpus = Corpus(DatasetKind.SMCALFLOW, "t",
-                    (Dialog("d", (Turn(0, Speaker.USER, "u", program=gold),)),))
+    SMCalFlow file, `d.jsonl`, whose gold program is `gold`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        path.write_text(json.dumps({"dialogue_id": "d", "turns": [
+            {"user_utterance": "u", "lispress": gold}]}) + "\n", "utf-8")
+        corpus = load_smcalflow(path)
     return exact_match_score(corpus, {("d", 0): pred}, strict=strict).correct == 1
 
 
@@ -279,8 +285,8 @@ class TestExactMatch:
     def test_gold_error_names_one_offset(self):
         with pytest.raises(ParseError) as exc:
             scored_correct("(a)", "(Yield (foo")
-        assert str(exc.value) == ("dialog d, turn 0: gold program does not parse: "
-                                  "unbalanced '(' (at character offset 7)")
+        assert str(exc.value).endswith("d.jsonl:1: dialog d, turn 0: gold program does not "
+                                       "parse: unbalanced '(' (at character offset 7)")
         assert exc.value.__cause__.offset == 7
 
     def test_strict_mode(self):

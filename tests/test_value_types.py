@@ -27,7 +27,8 @@ def examples():
         corpus.StateUpdate: lambda last: StateUpdate(
             frozenset({("hotel", "area", ("north",))}), frozenset({("hotel", "name")}),
             frozenset({last})),
-        corpus.Turn: lambda last: Turn(0, Speaker.USER, "hi", None, "(f)", frozenset({last})),
+        corpus.Turn: lambda last: Turn(0, Speaker.USER, "hi", None, "(f)",
+                                       lispress.parse("(f)"), frozenset({last})),
         corpus.Dialog: lambda last: Dialog("d", (Turn(1, Speaker.AGENT, "ok"),), (last,)),
         normalize.Variant: lambda last: normalize.Variant(
             "four", MatchCategory.ENTITY_RECOGNITION, EntityKind(last)),
@@ -122,8 +123,8 @@ class TestValueSemantics:
 # ---------------------------------------------------------------------------
 
 def snapshot(corp, trees):
-    """Every turn field, each state's entries and each parsed program's
-    print, as values that a later change to the corpus cannot reach."""
+    """Every turn field, each state's entries and the print of each of
+    `trees`, as values that a later change to the corpus cannot reach."""
     return ([(d.dialog_id, d.services,
               [(t.index, t.speaker, t.utterance, t.program, t.flags,
                 None if t.state is None else list(t.state.slots.items()))
@@ -171,8 +172,8 @@ def run_everything(corp, out_dir):
 
 class TestCorpusIsNotMutated:
     def _check(self, corp, out_dir):
-        trees = [lispress.parse(t.program) for d in corp.dialogs for t in d.user_turns()
-                 if t.program is not None]
+        # the loaded trees themselves: every call on the corpus shares them
+        trees = [t.tree for d in corp.dialogs for t in d.user_turns() if t.tree is not None]
         before = snapshot(corp, trees)
         run_everything(corp, out_dir)
         assert snapshot(corp, trees) == before
