@@ -245,7 +245,7 @@ def _tally_program_dialog(dialog: Dialog) -> Counter:
     tally: Counter = Counter()
     for turn in dialog.user_turns():
         tally["user_turns"] += 1
-        heads = call_heads(turn.tree)
+        heads = call_heads(dialog.gold_tree(turn))
         tally.update(name for name in ("refer", "revise") if name in heads)
     return tally
 

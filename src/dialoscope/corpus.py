@@ -160,6 +160,13 @@ class Dialog:
                 return t.state
         return EMPTY_STATE
 
+    def gold_tree(self, turn: Turn) -> lispress.Node:
+        """An SMCalFlow user turn's parsed gold program; a ValueError for a
+        turn without one, such as a hand-built turn with only `program`."""
+        if turn.tree is None:
+            raise ValueError(f"dialog {self.dialog_id}, turn {turn.index}: no parsed gold program")
+        return turn.tree
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -610,30 +617,30 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
         turns: List[Turn] = []
         source_turns = _check(raw.get("turns", []), list, "turns", line_path, dialog_id)
         for k, t in enumerate(source_turns):
-            _check(t, dict, "turn", line_path, dialog_id, k)
-            user_text = _utt_text(t.get("user_utterance"), line_path, dialog_id, k)
+            user = len(turns)  # the turn_index records and predictions use
+            _check(t, dict, "turn", line_path, dialog_id, user)
+            user_text = _utt_text(t.get("user_utterance"), line_path, dialog_id, user)
             program = t.get("lispress")
             if program is None:
-                raise StructuralError(f"{_where(line_path, dialog_id, k)}: missing a program")
-            _check(program, str, "lispress", line_path, dialog_id, k)
+                raise StructuralError(f"{_where(line_path, dialog_id, user)}: missing a program")
+            _check(program, str, "lispress", line_path, dialog_id, user)
             oracle = _check(t.get("program_execution_oracle", {}), dict,
-                            "program_execution_oracle", line_path, dialog_id, k)
-            # errors from here on name the turn index records and predictions use
+                            "program_execution_oracle", line_path, dialog_id, user)
             flagged = False
             for source, what in ((t, "refer_are_incorrect"),
                                  (oracle, "program_execution_oracle.refer_are_incorrect")):
                 flagged |= _check(source.get("refer_are_incorrect", False), bool,
-                                  what, line_path, dialog_id, len(turns))
+                                  what, line_path, dialog_id, user)
             try:
                 tree = lispress.parse(program)
             except lispress.LispressError as exc:
-                raise ParseError(f"{_where(line_path, dialog_id, len(turns))}: "
+                raise ParseError(f"{_where(line_path, dialog_id, user)}: "
                                  f"gold program does not parse: {exc}") from exc
-            turns.append(Turn(len(turns), Speaker.USER, user_text, program=program, tree=tree,
+            turns.append(Turn(user, Speaker.USER, user_text, program=program, tree=tree,
                               flags=frozenset({"refer_are_incorrect"} if flagged else ())))
-            agent_text = _utt_text(t.get("agent_utterance"), line_path, dialog_id, k)
+            agent_text = _utt_text(t.get("agent_utterance"), line_path, dialog_id, user + 1)
             if agent_text or k + 1 < len(source_turns):
-                turns.append(Turn(len(turns), Speaker.AGENT, agent_text))
+                turns.append(Turn(user + 1, Speaker.AGENT, agent_text))
         if not turns:
             raise StructuralError(f"{_where(line_path, dialog_id)}: empty dialog")
         _add_dialog(dialogs, Dialog(dialog_id, tuple(turns)), line_path)

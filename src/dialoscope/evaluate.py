@@ -230,6 +230,7 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
         for dialog in corpus.dialogs:
             for turn in dialog.user_turns():
                 key = (dialog.dialog_id, turn.index)
+                gold = dialog.gold_tree(turn)
                 if key not in predictions:
                     yield key, False
                     continue
@@ -240,7 +241,7 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
                     continue
                 # parse(print_canonical(t)) == t for every parsed tree, so
                 # equal trees are exactly equal canonical prints
-                correct = predictions[key] == turn.program if strict else pred == turn.tree
+                correct = predictions[key] == turn.program if strict else pred == gold
                 if correct and honor_refer_flags and "refer_are_incorrect" in turn.flags:
                     report.correct_but_flagged += 1
                     correct = False

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from . import lispress
 from .atomic import write_atomically
 from .corpus import (Corpus, DatasetKind, Dialog, DialogState, DONTCARE, EMPTY_STATE,
-                     Speaker, StateUpdate, Turn, state_update)
+                     Speaker, StateUpdate, state_update)
 
 
 class InputRepresentation(str, Enum):
@@ -44,10 +44,14 @@ class TargetParseError(ValueError):
     pass
 
 
+def _join_entries(entries) -> str:
+    """(domain, slot, value) entries as sorted, comma-joined `domain:slot=value`."""
+    return ", ".join(f"{dom}:{slot}={val}" for dom, slot, val in sorted(entries))
+
+
 def linearize_state(state: DialogState) -> str:
     """Cumulative state in the same syntax as targets (first alternate)."""
-    entries = sorted((dom, slot, vals[0]) for (dom, slot), vals in state.slots.items())
-    return ", ".join(f"{dom}:{slot}={val}" for dom, slot, val in entries)
+    return _join_entries((dom, slot, vals[0]) for (dom, slot), vals in state.slots.items())
 
 
 def linearize_target(update) -> str:
@@ -63,8 +67,7 @@ def linearize_target(update) -> str:
     entries = [(dom, slot, vals[0]) for dom, slot, vals in update.added_or_changed]
     entries += [(dom, slot, DONTCARE) for dom, slot in update.dontcared]
     entries += [(dom, slot, "none") for dom, slot in update.dropped]
-    entries.sort()
-    return ", ".join(f"{dom}:{slot}={val}" for dom, slot, val in entries)
+    return _join_entries(entries)
 
 
 def parse_target(text: str) -> StateUpdate:
@@ -100,67 +103,49 @@ def parse_target(text: str) -> StateUpdate:
 PredictedStates = Dict[Tuple[str, int], DialogState]
 
 
-def _tagged(turn: Turn, tags: Dict[Speaker, str]) -> str:
-    return f"{tags[turn.speaker]} {turn.utterance}".rstrip()
-
-
-def linearize_input(dialog: Dialog, turn_index: int, repr: InputRepresentation,
-                    kind: DatasetKind,
-                    schemas: Optional[Dict[str, str]] = None,
-                    previous_state: Optional[DialogState] = None,
-                    history: Optional[List[str]] = None) -> str:
-    """Tagged concatenation of the selected context for one user turn.
-
-    A prev-state input shows `previous_state`, by default the gold state at
-    the preceding user turn. A full input joins `history`, the tagged turns
-    up to and including this one, tagged here when not given."""
-    turn = dialog.turns[turn_index]
-    if turn.speaker is not Speaker.USER:
-        raise ValueError(f"{dialog.dialog_id}: turn {turn_index} is not a user turn")
-    tags = _PROGRAM_TAGS if kind is DatasetKind.SMCALFLOW else _FRAME_TAGS
-    state_tag = _PROGRAM_STATE_TAG if kind is DatasetKind.SMCALFLOW else _FRAME_STATE_TAG
-
-    parts: List[str] = []
+def linearize_input(repr: InputRepresentation, prefix: str, state: str,
+                    history: List[str]) -> str:
+    """One record's input. `history` holds the tagged turns up to and
+    including the user turn: a user input shows its last turn, an exchange
+    input its last two, a prev-state input the same two after `state`, the
+    tagged previous state, and a full input all of it. A non-empty
+    `prefix`, the SGD schema descriptions, comes first."""
     if repr is InputRepresentation.FULL_DIALOG_HISTORY:
-        parts = history if history is not None else [
-            _tagged(t, tags) for t in dialog.turns[:turn_index + 1]]
+        parts = history
+    elif repr is InputRepresentation.CURRENT_USER_TURN:
+        parts = history[-1:]
+    elif repr is InputRepresentation.PLUS_LAST_AGENT_TURN:
+        parts = history[-2:]
     else:
-        if repr is InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE:
-            if previous_state is None:
-                previous_state = dialog.previous_user_state(turn_index)
-            parts.append(f"{state_tag} {linearize_state(previous_state)}".rstrip())
-        if repr in (InputRepresentation.PLUS_LAST_AGENT_TURN,
-                    InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE):
-            if turn_index > 0:
-                parts.append(_tagged(dialog.turns[turn_index - 1], tags))
-        parts.append(_tagged(turn, tags))
-
+        parts = [state, *history[-2:]]
     text = " ".join(parts)
-    if kind is DatasetKind.SGD and schemas is not None:
-        prefix = " ".join(schemas.get(svc, "") for svc in dialog.services).strip()
-        if prefix:
-            text = f"{prefix} {text}"
-    return text
+    return f"{prefix} {text}" if prefix else text
 
 
 def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetKind,
                        predicted_states: Optional[PredictedStates] = None,
                        schemas: Optional[Dict[str, str]] = None) -> List[Seq2SeqRecord]:
     """One record per user turn, from one walk over the turns that carries
-    the previous gold state and the previous state that a prev-state input
-    shows (gold, or predicted), and for a full input the tagged turns so far."""
+    the tagged turns so far, the previous gold state and the previous state
+    that a prev-state input shows (gold, or predicted)."""
+    if kind is DatasetKind.SMCALFLOW:
+        tags, state_tag = _PROGRAM_TAGS, _PROGRAM_STATE_TAG
+    else:
+        tags, state_tag = _FRAME_TAGS, _FRAME_STATE_TAG
+    prefix = ""
+    if kind is DatasetKind.SGD and schemas is not None:
+        prefix = " ".join(schemas.get(svc, "") for svc in dialog.services).strip()
+    with_state = repr is InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE
     records = []
+    history: List[str] = []
     prev_gold = shown = EMPTY_STATE
-    tags = _PROGRAM_TAGS if kind is DatasetKind.SMCALFLOW else _FRAME_TAGS
-    history = [] if repr is InputRepresentation.FULL_DIALOG_HISTORY else None
     for turn in dialog.turns:
-        if history is not None:
-            history.append(_tagged(turn, tags))
+        history.append(f"{tags[turn.speaker]} {turn.utterance}".rstrip())
         if turn.speaker is not Speaker.USER:
             continue
-        inp = linearize_input(dialog, turn.index, repr, kind, schemas,
-                              previous_state=shown, history=history)
-        target = linearize_target(turn.tree if kind is DatasetKind.SMCALFLOW
+        state = f"{state_tag} {linearize_state(shown)}".rstrip() if with_state else ""
+        inp = linearize_input(repr, prefix, state, history)
+        target = linearize_target(dialog.gold_tree(turn) if kind is DatasetKind.SMCALFLOW
                                   else state_update(prev_gold, turn.state))
         if turn.state is not None:
             prev_gold = turn.state

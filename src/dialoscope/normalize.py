@@ -157,6 +157,9 @@ def load_lexicon(path) -> Lexicon:
     return Lexicon(semantic, shortcut, other)
 
 
+_EMPTY_LEXICON = Lexicon.empty()
+
+
 def default_lexicon() -> Lexicon:
     from importlib import resources
     with resources.as_file(resources.files("dialoscope") / "data" / "lexicon.txt") as p:
@@ -306,17 +309,6 @@ def _alt_spelling_variants(words: List[str]) -> List[str]:
     return out
 
 
-def _can_render(value: str, lexicon: Lexicon) -> bool:
-    """False when no rendering family of `variants` runs on the value: the
-    union of the gates there."""
-    lowered = value.lower()
-    return (value[0].isdigit() or value[0] == "$" or ":" in value
-            or lowered in _words_to_number() or lowered in _WEEKDAYS
-            or lowered in _WEEKDAY_ABBR or lowered in lexicon.shortcut_map
-            or lowered in lexicon._phrase_values
-            or not _ALT_WORDS.isdisjoint(lowered.split()))
-
-
 def variants(value: str, slot: Optional[Tuple[str, str]] = None,
              lexicon: Optional[Lexicon] = None) -> List[Variant]:
     """All generatable surfaces of a value, verbatim first.
@@ -326,7 +318,7 @@ def variants(value: str, slot: Optional[Tuple[str, str]] = None,
     """
     if not value:
         raise ValueError("value must be non-empty")
-    lexicon = lexicon or Lexicon.empty()
+    lexicon = lexicon or _EMPTY_LEXICON
     lowered = value.lower()
     out = [Variant(value, MatchCategory.VERBATIM)]
     seen = {lowered}
@@ -339,8 +331,7 @@ def variants(value: str, slot: Optional[Tuple[str, str]] = None,
                 seen.add(s.lower())
                 out.append(Variant(s, category, kind))
 
-    # a family runs only when its regex or table can match the value; keep
-    # `_can_render` the union of these gates
+    # a family runs only when its regex or table can match the value
     if value[0].isdigit() or lowered in _words_to_number():
         add(_number_variants(value), EntityKind.NUMBER)
     if value[0] == "$":
@@ -525,11 +516,9 @@ class _MatchPlan:
     typo_targets: Tuple[_TypoTarget, ...]
 
 
-_PROBE_ORDER = (MatchCategory.ENTITY_RECOGNITION,
-                MatchCategory.SEMANTIC_UNDERSTANDING,
-                MatchCategory.OTHER)
+_PROBE_RANK = {MatchCategory.VERBATIM: 0, MatchCategory.ENTITY_RECOGNITION: 1,
+               MatchCategory.SEMANTIC_UNDERSTANDING: 2, MatchCategory.OTHER: 3}
 _PLAN_CACHE_MAX = 65536
-_EMPTY_LEXICON = Lexicon.empty()
 
 
 def _probe(category: MatchCategory, sub_kind: Optional[EntityKind],
@@ -543,18 +532,12 @@ def _match_plan(value: str, slot: Optional[Tuple[str, str]],
     plan = lexicon._plans.get((value, slot))
     if plan is not None:
         return plan
-    probes = [_probe(MatchCategory.VERBATIM, None, value)]
-    surfaces = [value]
-    if _can_render(value, lexicon):
-        vlist = variants(value, slot, lexicon)
-        for category in _PROBE_ORDER:
-            group = sorted((v for v in vlist if v.category is category),
-                           key=lambda v: -len(v.surface))
-            probes += [_probe(category, v.sub_kind, v.surface) for v in group]
-        surfaces = [v.surface for v in vlist]
+    vlist = variants(value, slot, lexicon)
+    probes = tuple(_probe(v.category, v.sub_kind, v.surface) for v in sorted(
+        vlist, key=lambda v: (_PROBE_RANK[v.category], -len(v.surface))))
     targets = tuple((s.lower(), len(s.split()), _typo_threshold(s), frozenset(s.lower()))
-                    for s in surfaces if len(s) >= _TYPO_MIN_LEN and s.split())
-    plan = _MatchPlan(tuple(probes), targets)
+                    for s in (v.surface for v in vlist) if len(s) >= _TYPO_MIN_LEN and s.split())
+    plan = _MatchPlan(probes, targets)
     if len(lexicon._plans) >= _PLAN_CACHE_MAX:
         lexicon._plans.clear()
     lexicon._plans[(value, slot)] = plan

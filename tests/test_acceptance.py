@@ -19,7 +19,7 @@ from dialoscope.corpus import (DatasetKind, EMPTY_STATE, apply_update,
                                state_update)
 from dialoscope.evaluate import exact_match_score, jga
 from dialoscope.linearize import (InputRepresentation, emit_dataset,
-                                  linearize_input, linearize_target)
+                                  linearize_target, records_for_dialog)
 from dialoscope.normalize import default_lexicon
 from dialoscope.report import diff_reports, load_reference
 
@@ -238,13 +238,13 @@ class TestLinearizationProperties:
         for corpus in self.all_fixture_corpora(mwz_path, sgd_path,
                                                smcalflow_path, planted):
             for dialog in corpus.dialogs:
-                for turn in dialog.user_turns():
-                    texts = [linearize_input(dialog, turn.index, r,
-                                             corpus.dataset_kind)
-                             for r in self.REPRS]
-                    for narrower, wider in zip(texts, texts[1:]):
-                        assert wider.endswith(narrower), \
-                            (corpus.dataset_kind, dialog.dialog_id, turn.index)
+                texts = [records_for_dialog(dialog, r, corpus.dataset_kind)
+                         for r in self.REPRS]
+                for narrower, wider in zip(texts, texts[1:]):
+                    for n, w in zip(narrower, wider, strict=True):
+                        assert w.turn_index == n.turn_index
+                        assert w.input.endswith(n.input), \
+                            (corpus.dataset_kind, dialog.dialog_id, n.turn_index)
 
     def test_record_counts_match_user_turns(self, mwz_path, sgd_path,
                                             smcalflow_path, planted, tmp_path):

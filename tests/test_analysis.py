@@ -236,6 +236,13 @@ class TestAnalyzeCorpus:
         report = analyze_corpus(corpus, lexicon)
         assert report["conversationality"]["nothing_to_predict"] == 100.0
 
+    def test_smcalflow_turn_without_parsed_program(self):
+        # a hand-built turn with the program text only is an error, not a 0
+        turn = Turn(0, Speaker.USER, "hi", program="(refer (x))")
+        corpus = Corpus(DatasetKind.SMCALFLOW, "test", (Dialog("d", (turn,)),))
+        with pytest.raises(ValueError, match="^dialog d, turn 0: no parsed gold program$"):
+            analyze_corpus(corpus)
+
     def test_smcalflow_refer_revise(self, smcalflow_path):
         report = analyze_corpus(load_smcalflow(smcalflow_path))
         # 4 user turns: 1 refer, 1 revise

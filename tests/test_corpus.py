@@ -330,7 +330,7 @@ MALFORMED = {
                          ["c.jsonl:1"]),
     "smc-lispress-not-string": ("smcalflow", {"c.jsonl": [
         {"dialogue_id": "C1", "turns": [_smc_turn(), _smc_turn(lispress=["x"])]}]},
-        "c.jsonl", ["c.jsonl", "dialog C1", "turn 1", "lispress"]),
+        "c.jsonl", ["c.jsonl", "dialog C1", "turn 2", "lispress"]),
     # a truthy string would flag the turn, and --honor-refer-flags score it 0
     "smc-refer-flag-is-string": ("smcalflow", {"c.jsonl": [
         {"dialogue_id": "C1", "turns": [_smc_turn(), _smc_turn(refer_are_incorrect="false")]}]},

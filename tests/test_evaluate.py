@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import evaluate, lispress
-from dialoscope.corpus import (DatasetKind, DialogState, ParseError, apply_update,
-                               load_multiwoz, load_sgd, load_smcalflow, state_update)
+from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState, ParseError,
+                               Speaker, Turn, apply_update, load_multiwoz, load_sgd,
+                               load_smcalflow, state_update)
 from dialoscope.evaluate import (PredictionFileError, ScoreReport,
                                  accumulate_predicted_states,
                                  exact_match_score, jga, load_predictions,
@@ -265,6 +266,13 @@ class TestExactMatch:
         assert str(exc.value).startswith(
             f"{path}:1: dialog calflow-0, turn 2: gold program does not parse: ")
         assert str(exc.value).count("character offset") == 1
+
+    def test_turn_without_parsed_program(self):
+        # a hand-built turn with the program text only is an error, not a miss
+        turn = Turn(0, Speaker.USER, "hi", program="(refer (x))")
+        corpus = Corpus(DatasetKind.SMCALFLOW, "test", (Dialog("d", (turn,)),))
+        with pytest.raises(ValueError, match="^dialog d, turn 0: no parsed gold program$"):
+            exact_match_score(corpus, {("d", 0): "(refer (x))"})
 
 
 class TestScoreReport:

@@ -4,8 +4,9 @@ fixtures and the planted corpus, compared with recorded digests.
 Covers the report JSON, Markdown and CSV; records at all four
 representations with gold and with predicted previous state; SMCalFlow
 records; eval JSON for jga-oracle, jga and exact-match; and what
-`validate` prints. A change that alters any byte of these outputs fails
-here. When a change of output is intended, record the new digests with
+`validate` and `inspect` print. A change that alters any byte of these
+outputs fails here. When a change of output is intended, record the new
+digests with
 
     DIALOSCOPE_RECORD_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 
@@ -135,6 +136,12 @@ def golden_outputs(root: Path, mwz_path, sgd_path, smcalflow_raw) -> dict:
                                        "--mode", "exact-match", *flags,
                                        "--out", out / f"{name}.json")
     texts["smc_validate.txt"] = run_cli("validate", *smc)
+
+    inspected = {"mwz": ("MUL0635.json", ["--overrides", overrides]),
+                 "planted": ("plant-00-verbatim-d0", []), "sgd": ("1_00000", [])}
+    for name, (dialog_id, extra) in inspected.items():
+        texts[f"{name}_inspect.txt"] = run_cli("inspect", *frames[name][0], *extra, dialog_id)
+    texts["smc_inspect.txt"] = run_cli("inspect", *smc, "calflow-0")
 
     outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     outputs.update((name, text.encode("utf-8")) for name, text in texts.items())

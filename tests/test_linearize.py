@@ -10,8 +10,7 @@ from dialoscope.corpus import (EMPTY_STATE, Corpus, DatasetKind, Dialog, DialogS
                                Speaker, StateUpdate, Turn, load_multiwoz, load_sgd,
                                load_smcalflow, state_update)
 from dialoscope.linearize import (InputRepresentation, Seq2SeqRecord, TargetParseError,
-                                  emit_dataset, linearize_input,
-                                  linearize_state, linearize_target,
+                                  emit_dataset, linearize_state, linearize_target,
                                   parse_target, records_for_dialog)
 
 
@@ -78,75 +77,68 @@ class TestState:
         assert linearize_state(DialogState()) == ""
 
 
+def input_at(dialog, turn_index, repr, kind, predicted_states=None, schemas=None):
+    """The input of the record `records_for_dialog` writes for one user turn."""
+    [text] = [rec.input for rec in records_for_dialog(dialog, repr, kind, predicted_states,
+                                                      schemas)
+              if rec.turn_index == turn_index]
+    return text
+
+
 class TestInput:
     @pytest.fixture
     def dialog(self, mwz_path):
         return load_multiwoz(mwz_path).get_dialog("MUL0635.json")
 
     def test_user_only(self, dialog):
-        text = linearize_input(dialog, 10, InputRepresentation.CURRENT_USER_TURN,
-                               DatasetKind.MULTIWOZ)
+        text = input_at(dialog, 10, InputRepresentation.CURRENT_USER_TURN,
+                        DatasetKind.MULTIWOZ)
         assert text == "[user] i need to arrive by 09:00 ."
 
     def test_exchange_adds_last_agent_turn(self, dialog):
-        text = linearize_input(dialog, 10,
-                               InputRepresentation.PLUS_LAST_AGENT_TURN,
-                               DatasetKind.MULTIWOZ)
+        text = input_at(dialog, 10, InputRepresentation.PLUS_LAST_AGENT_TURN,
+                        DatasetKind.MULTIWOZ)
         assert text == ("[agent] where would you like to go , and when ? "
                         "[user] i need to arrive by 09:00 .")
 
     def test_prev_state_prefix(self, dialog):
-        text = linearize_input(dialog, 10,
-                               InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,
-                               DatasetKind.MULTIWOZ)
+        text = input_at(dialog, 10, InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,
+                        DatasetKind.MULTIWOZ)
         assert text.startswith("[states] attraction:type=museum, ")
         assert text.endswith("[user] i need to arrive by 09:00 .")
         assert "[agent]" in text
 
     def test_full_history(self, dialog):
-        text = linearize_input(dialog, 10,
-                               InputRepresentation.FULL_DIALOG_HISTORY,
-                               DatasetKind.MULTIWOZ)
+        text = input_at(dialog, 10, InputRepresentation.FULL_DIALOG_HISTORY,
+                        DatasetKind.MULTIWOZ)
         assert text.count("[user]") == 6
         assert text.count("[agent]") == 5
         assert text.startswith("[user] i'd like to book a room")
 
     def test_suffix_chain(self, dialog):
         # each narrower representation is a suffix of the next wider one
-        user = linearize_input(dialog, 10,
-                               InputRepresentation.CURRENT_USER_TURN,
-                               DatasetKind.MULTIWOZ)
-        exchange = linearize_input(dialog, 10,
-                                   InputRepresentation.PLUS_LAST_AGENT_TURN,
-                                   DatasetKind.MULTIWOZ)
-        full = linearize_input(dialog, 10,
-                               InputRepresentation.FULL_DIALOG_HISTORY,
-                               DatasetKind.MULTIWOZ)
+        user, exchange, full = (
+            input_at(dialog, 10, repr, DatasetKind.MULTIWOZ)
+            for repr in (InputRepresentation.CURRENT_USER_TURN,
+                         InputRepresentation.PLUS_LAST_AGENT_TURN,
+                         InputRepresentation.FULL_DIALOG_HISTORY))
         assert exchange.endswith(user)
         assert full.endswith(exchange)
 
     def test_first_turn_has_no_agent_context(self, dialog):
-        text = linearize_input(dialog, 0,
-                               InputRepresentation.PLUS_LAST_AGENT_TURN,
-                               DatasetKind.MULTIWOZ)
+        text = input_at(dialog, 0, InputRepresentation.PLUS_LAST_AGENT_TURN,
+                        DatasetKind.MULTIWOZ)
         assert "[agent]" not in text
 
     def test_first_turn_prev_state_is_empty(self, dialog):
-        text = linearize_input(dialog, 0,
-                               InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,
-                               DatasetKind.MULTIWOZ)
+        text = input_at(dialog, 0, InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,
+                        DatasetKind.MULTIWOZ)
         assert text.startswith("[states] [user]")
-
-    def test_agent_turn_rejected(self, dialog):
-        with pytest.raises(ValueError):
-            linearize_input(dialog, 1, InputRepresentation.CURRENT_USER_TURN,
-                            DatasetKind.MULTIWOZ)
 
     def test_smcalflow_tags(self, smcalflow_path):
         dialog = load_smcalflow(smcalflow_path).get_dialog("calflow-0")
-        text = linearize_input(dialog, 2,
-                               InputRepresentation.PLUS_LAST_AGENT_TURN,
-                               DatasetKind.SMCALFLOW)
+        text = input_at(dialog, 2, InputRepresentation.PLUS_LAST_AGENT_TURN,
+                        DatasetKind.SMCALFLOW)
         assert text.startswith("__Agent ")
         assert "__User " in text
         assert "[user]" not in text
@@ -154,17 +146,16 @@ class TestInput:
     def test_sgd_schema_prefix(self, sgd_path):
         corpus = load_sgd(sgd_path, "test")
         dialog = corpus.get_dialog("1_00000")
-        text = linearize_input(dialog, 0,
-                               InputRepresentation.CURRENT_USER_TURN,
-                               DatasetKind.SGD, schemas=corpus.schemas)
+        text = input_at(dialog, 0, InputRepresentation.CURRENT_USER_TURN,
+                        DatasetKind.SGD, schemas=corpus.schemas)
         assert text.startswith(
             "A service for finding and reserving restaurants [user]")
 
     def test_predicted_previous_state(self, dialog):
-        predicted = DialogState({("train", "day"): ("friday",)})
-        text = linearize_input(dialog, 10,
-                               InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,
-                               DatasetKind.MULTIWOZ, previous_state=predicted)
+        # the state predicted at the preceding user turn
+        predicted = {(dialog.dialog_id, 8): DialogState({("train", "day"): ("friday",)})}
+        text = input_at(dialog, 10, InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,
+                        DatasetKind.MULTIWOZ, predicted_states=predicted)
         assert text.startswith("[states] train:day=friday [agent]")
 
 
@@ -193,20 +184,51 @@ class TestRecords:
         assert all(r.target.startswith("(") for r in records)
 
 
+_REF_TAGS = {DatasetKind.SMCALFLOW: ({Speaker.USER: "__User", Speaker.AGENT: "__Agent"},
+                                    "__State")}
+_REF_FRAME_TAGS = ({Speaker.USER: "[user]", Speaker.AGENT: "[agent]"}, "[states]")
+
+
+def reference_input(dialog, turn_index, repr, kind, schemas, previous_state):
+    """One record's input built on its own: every turn it shows is looked
+    up by index and tagged here."""
+    tags, state_tag = _REF_TAGS.get(kind, _REF_FRAME_TAGS)
+
+    def tagged(turn):
+        return f"{tags[turn.speaker]} {turn.utterance}".rstrip()
+    turns = dialog.turns
+    if repr is InputRepresentation.FULL_DIALOG_HISTORY:
+        parts = [tagged(t) for t in turns[:turn_index + 1]]
+    else:
+        parts = []
+        if repr is InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE:
+            parts.append(f"{state_tag} {linearize_state(previous_state)}".rstrip())
+        if repr is not InputRepresentation.CURRENT_USER_TURN and turn_index > 0:
+            parts.append(tagged(turns[turn_index - 1]))
+        parts.append(tagged(turns[turn_index]))
+    text = " ".join(parts)
+    if kind is DatasetKind.SGD and schemas is not None:
+        prefix = " ".join(schemas.get(svc, "") for svc in dialog.services).strip()
+        if prefix:
+            text = f"{prefix} {text}"
+    return text
+
+
 def reference_records(dialog, repr, kind, predicted_states=None, schemas=None):
-    """`records_for_dialog` as it was before it carried the previous state:
-    each turn looks its previous state up, the predicted one at the
-    preceding user turn or, by default, the gold one."""
+    """`records_for_dialog` as it was before it carried the previous state
+    and the tagged turns: each turn looks its previous state up, the
+    predicted one at the preceding user turn or, by default, the gold one,
+    and tags the turns its input shows."""
     records = []
     for turn in dialog.user_turns():
-        previous = None
+        previous = dialog.previous_user_state(turn.index)
         if predicted_states is not None:
             previous = EMPTY_STATE
             for t in reversed(dialog.turns[:turn.index]):
                 if t.speaker is Speaker.USER:
                     previous = predicted_states.get((dialog.dialog_id, t.index), EMPTY_STATE)
                     break
-        inp = linearize_input(dialog, turn.index, repr, kind, schemas, previous_state=previous)
+        inp = reference_input(dialog, turn.index, repr, kind, schemas, previous)
         if kind is DatasetKind.SMCALFLOW:
             target = lispress.print_canonical(lispress.parse(turn.program))
         else:

@@ -342,7 +342,7 @@ class TestVariants:
     def test_gated_families_as_reference(self, value, slot, data):
         lex = data.draw(st.one_of(st.just(DEFAULT_LEXICON), lexicons(value)))
         assert variants(value, slot, lex) == _ref_variants(value, slot, lex)
-        # a value planned without `variants` still matches every rendering
+        # every rendering matches as the reference matcher finds it
         for v in _ref_variants(value, slot, lex):
             text = f"so {v.surface} then"
             assert match_in_text(value, slot, text, lex) == \
