@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .corpus import Corpus, DatasetKind, Dialog, Speaker, canonical_slot, state_update, text_lines
 from .lispress import call_heads
-from .normalize import Lexicon, MatchCategory, MatchResult, match_in_text
+from .normalize import CATEGORY_RANK, Lexicon, MatchCategory, MatchResult, match_in_text
 
 log = logging.getLogger(__name__)
 
@@ -150,13 +150,6 @@ def apply_overrides(path) -> Overrides:
 # per-turn tracing
 # ---------------------------------------------------------------------------
 
-# of two surfaces found at the same distance, the lower-ranked category wins
-_CATEGORY_RANK = {category: rank for rank, category in enumerate((
-    MatchCategory.VERBATIM, MatchCategory.ENTITY_RECOGNITION,
-    MatchCategory.SEMANTIC_UNDERSTANDING, MatchCategory.COMPUTATION,
-    MatchCategory.OTHER, MatchCategory.TYPO))}
-
-
 def trace_turn(dialog: Dialog, turn_index: int, lexicon: Optional[Lexicon] = None,
                overrides: Optional[Overrides] = None) -> TurnAnalysis:
     """Backward-search every added/changed slot of a user turn.
@@ -184,8 +177,8 @@ def trace_turn(dialog: Dialog, turn_index: int, lexicon: Optional[Lexicon] = Non
                 result = match_in_text(value, (domain, slot),
                                        dialog.turns[i].utterance, lexicon)
                 if result.resolved:
-                    if (best is None or _CATEGORY_RANK[result.category]
-                            < _CATEGORY_RANK[best[1].category]):
+                    if (best is None or CATEGORY_RANK[result.category]
+                            < CATEGORY_RANK[best[1].category]):
                         best = (distance, result, value)
             if best is not None:
                 break

@@ -1,7 +1,7 @@
 """Normalized in-memory data model for MultiWOZ, SGD and SMCalFlow corpora.
 
 All three datasets are loaded into the same Corpus/Dialog/Turn shape:
-user turns carry either a cumulative slot-value DialogState (MultiWOZ,
+user turns carry either a cumulative slot-value state (MultiWOZ,
 SGD) or a Lispress program, as source text and parsed tree (SMCalFlow).
 Values are kept verbatim from the source files; only slot *names* are
 canonicalized at load time via a versioned mapping table.
@@ -96,33 +96,15 @@ def _value_tuple(vals: Iterable[str]) -> Tuple[str, ...]:
     return tuple(dict.fromkeys(vals))
 
 
+# A dialog state: the cumulative slot-value frame, (domain, slot) ->
+# alternates. Alternates model MultiWOZ 2.4's "a|b" multi-value annotations.
+# They keep source order, so that emitting "the first alternate" is
+# deterministic, hold no duplicates and are never empty. A state is shared,
+# never mutated: tests/test_value_types.py::TestCorpusIsNotMutated checks
+# that nothing the library runs on a loaded corpus changes it.
 Slots = Dict[Tuple[str, str], Tuple[str, ...]]
 
-
-@dataclass(slots=True, eq=False)
-class DialogState:
-    """Cumulative slot-value frame: (domain, slot) -> alternates.
-
-    Alternates model MultiWOZ 2.4's "a|b" multi-value annotations. They keep
-    source order, so that emitting "the first alternate" is deterministic,
-    hold no duplicates and are never empty. Equality is order-insensitive on
-    each alternate set. The mapping is shared, never mutated:
-    tests/test_value_types.py::TestCorpusIsNotMutated checks that nothing
-    the library runs on a loaded corpus changes it.
-    """
-    slots: Slots = field(default_factory=dict)
-
-    def __bool__(self):
-        return bool(self.slots)
-
-    def __eq__(self, other):
-        if not isinstance(other, DialogState):
-            return NotImplemented
-        return (self.slots.keys() == other.slots.keys()
-                and all(set(vals) == set(other.slots[key]) for key, vals in self.slots.items()))
-
-
-EMPTY_STATE = DialogState()
+EMPTY_STATE: Slots = {}
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -138,10 +120,10 @@ class Turn:
     index: int
     speaker: Speaker
     utterance: str
-    state: Optional[DialogState] = None
+    state: Optional[Slots] = None
     program: Optional[str] = None  # SMCalFlow: the gold program's source text
     tree: Optional[lispress.Node] = None  # and its parsed tree
-    flags: FrozenSet[str] = frozenset()
+    refer_are_incorrect: bool = False  # SMCalFlow: the dataset's force-zero flag
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -153,7 +135,7 @@ class Dialog:
     def user_turns(self) -> List[Turn]:
         return [t for t in self.turns if t.speaker is Speaker.USER]
 
-    def previous_user_state(self, turn_index: int) -> DialogState:
+    def previous_user_state(self, turn_index: int) -> Slots:
         """Cumulative state at the user turn preceding turn_index (empty if none)."""
         for t in reversed(self.turns[:turn_index]):
             if t.speaker is Speaker.USER and t.state is not None:
@@ -189,19 +171,17 @@ class Corpus:
 # state diffing
 # ---------------------------------------------------------------------------
 
-def state_update(prev: DialogState, curr: DialogState) -> StateUpdate:
+def state_update(prev: Slots, curr: Slots) -> StateUpdate:
     """Diff of cumulative states; total over any pair of states.
 
     A slot that was set and becomes the literal "dontcare" is a relaxation
     (dontcared), not an addition. A brand-new slot whose first value is
     "dontcare" counts as added (it still has to be predicted).
     """
-    prev_d = prev.slots
-    curr_d = curr.slots
     added = set()
     dontcared = set()
-    for key, vals in curr_d.items():
-        old = prev_d.get(key)
+    for key, vals in curr.items():
+        old = prev.get(key)
         # the loaders' memos make most alternates the previous turn's tuple
         if old is not None and (old == vals or set(old) == set(vals)):
             continue
@@ -209,20 +189,20 @@ def state_update(prev: DialogState, curr: DialogState) -> StateUpdate:
             dontcared.add(key)
         else:
             added.add((key[0], key[1], vals))
-    dropped = {key for key in prev_d if key not in curr_d}
+    dropped = {key for key in prev if key not in curr}
     return StateUpdate(frozenset(added), frozenset(dropped), frozenset(dontcared))
 
 
-def apply_update(prev: DialogState, update: StateUpdate) -> DialogState:
+def apply_update(prev: Slots, update: StateUpdate) -> Slots:
     """Left fold step; inverse of state_update given the same prev."""
-    d = dict(prev.slots)
+    d = dict(prev)
     for dom, slot, vals in update.added_or_changed:
         d[(dom, slot)] = vals
     for key in update.dontcared:
         d[key] = (DONTCARE,)
     for key in update.dropped:
         d.pop(key, None)
-    return DialogState(d)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +331,7 @@ def _same_key_order(a: dict, b: dict) -> bool:
 
 
 def _parse_multiwoz_state(metadata: dict, path, dialog_id, turn,
-                          memo: _FrameMemo) -> DialogState:
+                          memo: _FrameMemo) -> Slots:
     slots: Slots = {}
     for domain, frame in metadata.items():
         # most frames equal the domain's frame one user turn earlier. A frame
@@ -371,7 +351,7 @@ def _parse_multiwoz_state(metadata: dict, path, dialog_id, turn,
             # lowercase to one name): concatenate, then dedupe
             old = slots.get(key)
             slots[key] = vals if old is None else _value_tuple(old + vals)
-    return DialogState(slots)
+    return slots
 
 
 def _multiwoz_split_ids(root: Path, split: str) -> Tuple[Optional[Set[str]], Set[str]]:
@@ -497,7 +477,7 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
     # services were last restated: the cumulative state joins the entries
     restated: Dict[str, Tuple[dict, Slots]] = {}
     order: Tuple[str, ...] = ()
-    state = DialogState({})
+    state: Slots = {}
     user, agent = Speaker.USER, Speaker.AGENT  # faster than the enum's attributes
     for i, t in enumerate(_check(raw.get("turns", []), list, "turns", path, dialog_id)):
         if not isinstance(t, dict):
@@ -558,10 +538,9 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
         if changed or tuple(restated) != order:
             order = tuple(restated)
             # a new mapping: the states of earlier turns keep theirs
-            slots: Slots = {}
+            state = {}
             for _, entries in restated.values():
-                slots.update(entries)
-            state = DialogState(slots)
+                state.update(entries)
         turns.append(Turn(i, user, utterance, state))
     if not turns:
         raise StructuralError(f"{_where(path, dialog_id)}: empty dialog")
@@ -637,7 +616,7 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
                 raise ParseError(f"{_where(line_path, dialog_id, user)}: "
                                  f"gold program does not parse: {exc}") from exc
             turns.append(Turn(user, Speaker.USER, user_text, program=program, tree=tree,
-                              flags=frozenset({"refer_are_incorrect"} if flagged else ())))
+                              refer_are_incorrect=flagged))
             agent_text = _utt_text(t.get("agent_utterance"), line_path, dialog_id, user + 1)
             if agent_text or k + 1 < len(source_turns):
                 turns.append(Turn(user + 1, Speaker.AGENT, agent_text))

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring as json_string
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import lispress
-from .corpus import (Corpus, DatasetKind, DialogState, DONTCARE, EMPTY_STATE, Speaker,
+from .corpus import (Corpus, DatasetKind, DONTCARE, EMPTY_STATE, Slots, Speaker,
                      apply_update, json_lines)
 from .linearize import TargetParseError, parse_target
 
@@ -131,12 +131,11 @@ def _values_match(pred: str, gold_alternates, fuzzy: bool = False) -> bool:
     return False
 
 
-def states_equal(pred: DialogState, gold: DialogState, fuzzy: bool = False) -> bool:
+def states_equal(pred: Slots, gold: Slots, fuzzy: bool = False) -> bool:
     """Full-state equality: same keys, each predicted value equal to any
     gold alternate (case-insensitive, whitespace-collapsed)."""
-    pred_d, gold_d = pred.slots, gold.slots
-    return pred_d.keys() == gold_d.keys() and all(
-        _values_match(pred_vals[0], gold_d[key], fuzzy) for key, pred_vals in pred_d.items())
+    return pred.keys() == gold.keys() and all(
+        _values_match(pred_vals[0], gold[key], fuzzy) for key, pred_vals in pred.items())
 
 
 def _score(report: ScoreReport, predictions: Dict[PredKey, str],
@@ -202,7 +201,7 @@ def jga(corpus: Corpus, predictions: Dict[PredKey, str], mode: str = "oracle",
 
 
 def accumulate_predicted_states(corpus: Corpus, predictions: Dict[PredKey, str]
-                                ) -> Dict[PredKey, DialogState]:
+                                ) -> Dict[PredKey, Slots]:
     """Running fold of predicted updates per dialog: the cumulative predicted
     state at each user turn. A missing or unparseable prediction applies no
     update."""
@@ -242,7 +241,7 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
                 # parse(print_canonical(t)) == t for every parsed tree, so
                 # equal trees are exactly equal canonical prints
                 correct = predictions[key] == turn.program if strict else pred == gold
-                if correct and honor_refer_flags and "refer_are_incorrect" in turn.flags:
+                if correct and honor_refer_flags and turn.refer_are_incorrect:
                     report.correct_but_flagged += 1
                     correct = False
                 yield key, correct

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import lispress
 from .atomic import write_atomically
-from .corpus import (Corpus, DatasetKind, Dialog, DialogState, DONTCARE, EMPTY_STATE,
+from .corpus import (Corpus, DatasetKind, Dialog, DONTCARE, EMPTY_STATE, Slots,
                      Speaker, StateUpdate, state_update)
 
 
@@ -49,9 +49,9 @@ def _join_entries(entries) -> str:
     return ", ".join(f"{dom}:{slot}={val}" for dom, slot, val in sorted(entries))
 
 
-def linearize_state(state: DialogState) -> str:
+def linearize_state(state: Slots) -> str:
     """Cumulative state in the same syntax as targets (first alternate)."""
-    return _join_entries((dom, slot, vals[0]) for (dom, slot), vals in state.slots.items())
+    return _join_entries((dom, slot, vals[0]) for (dom, slot), vals in state.items())
 
 
 def linearize_target(update) -> str:
@@ -100,7 +100,7 @@ def parse_target(text: str) -> StateUpdate:
     return StateUpdate(frozenset(added), frozenset(dropped), frozenset(dontcared))
 
 
-PredictedStates = Dict[Tuple[str, int], DialogState]
+PredictedStates = Dict[Tuple[str, int], Slots]
 
 
 def linearize_input(repr: InputRepresentation, prefix: str, state: str,

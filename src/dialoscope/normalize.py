@@ -516,8 +516,11 @@ class _MatchPlan:
     typo_targets: Tuple[_TypoTarget, ...]
 
 
-_PROBE_RANK = {MatchCategory.VERBATIM: 0, MatchCategory.ENTITY_RECOGNITION: 1,
-               MatchCategory.SEMANTIC_UNDERSTANDING: 2, MatchCategory.OTHER: 3}
+# match-category precedence, of the probes in a plan and of two surfaces
+# found at the same distance: the lower rank wins
+CATEGORY_RANK = {MatchCategory.VERBATIM: 0, MatchCategory.ENTITY_RECOGNITION: 1,
+                 MatchCategory.SEMANTIC_UNDERSTANDING: 2, MatchCategory.OTHER: 3,
+                 MatchCategory.TYPO: 4}
 _PLAN_CACHE_MAX = 65536
 
 
@@ -534,7 +537,7 @@ def _match_plan(value: str, slot: Optional[Tuple[str, str]],
         return plan
     vlist = variants(value, slot, lexicon)
     probes = tuple(_probe(v.category, v.sub_kind, v.surface) for v in sorted(
-        vlist, key=lambda v: (_PROBE_RANK[v.category], -len(v.surface))))
+        vlist, key=lambda v: (CATEGORY_RANK[v.category], -len(v.surface))))
     targets = tuple((s.lower(), len(s.split()), _typo_threshold(s), frozenset(s.lower()))
                     for s in (v.surface for v in vlist) if len(s) >= _TYPO_MIN_LEN and s.split())
     plan = _MatchPlan(probes, targets)

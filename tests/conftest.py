@@ -3,8 +3,7 @@ import json
 
 import pytest
 
-from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState,
-                               Speaker, Turn)
+from dialoscope.corpus import Corpus, DatasetKind, Dialog, Speaker, Turn
 
 # ---------------------------------------------------------------------------
 # raw MultiWOZ fixtures
@@ -260,8 +259,7 @@ def build_planted_corpus():
                 text = f"{text} , {surface} please"
             state = None
             if speaker is Speaker.USER:
-                state = (DialogState({(domain, slot): (value,)})
-                         if i == target else DialogState())
+                state = {(domain, slot): (value,)} if i == target else {}
             turns.append(Turn(i, speaker, text, state=state))
         dialogs.append(Dialog(dialog_id, tuple(turns)))
         expectations[(dialog_id, target, domain, slot)] = (delta, category, sub_kind)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dialoscope import analysis
 from dialoscope.analysis import (ContextClass, OverrideError, analyze_corpus,
                                  apply_overrides, histogram, trace_turn)
-from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState, Speaker, Turn,
+from dialoscope.corpus import (Corpus, DatasetKind, Dialog, Speaker, Turn,
                                load_multiwoz, load_sgd, load_smcalflow, state_update)
 from dialoscope.evaluate import jga
 from dialoscope.linearize import linearize_target
@@ -231,7 +231,7 @@ class TestAnalyzeCorpus:
 
     def test_all_empty_updates(self, lexicon):
         dialog = Dialog("d0", (
-            Turn(0, Speaker.USER, "hello", state=DialogState()),))
+            Turn(0, Speaker.USER, "hello", state={}),))
         corpus = Corpus(DatasetKind.MULTIWOZ, "toy", (dialog,))
         report = analyze_corpus(corpus, lexicon)
         assert report["conversationality"]["nothing_to_predict"] == 100.0
@@ -323,7 +323,7 @@ class TestAnalyzeCorpus:
         planted_corpus, _ = planted
         # a value no utterance surfaces, filled in by an override
         unplaced = Dialog("unplaced", (Turn(0, Speaker.USER, "somewhere my wife likes",
-                                            DialogState({("test", "venue"): ("blue door",)})),))
+                                            {("test", "venue"): ("blue door",)}),))
         corpus = Corpus(planted_corpus.dataset_kind, planted_corpus.split,
                         planted_corpus.dialogs + (unplaced,))
         overrides = {("unplaced", 0, "test", "venue"): analysis.Override(
@@ -469,8 +469,8 @@ class TestRecount:
         # overrides with two context classes and an unresolved slot
 
         def user(i, text, slots):
-            return Turn(i, Speaker.USER, text, state=DialogState(
-                {("test", s): (v,) for s, v in slots.items()}))
+            return Turn(i, Speaker.USER, text,
+                        state={("test", s): (v,) for s, v in slots.items()})
 
         mix = Dialog("mix", (
             user(0, "a harpsikord and a cello please",

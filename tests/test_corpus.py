@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import lispress
-from dialoscope.corpus import (Corpus, CorpusError, Dialog, DialogState, DatasetKind,
+from dialoscope.corpus import (Corpus, CorpusError, Dialog, DatasetKind,
                                LoadError, ParseError, Speaker, StructuralError, Turn, _check,
                                _parse_multiwoz_state, _sgd_dialog, _type_error, _where,
                                apply_update, canonical_slot, load_multiwoz, load_sgd,
@@ -16,33 +16,32 @@ from conftest import SGD_SCHEMA, mwz_dialog, sgd_turn, sgd_user_frame
 
 class TestStateUpdate:
     def test_first_turn_diff(self):
-        upd = state_update(DialogState(), DialogState({("train", "day"): ("friday",)}))
+        upd = state_update({}, {("train", "day"): ("friday",)})
         assert upd.added_or_changed == {("train", "day", ("friday",))}
         assert not upd.dropped and not upd.dontcared
 
     def test_changed_value(self):
-        upd = state_update(DialogState({("restaurant", "area"): ("center",)}),
-                           DialogState({("restaurant", "area"): ("north",)}))
+        upd = state_update({("restaurant", "area"): ("center",)},
+                           {("restaurant", "area"): ("north",)})
         assert upd.added_or_changed == {("restaurant", "area", ("north",))}
 
     def test_relaxed_to_dontcare(self):
-        upd = state_update(DialogState({("hotel", "stars"): ("4",)}),
-                           DialogState({("hotel", "stars"): ("dontcare",)}))
+        upd = state_update({("hotel", "stars"): ("4",)},
+                           {("hotel", "stars"): ("dontcare",)})
         assert upd.dontcared == {("hotel", "stars")}
         assert not upd.added_or_changed
 
     def test_new_slot_set_to_dontcare_counts_as_addition(self):
-        upd = state_update(DialogState(),
-                           DialogState({("restaurant", "food"): ("dontcare",)}))
+        upd = state_update({}, {("restaurant", "food"): ("dontcare",)})
         assert upd.added_or_changed == {("restaurant", "food", ("dontcare",))}
 
     def test_dropped_slot(self):
-        upd = state_update(DialogState({("hotel", "area"): ("west",)}), DialogState())
+        upd = state_update({("hotel", "area"): ("west",)}, {})
         assert upd.dropped == {("hotel", "area")}
 
     def test_apply_update_inverts(self):
-        prev = DialogState({("a", "b"): ("x",), ("c", "d"): ("y",)})
-        curr = DialogState({("a", "b"): ("z",), ("e", "f"): ("w", "v")})
+        prev = {("a", "b"): ("x",), ("c", "d"): ("y",)}
+        curr = {("a", "b"): ("z",), ("e", "f"): ("w", "v")}
         assert apply_update(prev, state_update(prev, curr)) == curr
 
 
@@ -72,7 +71,7 @@ class TestLoadMultiwoz:
         dialog = load_multiwoz(mwz_path).get_dialog("MUL0635.json")
         last = dialog.turns[10]
         assert last.speaker is Speaker.USER
-        got = last.state.slots
+        got = last.state
         assert got[("train", "arriveby")] == ("09:00",)
         assert got[("hotel", "people")] == ("2",)  # "book people" folded
 
@@ -84,7 +83,7 @@ class TestLoadMultiwoz:
         p = tmp_path / "d.json"
         p.write_text(json.dumps(raw), "utf-8")
         dialog = load_multiwoz(p).dialogs[0]
-        assert dialog.turns[0].state.slots[("restaurant", "area")] == (
+        assert dialog.turns[0].state[("restaurant", "area")] == (
             "centre", "north")
 
     def test_empty_file_rejected(self, tmp_path):
@@ -136,7 +135,7 @@ class TestLoadSgd:
         assert set(corpus.schemas) == {"Restaurants_1", "Hotels_1"}
         d1 = corpus.get_dialog("1_00000")
         assert d1.services == ("Restaurants_1",)
-        assert d1.turns[6].state.slots[("Restaurants_1", "partysize")] == ("2",)
+        assert d1.turns[6].state[("Restaurants_1", "partysize")] == ("2",)
 
     def test_both_service_names_exposed(self, sgd_path):
         corpus = load_sgd(sgd_path, "test")
@@ -192,8 +191,8 @@ class TestLoadSmcalflow:
         assert len(users) == 3
         assert all(t.program for t in users)
         assert users[0].tree == lispress.parse("(Yield :output (Today))")
-        assert "refer_are_incorrect" in users[1].flags
-        assert "refer_are_incorrect" not in users[0].flags
+        assert users[1].refer_are_incorrect
+        assert not users[0].refer_are_incorrect
 
     def test_gold_program_that_does_not_parse(self, tmp_path, smcalflow_raw):
         # the turn is the turn_index of records and predictions: exchange 1 is turn 2
@@ -213,7 +212,7 @@ class TestLoadSmcalflow:
         smcalflow_raw[0]["turns"][1]["refer_are_incorrect"] = False
         write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
         users = load_smcalflow(tmp_path / "c.jsonl").dialogs[0].user_turns()
-        assert [sorted(t.flags) for t in users] == [["refer_are_incorrect"]] * 2 + [[]]
+        assert [t.refer_are_incorrect for t in users] == [True, True, False]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.jsonl"
@@ -374,7 +373,7 @@ class TestMalformedInput:
         dialogues[0]["services"].append("Hotels_1")
         write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
                                 "test/dialogues_001.json": dialogues})
-        states = [t.state.slots for t in load_sgd(tmp_path).dialogs[0].user_turns()]
+        states = [t.state for t in load_sgd(tmp_path).dialogs[0].user_turns()]
         assert [s.get(("Restaurants_1", "city")) for s in states] == [
             ("a", "b"), ("a", "b"), None, ("b", "a")]
         assert [s.get(("Hotels_1", "city")) for s in states] == [("a", "b")] * 4
@@ -384,7 +383,7 @@ class TestMalformedInput:
             {"hotel": {"semi": {"stars": 4, "area": ["north", "west"], "name": [],
                                 "type": " Not Mentioned ", "parking": "NONE"}}})})
         state = load_multiwoz(tmp_path / "d.json").dialogs[0].turns[0].state
-        assert state.slots == {("hotel", "stars"): ("4",), ("hotel", "area"): ("north",)}
+        assert state == {("hotel", "stars"): ("4",), ("hotel", "area"): ("north",)}
 
 
 # any JSON value: what the properties below put in place of each value of a
@@ -484,7 +483,7 @@ def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
                         assert turn.tree == lispress.parse(turn.program)
                         continue
                     assert turn.state is not None
-                    for vals in turn.state.slots.values():
+                    for vals in turn.state.values():
                         assert vals and len(set(vals)) == len(vals)
 
 
@@ -533,7 +532,7 @@ def reference_multiwoz_state(metadata):
                 if vals:
                     key = (domain.lower(), canonical_slot(prefix + slot))
                     entries.setdefault(key, []).extend(vals)
-    return DialogState({key: tuple(dict.fromkeys(vals)) for key, vals in entries.items()})
+    return {key: tuple(dict.fromkeys(vals)) for key, vals in entries.items()}
 
 
 # values that compare equal but load differently (1, True, 1.0, "1"), and
@@ -581,7 +580,7 @@ class TestMultiwozFrameMemo:
             for turn in dialog.user_turns():
                 # key order and alternate order included
                 expected = reference_multiwoz_state(raw[turn.index + 1]["metadata"])
-                assert list(turn.state.slots.items()) == list(expected.slots.items())
+                assert list(turn.state.items()) == list(expected.items())
 
     def test_equal_frames_in_another_slot_order_load_in_their_order(self, tmp_path):
         log = []
@@ -589,7 +588,7 @@ class TestMultiwozFrameMemo:
             log += [{"text": "hi", "metadata": {}},
                     {"text": "ok", "metadata": {"hotel": {"semi": semi}}}]
         write_layout(tmp_path, {"d.json": {"D1": {"log": log}}})
-        states = [t.state.slots for t in load_multiwoz(tmp_path / "d.json").dialogs[0].user_turns()]
+        states = [t.state for t in load_multiwoz(tmp_path / "d.json").dialogs[0].user_turns()]
         assert [list(s) for s in states] == [[("hotel", "area"), ("hotel", "name")],
                                              [("hotel", "name"), ("hotel", "area")]]
 
@@ -599,7 +598,7 @@ class TestMultiwozFrameMemo:
             log += [{"text": "hi", "metadata": {}},
                     {"text": "ok", "metadata": {"hotel": {"semi": {"stars": stars}}}}]
         write_layout(tmp_path, {"d.json": {"D1": {"log": log}}})
-        states = [t.state.slots for t in load_multiwoz(tmp_path / "d.json").dialogs[0].user_turns()]
+        states = [t.state for t in load_multiwoz(tmp_path / "d.json").dialogs[0].user_turns()]
         assert [s[("hotel", "stars")] for s in states] == [("1",), ("True",), ("1.0",), ("1",)]
 
 
@@ -693,7 +692,7 @@ def _mwz_outcome(dialogs):
     if isinstance(dialogs, Exception):
         return type(dialogs), str(dialogs)
     return [(d.dialog_id, [(t.index, t.speaker, t.utterance,
-                            None if t.state is None else list(t.state.slots.items()))
+                            None if t.state is None else list(t.state.items()))
                            for t in d.turns]) for d in dialogs]
 
 
@@ -769,7 +768,7 @@ def reference_sgd_dialog(raw, path, schemas, memo):
                     memo[(svc, slot, tuple(values))] = (key, vals)
                 if vals:
                     cumulative[key] = vals
-        turns.append(Turn(i, Speaker.USER, utterance, state=DialogState(cumulative)))
+        turns.append(Turn(i, Speaker.USER, utterance, state=cumulative))
     if not turns:
         raise StructuralError(f"{_where(path, dialog_id)}: empty dialog")
     return Dialog(dialog_id, tuple(turns), services=services)
@@ -831,7 +830,7 @@ def _sgd_outcome(load, dialogs):
         loaded = [load(raw, Path("d.json"), _SGD_MEMO_SCHEMAS, memo) for raw in dialogs]
     except CorpusError as exc:
         return type(exc), str(exc)
-    return [[list(t.state.slots.items()) for t in dialog.user_turns()] for dialog in loaded]
+    return [[list(t.state.items()) for t in dialog.user_turns()] for dialog in loaded]
 
 
 class TestSgdFrameMemo:
@@ -855,7 +854,7 @@ class TestSgdFrameMemo:
             for turn in (sgd_turn("USER", "u", [sgd_user_frame("Hotels_1", sv)]),
                          sgd_turn("SYSTEM", "s"))]}
         dialog = _sgd_dialog(raw, Path("d.json"), _SGD_MEMO_SCHEMAS, {})
-        assert [[slot for _, slot in t.state.slots] for t in dialog.user_turns()] == [
+        assert [[slot for _, slot in t.state] for t in dialog.user_turns()] == [
             ["city", "date"], ["date", "city"]]
 
     def test_unchanged_turn_shares_the_state(self):

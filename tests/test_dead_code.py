@@ -1,7 +1,10 @@
 """No dead code in the package: every module-level function and class in
 src/dialoscope is named somewhere else in src/, by another top-level
 statement of any module, an `__init__.py` re-export or the console-script
-entry point in pyproject.toml. A path that only tests reach fails here.
+entry point in pyproject.toml; every non-dunder method and property of a
+module-level class is named by a src/ statement other than its own
+definition; and every name a module other than `__init__.py` imports is
+used in that module. A path that only tests reach fails here.
 """
 import ast
 import re
@@ -48,6 +51,56 @@ def unused_definitions(package: Path, pyproject: Path):
             if d not in entry_points and not named_by.get(d[1], set()) - {d}]
 
 
+def _parts(tree):
+    """(class, method) or None, and the node, for each part of a parsed
+    module: a top-level statement, or a piece of a class (a decorator, a
+    base, a keyword or a statement of its body), a method owned by itself."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            yield None, node
+            continue
+        yield from ((None, part) for part in (*node.decorator_list, *node.bases, *node.keywords))
+        for member in node.body:
+            method = isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield (node.name, member.name) if method else None, member
+
+
+def unused_methods(package: Path):
+    """(module, class, name) of each non-dunder method or property of a
+    module-level class of `package` that no other part there names, in
+    file order."""
+    methods, named_by = [], {}
+    for path in sorted(package.glob("*.py")):
+        for owner, node in _parts(ast.parse(path.read_text("utf-8"))):
+            key = owner and (path.stem, *owner)
+            if owner and not (owner[1].startswith("__") and owner[1].endswith("__")):
+                methods.append(key)
+            for name in _names(node):
+                named_by.setdefault(name, set()).add(key)
+    return [m for m in methods if not named_by.get(m[-1], set()) - {m}]
+
+
+def unused_imports(package: Path):
+    """(module, name) of each name a module of `package` other than
+    `__init__.py` imports and never reads, in file order; `from __future__`
+    imports are compiler directives, not names."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unused.append((path.stem, bound))
+    return unused
+
+
 def test_every_definition_has_a_caller():
     unused = unused_definitions(ROOT / "src" / "dialoscope", ROOT / "pyproject.toml")
     # an allowed name that gains a caller leaves the list
@@ -67,3 +120,33 @@ def test_finds_a_definition_only_it_names(tmp_path):
     pyproject = tmp_path / "pyproject.toml"
     pyproject.write_text('[project.scripts]\npkg = "pkg.a:main"\n', "utf-8")
     assert unused_definitions(package, pyproject) == [("a", "recursive"), ("a", "Unused")]
+
+
+def test_every_method_has_a_caller():
+    assert unused_methods(ROOT / "src" / "dialoscope") == []
+
+
+def test_every_import_is_used():
+    assert unused_imports(ROOT / "src" / "dialoscope") == []
+
+
+def test_finds_a_method_only_it_names(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Thing:\n"
+        "    def __eq__(self, other):\n        return True\n\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+        "    @property\n    def size(self):\n        return 0\n\n"
+        "def main():\n    return Thing().used()\n", "utf-8")
+    assert unused_methods(tmp_path) == [("a", "Thing", "recursive"), ("a", "Thing", "size")]
+
+
+def test_finds_an_import_its_module_never_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import main\n", "utf-8")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\n"
+        "from .corpus import Dialog, DialogState\n\n"
+        "def main(d: Dialog):\n    return js.dumps(d)\n", "utf-8")
+    assert unused_imports(tmp_path) == [("a", "os"), ("a", "DialogState")]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import evaluate, lispress
-from dialoscope.corpus import (Corpus, DatasetKind, Dialog, DialogState, ParseError,
+from dialoscope.corpus import (Corpus, DatasetKind, Dialog, ParseError,
                                Speaker, Turn, apply_update, load_multiwoz, load_sgd,
                                load_smcalflow, state_update)
 from dialoscope.evaluate import (PredictionFileError, ScoreReport,
@@ -79,32 +79,32 @@ class TestLoadPredictions:
 
 class TestStatesEqual:
     def test_case_and_whitespace_insensitive(self):
-        a = DialogState({("t", "day"): ("Friday",)})
-        b = DialogState({("t", "day"): ("friday",)})
+        a = {("t", "day"): ("Friday",)}
+        b = {("t", "day"): ("friday",)}
         assert states_equal(a, b)
 
     def test_alternate_values_accepted(self):
-        pred = DialogState({("r", "area"): ("center",)})
-        gold = DialogState({("r", "area"): ("centre", "center")})
+        pred = {("r", "area"): ("center",)}
+        gold = {("r", "area"): ("centre", "center")}
         assert states_equal(pred, gold)
 
     def test_key_set_mismatch(self):
-        a = DialogState({("t", "day"): ("friday",)})
-        assert not states_equal(a, DialogState())
-        assert not states_equal(DialogState(), a)
+        a = {("t", "day"): ("friday",)}
+        assert not states_equal(a, {})
+        assert not states_equal({}, a)
 
     def test_verbatim_alternate_is_not_canonicalized(self, monkeypatch):
         def canonical_value(value):
             raise AssertionError(f"canonicalized {value!r}")
         monkeypatch.setattr(evaluate, "canonical_value", canonical_value)
-        pred = DialogState({("r", "area"): ("center",), ("r", "food"): ("thai",)})
-        gold = DialogState({("r", "area"): ("centre", "center"), ("r", "food"): ("thai",)})
+        pred = {("r", "area"): ("center",), ("r", "food"): ("thai",)}
+        gold = {("r", "area"): ("centre", "center"), ("r", "food"): ("thai",)}
         assert states_equal(pred, gold)
         assert states_equal(pred, gold, fuzzy=True)
 
     def test_fuzzy_matching(self):
-        pred = DialogState({("r", "name"): ("intercontinental hotl",)})
-        gold = DialogState({("r", "name"): ("intercontinental hotel",)})
+        pred = {("r", "name"): ("intercontinental hotl",)}
+        gold = {("r", "name"): ("intercontinental hotel",)}
         assert not states_equal(pred, gold)
         assert states_equal(pred, gold, fuzzy=True)
 
@@ -327,7 +327,7 @@ def reference_jga(corpus, predictions, mode="oracle", fuzzy_values=False):
     report = ScoreReport(metric=f"jga-{mode}")
     known_keys = set()
     for dialog in corpus.dialogs:
-        running = DialogState()
+        running = {}
         for turn in dialog.user_turns():
             key = (dialog.dialog_id, turn.index)
             known_keys.add(key)
@@ -361,7 +361,7 @@ def reference_accumulate(corpus, predictions):
     """`accumulate_predicted_states` before the shared fold."""
     states = {}
     for dialog in corpus.dialogs:
-        running = DialogState()
+        running = {}
         for turn in dialog.user_turns():
             key = (dialog.dialog_id, turn.index)
             try:
@@ -398,7 +398,7 @@ def reference_exact_match(corpus, predictions, honor_refer_flags=False, strict=F
                                    == lispress.print_canonical(gold))
                     except lispress.LispressError:
                         correct = False
-            if correct and honor_refer_flags and "refer_are_incorrect" in turn.flags:
+            if correct and honor_refer_flags and turn.refer_are_incorrect:
                 report.correct_but_flagged += 1
                 correct = False
             report.correct += correct
@@ -464,7 +464,7 @@ class TestEquivalence:
             ref_states = reference_accumulate(corpus, preds)
             assert list(states) == list(ref_states)
             for key, ref_state in ref_states.items():
-                assert states[key].slots == ref_state.slots
+                assert states[key] == ref_state
 
         check()
 

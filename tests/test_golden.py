@@ -38,7 +38,7 @@ def write_planted_multiwoz(path: Path) -> None:
         for turn in dialog.user_turns():
             following = [t for t in dialog.turns if t.index == turn.index + 1]
             state = {"test": {}}  # a non-empty metadata with no slot set
-            for (dom, slot), vals in sorted(turn.state.slots.items()):
+            for (dom, slot), vals in sorted(turn.state.items()):
                 state.setdefault(dom, {})[slot] = "|".join(vals)
             exchanges.append((turn.utterance, state,
                               following[0].utterance if following else "goodbye"))

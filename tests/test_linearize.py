@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import linearize, lispress
-from dialoscope.corpus import (EMPTY_STATE, Corpus, DatasetKind, Dialog, DialogState,
+from dialoscope.corpus import (EMPTY_STATE, Corpus, DatasetKind, Dialog,
                                Speaker, StateUpdate, Turn, load_multiwoz, load_sgd,
                                load_smcalflow, state_update)
 from dialoscope.linearize import (InputRepresentation, Seq2SeqRecord, TargetParseError,
@@ -69,12 +69,11 @@ class TestTarget:
 
 class TestState:
     def test_sorted_first_alternate(self):
-        st = DialogState({("b", "y"): ("2", "two"),
-                         ("a", "x"): ("1",)})
+        st = {("b", "y"): ("2", "two"), ("a", "x"): ("1",)}
         assert linearize_state(st) == "a:x=1, b:y=2"
 
     def test_empty(self):
-        assert linearize_state(DialogState()) == ""
+        assert linearize_state({}) == ""
 
 
 def input_at(dialog, turn_index, repr, kind, predicted_states=None, schemas=None):
@@ -153,7 +152,7 @@ class TestInput:
 
     def test_predicted_previous_state(self, dialog):
         # the state predicted at the preceding user turn
-        predicted = {(dialog.dialog_id, 8): DialogState({("train", "day"): ("friday",)})}
+        predicted = {(dialog.dialog_id, 8): {("train", "day"): ("friday",)}}
         text = input_at(dialog, 10, InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE,
                         DatasetKind.MULTIWOZ, predicted_states=predicted)
         assert text.startswith("[states] train:day=friday [agent]")
@@ -240,7 +239,7 @@ def reference_records(dialog, repr, kind, predicted_states=None, schemas=None):
 
 def _some_predicted_states(corpus):
     """A predicted state, unlike the gold one, for every other user turn."""
-    return {(dialog.dialog_id, turn.index): DialogState({("pred", "slot"): (str(turn.index),)})
+    return {(dialog.dialog_id, turn.index): {("pred", "slot"): (str(turn.index),)}
             for dialog in corpus.dialogs for turn in dialog.user_turns()[::2]}
 
 
@@ -281,7 +280,7 @@ def _json_text_corpus(draw):
             if i % 2:
                 turns.append(Turn(i, Speaker.AGENT, draw(_json_text)))
                 continue
-            state = DialogState({("dom", draw(_json_text)): (draw(_json_text),)})
+            state = {("dom", draw(_json_text)): (draw(_json_text),)}
             turns.append(Turn(i, Speaker.USER, draw(_json_text), state=state))
         dialogs.append(Dialog(f"{draw(_json_text)}-{k}", tuple(turns)))
     return Corpus(DatasetKind.MULTIWOZ, "test", tuple(dialogs))

@@ -9,13 +9,13 @@ import pytest
 
 from dialoscope import analysis, corpus, linearize, lispress, normalize
 from dialoscope.analysis import analyze_corpus, trace_turn
-from dialoscope.corpus import (DatasetKind, Dialog, DialogState, Speaker, StateUpdate, Turn,
+from dialoscope.corpus import (DatasetKind, Dialog, Speaker, StateUpdate, Turn,
                                load_multiwoz, load_sgd, load_smcalflow, state_update)
 from dialoscope.evaluate import accumulate_predicted_states, exact_match_score, jga
 from dialoscope.linearize import InputRepresentation, emit_dataset, linearize_target
 from dialoscope.normalize import EntityKind, MatchCategory, default_lexicon
 
-STATE = DialogState({("hotel", "area"): ("north", "centre")})
+STATE = {("hotel", "area"): ("north", "centre")}
 MATCH = normalize.MatchResult(MatchCategory.TYPO, None, (0, 5), "nortj", 1)
 TRACE = analysis.SlotTrace(("hotel", "area"), "north", 1, MATCH)
 
@@ -28,7 +28,7 @@ def examples():
             frozenset({("hotel", "area", ("north",))}), frozenset({("hotel", "name")}),
             frozenset({last})),
         corpus.Turn: lambda last: Turn(0, Speaker.USER, "hi", None, "(f)",
-                                       lispress.parse("(f)"), frozenset({last})),
+                                       lispress.parse("(f)"), last),
         corpus.Dialog: lambda last: Dialog("d", (Turn(1, Speaker.AGENT, "ok"),), (last,)),
         normalize.Variant: lambda last: normalize.Variant(
             "four", MatchCategory.ENTITY_RECOGNITION, EntityKind(last)),
@@ -49,7 +49,7 @@ def examples():
 
 
 # two values the builder takes for the last field; ("a", "bc") by default
-LAST = {normalize.Variant: ("number", "shortcut"),
+LAST = {corpus.Turn: (False, True), normalize.Variant: ("number", "shortcut"),
         analysis.SlotTrace: ("situational", "unknown")}
 
 
@@ -67,12 +67,12 @@ class TestValueSemantics:
         assert len({a, b, other}) == 2
         assert pickle.loads(pickle.dumps(a)) == a
 
-    @pytest.mark.parametrize("cls", list(examples()) + [DialogState, lispress.List],
+    @pytest.mark.parametrize("cls", list(examples()) + [lispress.List],
                              ids=lambda c: c.__qualname__)
     def test_slotted_types_reject_unknown_attributes(self, cls):
         node = lispress.StringLit("x")
         obj = (examples()[cls](LAST.get(cls, "a")[0]) if cls in examples()
-               else STATE if cls is DialogState else lispress.List([node]))
+               else lispress.List([node]))
         assert not hasattr(obj, "__dict__")
         with pytest.raises(AttributeError):
             obj.note = "x"
@@ -90,13 +90,14 @@ class TestValueSemantics:
         assert len({tree, again, lispress.parse('(f "x")')}) == 2
         assert pickle.loads(pickle.dumps(tree)) == tree
 
-    def test_dialog_state_keeps_its_equality_and_stays_unhashable(self):
-        assert STATE == DialogState({("hotel", "area"): ("centre", "north")})
-        assert STATE != DialogState({("hotel", "area"): ("north",)})
-        assert STATE != DialogState()
-        assert DialogState.__hash__ is None
+    def test_turn_with_a_state_stays_unhashable(self):
+        turn = Turn(0, Speaker.USER, "north", STATE)
+        assert turn == Turn(0, Speaker.USER, "north", dict(STATE))
+        # the first alternate is the one a linearized state shows
+        assert turn != Turn(0, Speaker.USER, "north", {("hotel", "area"): ("centre", "north")})
+        assert turn != Turn(0, Speaker.USER, "north", {})
         with pytest.raises(TypeError):
-            hash(STATE)
+            hash(turn)
 
     def test_pickled_dialog_keeps_a_shared_state_shared(self):
         # SGD turns whose frames changed nothing share one state; this is
@@ -107,7 +108,7 @@ class TestValueSemantics:
         copy = pickle.loads(pickle.dumps(dialog))
         assert copy == dialog
         assert copy.turns[0].state is copy.turns[2].state
-        assert copy.turns[0].state.slots == STATE.slots
+        assert copy.turns[0].state == STATE
 
     @pytest.mark.parametrize("text, cls", [("x", lispress.Symbol), ("1", lispress.Number)])
     def test_shared_atoms_stay_frozen(self, text, cls):
@@ -126,8 +127,8 @@ def snapshot(corp, trees):
     """Every turn field, each state's entries and the print of each of
     `trees`, as values that a later change to the corpus cannot reach."""
     return ([(d.dialog_id, d.services,
-              [(t.index, t.speaker, t.utterance, t.program, t.flags,
-                None if t.state is None else list(t.state.slots.items()))
+              [(t.index, t.speaker, t.utterance, t.program, t.refer_are_incorrect,
+                None if t.state is None else list(t.state.items()))
                for t in d.turns])
              for d in corp.dialogs],
             [lispress.print_canonical(tree) for tree in trees])
@@ -137,7 +138,7 @@ def some_predictions(corp):
     """Gold predictions, with every third one wrong and every fourth missing."""
     preds = {}
     for dialog in corp.dialogs:
-        prev = DialogState()
+        prev = {}
         for k, turn in enumerate(dialog.user_turns()):
             key = (dialog.dialog_id, turn.index)
             if corp.dataset_kind is DatasetKind.SMCALFLOW:
@@ -151,23 +152,30 @@ def some_predictions(corp):
 
 
 def run_everything(corp, out_dir):
+    """Run every library call on `corp`; after each one, the empty state
+    that every dialog starts from is still empty."""
+    def run(call, *args, **kwargs):
+        result = call(*args, **kwargs)
+        assert corpus.EMPTY_STATE == {}, f"{call.__name__} changed EMPTY_STATE"
+        return result
+
     preds = some_predictions(corp)
     lexicon = default_lexicon()
     if corp.dataset_kind is DatasetKind.SMCALFLOW:
-        exact_match_score(corp, preds)
+        run(exact_match_score, corp, preds)
         predicted = [None]
     else:
         for dialog in corp.dialogs:
             for turn in dialog.user_turns():
-                trace_turn(dialog, turn.index, lexicon)
-        jga(corp, preds, mode="oracle")
-        jga(corp, preds, mode="accumulated")
-        predicted = [None, accumulate_predicted_states(corp, preds)]
+                run(trace_turn, dialog, turn.index, lexicon)
+        run(jga, corp, preds, mode="oracle")
+        run(jga, corp, preds, mode="accumulated")
+        predicted = [None, run(accumulate_predicted_states, corp, preds)]
     for workers in (1, 2):
-        analyze_corpus(corp, lexicon, workers=workers)
+        run(analyze_corpus, corp, lexicon, workers=workers)
     for repr in InputRepresentation:
         for states in predicted:
-            emit_dataset(corp, repr, out_dir / f"{repr.value}.jsonl", states)
+            run(emit_dataset, corp, repr, out_dir / f"{repr.value}.jsonl", states)
 
 
 class TestCorpusIsNotMutated:
