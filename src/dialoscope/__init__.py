@@ -5,7 +5,7 @@ conversational distance, contextuality and value-normalization effects,
 emits seq2seq linearizations, and scores dialog-state-tracking
 predictions (JGA and Lispress exact match).
 """
-from .corpus import (Corpus, Dialog, DatasetKind, Speaker,
+from .corpus import (Corpus, Dialog, DatasetKind, InputError, Speaker,
                      StateUpdate, Turn, apply_update, load_multiwoz, load_sgd,
                      load_smcalflow, state_update)
 from .analysis import (ContextClass, SlotTrace, TurnAnalysis, analyze_corpus,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .corpus import Corpus, DatasetKind, Dialog, Speaker, canonical_slot, state_update, text_lines
+from .corpus import (Corpus, DatasetKind, Dialog, InputError, Speaker, canonical_slot,
+                     state_update, text_lines)
 from .lispress import call_heads
 from .normalize import CATEGORY_RANK, Lexicon, MatchCategory, MatchResult, match_in_text
 
@@ -87,10 +88,6 @@ _OVERRIDE_CATEGORIES = {"computation": MatchCategory.COMPUTATION,
                         "other": MatchCategory.OTHER}
 
 
-class OverrideError(ValueError):
-    pass
-
-
 def _natural(text: str) -> Optional[int]:
     """`text` as a non-negative integer in ASCII digits, else None: no sign,
     no `_` separator, no other script's digits, no more digits than int()
@@ -107,27 +104,27 @@ def apply_overrides(path) -> Overrides:
     """Parse a tab-separated manual-adjudication file, one row per slot."""
     overrides: Overrides = {}
     lines: Dict[OverrideKey, int] = {}
-    for lineno, line in text_lines(path, OverrideError):
+    for lineno, line in text_lines(path):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 7:
-            raise OverrideError(f"{path}:{lineno}: expected 7 tab-separated fields")
+            raise InputError(f"{path}:{lineno}: expected 7 tab-separated fields")
         dialog_id, turn_index, domain, slot, delta_c, category, context = (
             p.strip() for p in parts)
         idx = _natural(turn_index)
         if idx is None:
-            raise OverrideError(f"{path}:{lineno}: turn_index must be a non-negative integer")
+            raise InputError(f"{path}:{lineno}: turn_index must be a non-negative integer")
         delta = None
         if delta_c != "-":
             delta = _natural(delta_c)
             if delta is None:
-                raise OverrideError(
+                raise InputError(
                     f"{path}:{lineno}: delta_c must be a non-negative integer or '-'")
         cat = None
         if category != "-":
             if category not in _OVERRIDE_CATEGORIES:
-                raise OverrideError(
+                raise InputError(
                     f"{path}:{lineno}: category must be one of "
                     f"{sorted(_OVERRIDE_CATEGORIES)} or '-'")
             cat = _OVERRIDE_CATEGORIES[category]
@@ -136,11 +133,11 @@ def apply_overrides(path) -> Overrides:
             try:
                 ctx = ContextClass(context)
             except ValueError:
-                raise OverrideError(f"{path}:{lineno}: unknown context class {context!r}")
+                raise InputError(f"{path}:{lineno}: unknown context class {context!r}")
         key = (dialog_id, idx, domain, canonical_slot(slot))
         if key in lines:
-            raise OverrideError(f"{path}:{lineno}: second row for {key}, "
-                                f"first on line {lines[key]}")
+            raise InputError(f"{path}:{lineno}: second row for {key}, "
+                             f"first on line {lines[key]}")
         lines[key] = lineno
         overrides[key] = Override(delta, cat, ctx)
     return overrides

@@ -11,7 +11,7 @@ from pathlib import Path
 from . import analysis, corpus, evaluate, linearize, report
 from .atomic import write_text, write_texts
 from .corpus import DatasetKind
-from .normalize import LexiconError, default_lexicon, load_lexicon
+from .normalize import default_lexicon, load_lexicon
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -229,8 +229,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (corpus.CorpusError, evaluate.PredictionFileError,
-            analysis.OverrideError, LexiconError, OSError) as exc:
+    except (corpus.InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     finally:

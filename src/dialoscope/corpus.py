@@ -22,20 +22,9 @@ DONTCARE = "dontcare"
 _ABSENT_VALUES = {"", "none", "not mentioned"}
 
 
-class CorpusError(Exception):
-    """Base class for load/structure failures."""
-
-
-class LoadError(CorpusError):
-    pass
-
-
-class ParseError(CorpusError):
-    pass
-
-
-class StructuralError(CorpusError):
-    pass
+class InputError(ValueError):
+    """An input file that cannot be read: a corpus, predictions, overrides or
+    lexicon file. The message names the file, and the dialog, turn or line."""
 
 
 class DatasetKind(str, Enum):
@@ -219,37 +208,37 @@ def _read_json(path: Path):
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except FileNotFoundError:
-        raise LoadError(f"missing file: {path}")
+        raise InputError(f"missing file: {path}")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}")
+        raise InputError(f"{path}: not UTF-8 text: {exc}")
     except _JSON_ERRORS as exc:
-        raise ParseError(f"malformed JSON in {path}: {exc}")
+        raise InputError(f"malformed JSON in {path}: {exc}")
 
 
-def text_lines(path, error) -> Iterator[Tuple[int, str]]:
+def text_lines(path) -> Iterator[Tuple[int, str]]:
     """(line number, line) for each line of the UTF-8 text file `path`,
     split only at newlines. A missing file, or bytes that are not UTF-8,
-    raise `error` naming the file."""
+    raise an InputError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             yield from enumerate(f, start=1)
     except FileNotFoundError:
-        raise error(f"missing file: {path}")
+        raise InputError(f"missing file: {path}")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text: {exc}")
+        raise InputError(f"{path}: not UTF-8 text: {exc}")
 
 
-def json_lines(path, error) -> Iterator[Tuple[int, object]]:
+def json_lines(path) -> Iterator[Tuple[int, object]]:
     """(line number, value) for each non-blank line of the JSON-lines file
-    `path`; a line that is not JSON raises `error` naming `path:line`."""
-    for lineno, line in text_lines(path, error):
+    `path`; a line that is not JSON raises an InputError naming `path:line`."""
+    for lineno, line in text_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
             value = json.loads(line)
         except _JSON_ERRORS as exc:
-            raise error(f"{path}:{lineno}: malformed JSON: {exc}")
+            raise InputError(f"{path}:{lineno}: malformed JSON: {exc}")
         yield lineno, value
 
 
@@ -267,13 +256,13 @@ _KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string",
                bool: "a JSON boolean"}
 
 
-def _type_error(what: str, kind, value, path, dialog_id=None, turn=None) -> ParseError:
-    return ParseError(f"{_where(path, dialog_id, turn)}: {what} must be "
+def _type_error(what: str, kind, value, path, dialog_id=None, turn=None) -> InputError:
+    return InputError(f"{_where(path, dialog_id, turn)}: {what} must be "
                       f"{_KIND_NAMES[kind]}, got {type(value).__name__}")
 
 
 def _check(value, kind, what: str, path, dialog_id=None, turn=None):
-    """`value` if it is a `kind`, else a ParseError naming where it was found."""
+    """`value` if it is a `kind`, else an InputError naming where it was found."""
     if isinstance(value, kind):
         return value
     raise _type_error(what, kind, value, path, dialog_id, turn)
@@ -282,7 +271,7 @@ def _check(value, kind, what: str, path, dialog_id=None, turn=None):
 def _add_dialog(dialogs: Dict[str, Dialog], dialog: Dialog, path) -> None:
     """Keep `dialog` under its id; an id kept before raises, naming `path`."""
     if dialog.dialog_id in dialogs:
-        raise StructuralError(f"{_where(path, dialog.dialog_id)}: duplicate dialog id")
+        raise InputError(f"{_where(path, dialog.dialog_id)}: duplicate dialog id")
     dialogs[dialog.dialog_id] = dialog
 
 
@@ -313,8 +302,11 @@ def _parse_multiwoz_frame(domain: str, frame, path, dialog_id, turn):
             if isinstance(value, list):
                 value = value[0] if value else ""
             if not isinstance(value, str):
+                if isinstance(value, (dict, list)):
+                    raise _type_error(f"{domain!r} slot {slot!r}", str, value,
+                                      path, dialog_id, turn)
                 all_str = False
-                value = str(value)
+                value = str(value)  # a number, boolean or null
             if value in _ABSENT_VALUES or value.strip().lower() in _ABSENT_VALUES:
                 continue
             vals = _value_tuple(v.strip() for v in value.split("|") if v.strip())
@@ -366,12 +358,11 @@ def _multiwoz_split_ids(root: Path, split: str) -> Tuple[Optional[Set[str]], Set
         for name in names[split]:
             p = root / name
             if p.exists():
-                return {line.strip() for _, line in text_lines(p, LoadError)
-                        if line.strip()}, set()
-        raise LoadError(f"missing split list file for {split!r} under {root}")
+                return {line.strip() for _, line in text_lines(p) if line.strip()}, set()
+        raise InputError(f"missing split list file for {split!r} under {root}")
     if split == "train":
         return None, _multiwoz_split_ids(root, "dev")[0] | _multiwoz_split_ids(root, "test")[0]
-    raise LoadError(f"unknown MultiWOZ split {split!r}")
+    raise InputError(f"unknown MultiWOZ split {split!r}")
 
 
 def _multiwoz_entry(entry, path, dialog_id, turn) -> Tuple[str, dict]:
@@ -396,18 +387,18 @@ def load_multiwoz(path, split: str = "all") -> Corpus:
     else:
         data = _read_json(path)
     if not isinstance(data, dict) or not data:
-        raise LoadError(f"no dialogs found in {path}")
+        raise InputError(f"no dialogs found in {path}")
 
     ids = [i for i in data if (wanted is None or i in wanted) and i not in excluded]
     if not ids:
-        raise LoadError(f"split {split!r} selected no dialogs from {path}")
+        raise InputError(f"split {split!r} selected no dialogs from {path}")
 
     dialogs = []
     user, agent = Speaker.USER, Speaker.AGENT  # faster than the enum's attributes
     for dialog_id in ids:
         log = _check(data[dialog_id], dict, "dialog", path, dialog_id).get("log")
         if not isinstance(log, list) or not log:
-            raise StructuralError(f"{_where(path, dialog_id)}: missing or empty turn log")
+            raise InputError(f"{_where(path, dialog_id)}: missing or empty turn log")
         turns: List[Turn] = []
         memo: _FrameMemo = {}
         # one (user, agent) exchange per step: the cumulative belief state
@@ -415,15 +406,15 @@ def load_multiwoz(path, split: str = "all") -> Corpus:
         for i in range(0, len(log), 2):
             utterance, metadata = _multiwoz_entry(log[i], path, dialog_id, i)
             if metadata:
-                raise StructuralError(f"{_where(path, dialog_id, i)}: "
-                                      "non-alternating speakers (state on a user turn)")
+                raise InputError(f"{_where(path, dialog_id, i)}: "
+                                 "non-alternating speakers (state on a user turn)")
             if i + 1 == len(log):
-                raise StructuralError(
+                raise InputError(
                     f"{_where(path, dialog_id, i)}: user turn has no system annotation")
             reply, metadata = _multiwoz_entry(log[i + 1], path, dialog_id, i + 1)
             if not metadata:
-                raise StructuralError(f"{_where(path, dialog_id, i + 1)}: "
-                                      "non-alternating speakers (no state on an agent turn)")
+                raise InputError(f"{_where(path, dialog_id, i + 1)}: "
+                                 "non-alternating speakers (no state on an agent turn)")
             state = _parse_multiwoz_state(metadata, path, dialog_id, i + 1, memo)
             turns.append(Turn(i, user, utterance, state))
             turns.append(Turn(i + 1, agent, reply))
@@ -446,7 +437,7 @@ def _sgd_schemas(path: Path) -> Dict[str, str]:
         where = f"service {k}"
         _check(svc, dict, where, path)
         if "service_name" not in svc:
-            raise StructuralError(f"{path}: {where}: missing 'service_name'")
+            raise InputError(f"{path}: {where}: missing 'service_name'")
         name = _check(svc["service_name"], str, f"{where} service_name", path)
         schemas[name] = _check(svc.get("description", ""), str, f"{where} description", path)
     return schemas
@@ -470,7 +461,7 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
     services = tuple(_check(raw.get("services", []), list, "services", path, dialog_id))
     for svc in services:
         if not isinstance(svc, str) or svc not in schemas:
-            raise StructuralError(
+            raise InputError(
                 f"{_where(path, dialog_id)}: references service {svc!r} not in schema")
     turns: List[Turn] = []
     # service -> (its last raw slot_values, their entries), in the order the
@@ -490,7 +481,7 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
             raise _type_error("utterance", str, utterance, path, dialog_id, i)
         speaker = speaker.upper()
         if speaker != ("USER" if i % 2 == 0 else "SYSTEM"):
-            raise StructuralError(f"{_where(path, dialog_id, i)}: non-alternating speakers")
+            raise InputError(f"{_where(path, dialog_id, i)}: non-alternating speakers")
         if speaker == "SYSTEM":
             turns.append(Turn(i, agent, utterance))
             continue
@@ -503,8 +494,8 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
                 raise _type_error("frame", dict, frame, path, dialog_id, i)
             svc = frame.get("service", "")
             if not isinstance(svc, str) or svc not in schemas:
-                raise StructuralError(f"{_where(path, dialog_id, i)}: "
-                                      f"frame references service {svc!r} not in schema")
+                raise InputError(f"{_where(path, dialog_id, i)}: "
+                                 f"frame references service {svc!r} not in schema")
             frame_state = frame.get("state", {})
             if not isinstance(frame_state, dict):
                 raise _type_error("frame state", dict, frame_state, path, dialog_id, i)
@@ -543,7 +534,7 @@ def _sgd_dialog(raw, path: Path, schemas: Dict[str, str], memo: _SlotMemo) -> Di
                 state.update(entries)
         turns.append(Turn(i, user, utterance, state))
     if not turns:
-        raise StructuralError(f"{_where(path, dialog_id)}: empty dialog")
+        raise InputError(f"{_where(path, dialog_id)}: empty dialog")
     return Dialog(dialog_id, tuple(turns), services=services)
 
 
@@ -560,12 +551,12 @@ def load_sgd(path, split: str = "test") -> Corpus:
     elif split in ("all", root.name):
         split_dir = root
     else:
-        raise LoadError(f"no SGD split directory '{split}' under {root}")
+        raise InputError(f"no SGD split directory '{split}' under {root}")
     schemas = _sgd_schemas(split_dir / "schema.json")
 
     dialog_files = sorted(split_dir.glob("dialogues_*.json"))
     if not dialog_files:
-        raise LoadError(f"no dialogues_*.json files under {split_dir}")
+        raise InputError(f"no dialogues_*.json files under {split_dir}")
 
     memo: _SlotMemo = {}
     dialogs: Dict[str, Dialog] = {}
@@ -573,7 +564,7 @@ def load_sgd(path, split: str = "test") -> Corpus:
         for raw in _check(_read_json(file), list, "dialogues file", file):
             _add_dialog(dialogs, _sgd_dialog(raw, file, schemas, memo), file)
     if not dialogs:
-        raise LoadError(f"no dialogs found under {split_dir}")
+        raise InputError(f"no dialogs found under {split_dir}")
     return Corpus(DatasetKind.SGD, split, tuple(dialogs.values()), schemas=schemas)
 
 
@@ -589,7 +580,7 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
     reply is dropped so dialogs may end on a user turn.
     """
     dialogs: Dict[str, Dialog] = {}
-    for lineno, raw in json_lines(path, ParseError):
+    for lineno, raw in json_lines(path):
         line_path = f"{path}:{lineno}"
         _check(raw, dict, "dialog", line_path)
         dialog_id = _check(raw.get("dialogue_id", f"line{lineno}"), str, "dialogue_id", line_path)
@@ -601,7 +592,7 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
             user_text = _utt_text(t.get("user_utterance"), line_path, dialog_id, user)
             program = t.get("lispress")
             if program is None:
-                raise StructuralError(f"{_where(line_path, dialog_id, user)}: missing a program")
+                raise InputError(f"{_where(line_path, dialog_id, user)}: missing a program")
             _check(program, str, "lispress", line_path, dialog_id, user)
             oracle = _check(t.get("program_execution_oracle", {}), dict,
                             "program_execution_oracle", line_path, dialog_id, user)
@@ -613,7 +604,7 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
             try:
                 tree = lispress.parse(program)
             except lispress.LispressError as exc:
-                raise ParseError(f"{_where(line_path, dialog_id, user)}: "
+                raise InputError(f"{_where(line_path, dialog_id, user)}: "
                                  f"gold program does not parse: {exc}") from exc
             turns.append(Turn(user, Speaker.USER, user_text, program=program, tree=tree,
                               refer_are_incorrect=flagged))
@@ -621,10 +612,10 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
             if agent_text or k + 1 < len(source_turns):
                 turns.append(Turn(user + 1, Speaker.AGENT, agent_text))
         if not turns:
-            raise StructuralError(f"{_where(line_path, dialog_id)}: empty dialog")
+            raise InputError(f"{_where(line_path, dialog_id)}: empty dialog")
         _add_dialog(dialogs, Dialog(dialog_id, tuple(turns)), line_path)
     if not dialogs:
-        raise LoadError(f"empty SMCalFlow file: {path}")
+        raise InputError(f"empty SMCalFlow file: {path}")
     return Corpus(DatasetKind.SMCALFLOW, split, tuple(dialogs.values()))
 
 

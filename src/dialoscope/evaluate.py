@@ -16,17 +16,13 @@ from json.encoder import encode_basestring as json_string
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import lispress
-from .corpus import (Corpus, DatasetKind, DONTCARE, EMPTY_STATE, Slots, Speaker,
-                     apply_update, json_lines)
+from .corpus import (Corpus, DatasetKind, DONTCARE, EMPTY_STATE, InputError, Slots,
+                     Speaker, apply_update, json_lines)
 from .linearize import TargetParseError, parse_target
 
 log = logging.getLogger(__name__)
 
 PredKey = Tuple[str, int]
-
-
-class PredictionFileError(ValueError):
-    pass
 
 
 _RECORD_FIELDS = {"dialogue_id", "turn_index", "prediction"}
@@ -35,20 +31,20 @@ _RECORD_FIELDS = {"dialogue_id", "turn_index", "prediction"}
 def load_predictions(path) -> Dict[PredKey, str]:
     """Read a line-delimited JSON predictions file."""
     predictions: Dict[PredKey, str] = {}
-    for lineno, rec in json_lines(path, PredictionFileError):
+    for lineno, rec in json_lines(path):
         # turn_index is a JSON integer: no float, bool or numeric string
         if not (isinstance(rec, dict) and _RECORD_FIELDS <= rec.keys()
                 and type(rec["turn_index"]) is int):
-            raise PredictionFileError(
+            raise InputError(
                 f"{path}:{lineno}: need dialogue_id, turn_index, prediction")
         key = (rec["dialogue_id"], rec["turn_index"])
         pred = rec["prediction"]
         for name, value in (("dialogue_id", key[0]), ("prediction", pred)):
             if not isinstance(value, str):
-                raise PredictionFileError(f"{path}:{lineno}: {name} must be a string, "
-                                          f"got {type(value).__name__}")
+                raise InputError(f"{path}:{lineno}: {name} must be a string, "
+                                 f"got {type(value).__name__}")
         if key in predictions:
-            raise PredictionFileError(f"{path}:{lineno}: duplicate record for {key}")
+            raise InputError(f"{path}:{lineno}: duplicate record for {key}")
         predictions[key] = pred
     return predictions
 

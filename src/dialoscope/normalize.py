@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .corpus import text_lines
+from .corpus import InputError, text_lines
 
 
 class MatchCategory(str, Enum):
@@ -64,9 +64,6 @@ UNRESOLVED = MatchResult(MatchCategory.UNRESOLVED)
 # ---------------------------------------------------------------------------
 # lexicon
 # ---------------------------------------------------------------------------
-
-class LexiconError(ValueError):
-    pass
 
 
 @dataclass
@@ -133,7 +130,7 @@ def load_lexicon(path) -> Lexicon:
     semantic: Dict[str, Set[str]] = {}
     shortcut: Dict[str, Set[str]] = {}
     other: Dict[str, Set[str]] = {}
-    for lineno, line in text_lines(path, LexiconError):
+    for lineno, line in text_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -147,12 +144,12 @@ def load_lexicon(path) -> Lexicon:
         key, sep, phrases = line.partition(":")
         key = key.strip().lower()
         if not sep or not key:
-            raise LexiconError(f"{path}:{lineno}: expected 'key: phrase|phrase'")
+            raise InputError(f"{path}:{lineno}: expected 'key: phrase|phrase'")
         if table is not shortcut and "/" not in key:
-            raise LexiconError(f"{path}:{lineno}: key must be [domain/]slot/value")
+            raise InputError(f"{path}:{lineno}: key must be [domain/]slot/value")
         phrase_set = {p.strip().lower() for p in phrases.split("|") if p.strip()}
         if not phrase_set:
-            raise LexiconError(f"{path}:{lineno}: empty phrase set")
+            raise InputError(f"{path}:{lineno}: empty phrase set")
         table.setdefault(key, set()).update(phrase_set)
     return Lexicon(semantic, shortcut, other)
 

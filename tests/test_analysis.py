@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import analysis
-from dialoscope.analysis import (ContextClass, OverrideError, analyze_corpus,
-                                 apply_overrides, histogram, trace_turn)
-from dialoscope.corpus import (Corpus, DatasetKind, Dialog, Speaker, Turn,
+from dialoscope.analysis import (ContextClass, analyze_corpus, apply_overrides,
+                                 histogram, trace_turn)
+from dialoscope.corpus import (Corpus, DatasetKind, Dialog, InputError, Speaker, Turn,
                                load_multiwoz, load_sgd, load_smcalflow, state_update)
 from dialoscope.evaluate import jga
 from dialoscope.linearize import linearize_target
@@ -148,7 +148,7 @@ class TestOverrides:
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "ov.tsv"
         p.write_text("too\tfew\tfields\n", "utf-8")
-        with pytest.raises(OverrideError) as exc:
+        with pytest.raises(InputError) as exc:
             apply_overrides(p)
         assert ":1" in str(exc.value)
 
@@ -160,7 +160,7 @@ class TestOverrides:
         p = tmp_path / "ov.tsv"
         p.write_text(f"# header\nMUL0635.json\t{row['turn_index']}\ttrain\tdestination"
                      f"\t{row['delta_c']}\t-\t-\n", "utf-8")
-        with pytest.raises(OverrideError) as exc:
+        with pytest.raises(InputError) as exc:
             apply_overrides(p)
         assert str(exc.value).startswith(f"{p}:2: {field} must be a non-negative integer")
 
@@ -169,7 +169,7 @@ class TestOverrides:
         p.write_text("MUL0635.json\t10\ttrain\tdestination\t5\t-\t-\n"
                      "MUL0635.json\t10\ttrain\tday\t5\t-\t-\n"
                      "MUL0635.json\t10\ttrain\tdestination\t3\tother\t-\n", "utf-8")
-        with pytest.raises(OverrideError) as exc:
+        with pytest.raises(InputError) as exc:
             apply_overrides(p)
         message = str(exc.value)
         assert message.startswith(f"{p}:3: ")
@@ -195,7 +195,7 @@ class TestOverrides:
         p = tmp_path / "ov.tsv"
         p.write_text("MUL0635.json\t10\ttrain\tarriveby\t5\t-\t-\n"
                      "MUL0635.json\t10\ttrain\tarriveBy\t3\t-\t-\n", "utf-8")
-        with pytest.raises(OverrideError) as exc:
+        with pytest.raises(InputError) as exc:
             apply_overrides(p)
         message = str(exc.value)
         assert message.startswith(f"{p}:2: second row for ")

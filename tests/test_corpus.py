@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import lispress
-from dialoscope.corpus import (Corpus, CorpusError, Dialog, DatasetKind,
-                               LoadError, ParseError, Speaker, StructuralError, Turn, _check,
+from dialoscope.corpus import (Corpus, Dialog, DatasetKind, InputError, Speaker, Turn, _check,
                                _parse_multiwoz_state, _sgd_dialog, _type_error, _where,
                                apply_update, canonical_slot, load_multiwoz, load_sgd,
                                load_smcalflow, state_update)
@@ -89,11 +88,11 @@ class TestLoadMultiwoz:
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text("{}", "utf-8")
-        with pytest.raises(LoadError):
+        with pytest.raises(InputError):
             load_multiwoz(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(LoadError) as exc:
+        with pytest.raises(InputError) as exc:
             load_multiwoz(tmp_path / "nope.json")
         assert "nope.json" in str(exc.value)
 
@@ -104,7 +103,7 @@ class TestLoadMultiwoz:
         ]}}
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(raw), "utf-8")
-        with pytest.raises(StructuralError) as exc:
+        with pytest.raises(InputError) as exc:
             load_multiwoz(p)
         assert "BAD.json" in str(exc.value)
 
@@ -118,7 +117,7 @@ class TestLoadMultiwoz:
             "MUL0635.json"]
         assert [d.dialog_id for d in load_multiwoz(root, "test").dialogs] == [
             "SNG0073.json"]
-        with pytest.raises(LoadError):
+        with pytest.raises(InputError):
             load_multiwoz(root, "train")  # all dialogs are in dev/test lists
         (root / "testListFile.txt").write_text("OTHER.json\n", "utf-8")
         assert [d.dialog_id for d in load_multiwoz(root, "train").dialogs] == [
@@ -146,7 +145,7 @@ class TestLoadSgd:
         split_dir = tmp_path / "test"
         split_dir.mkdir()
         (split_dir / "dialogues_001.json").write_text("[]", "utf-8")
-        with pytest.raises(LoadError):
+        with pytest.raises(InputError):
             load_sgd(tmp_path, "test")
 
     def test_unknown_service_rejected(self, tmp_path, sgd_raw):
@@ -157,7 +156,7 @@ class TestLoadSgd:
             json.dumps([{"service_name": "Restaurants_1", "description": ""}]),
             "utf-8")
         (split_dir / "dialogues_001.json").write_text(json.dumps(sgd_raw), "utf-8")
-        with pytest.raises(StructuralError) as exc:
+        with pytest.raises(InputError) as exc:
             load_sgd(tmp_path, "test")
         assert "1_00000" in str(exc.value) and "Flights_9" in str(exc.value)
 
@@ -169,7 +168,7 @@ class TestLoadSgd:
         write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
                                 "test/dialogues_001.json": sgd_raw,
                                 "test/dialogues_005.json": sgd_raw})
-        with pytest.raises(StructuralError) as exc:
+        with pytest.raises(InputError) as exc:
             load_sgd(tmp_path, "test")
         assert str(exc.value) == (f"{tmp_path / 'test' / 'dialogues_005.json'}: "
                                   "dialog 1_00000: duplicate dialog id")
@@ -177,7 +176,7 @@ class TestLoadSgd:
     def test_dialog_id_twice_in_one_file_rejected(self, tmp_path, sgd_raw):
         write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
                                 "test/dialogues_001.json": sgd_raw + sgd_raw[1:]})
-        with pytest.raises(StructuralError) as exc:
+        with pytest.raises(InputError) as exc:
             load_sgd(tmp_path, "test")
         assert str(exc.value).endswith(f"dialog {sgd_raw[1]['dialogue_id']}: duplicate dialog id")
 
@@ -200,7 +199,7 @@ class TestLoadSmcalflow:
         smcalflow_raw[1]["turns"][1] = {**smcalflow_raw[1]["turns"][1], "lispress": "(a b"}
         p = tmp_path / "c.jsonl"
         write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InputError) as exc:
             load_smcalflow(p)
         assert str(exc.value) == (f"{p}:2: dialog calflow-1, turn 2: gold program does not "
                                   "parse: unbalanced '(' (at character offset 0)")
@@ -217,7 +216,7 @@ class TestLoadSmcalflow:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("", "utf-8")
-        with pytest.raises(LoadError):
+        with pytest.raises(InputError):
             load_smcalflow(p)
 
     def test_bad_line_reports_number(self, tmp_path):
@@ -225,14 +224,14 @@ class TestLoadSmcalflow:
         good = json.dumps({"dialogue_id": "a", "turns": [
             {"user_utterance": {"original_text": "hi"}, "lispress": "(x)"}]})
         p.write_text(good + "\nnot json\n", "utf-8")
-        with pytest.raises(Exception) as exc:
+        with pytest.raises(InputError) as exc:
             load_smcalflow(p)
         assert ":2" in str(exc.value)
 
     def test_dialog_id_on_two_lines_rejected(self, tmp_path, smcalflow_raw):
         p = tmp_path / "c.jsonl"
         write_layout(tmp_path, {"c.jsonl": smcalflow_raw + smcalflow_raw[:1]})
-        with pytest.raises(StructuralError) as exc:
+        with pytest.raises(InputError) as exc:
             load_smcalflow(p)
         assert str(exc.value) == f"{p}:3: dialog calflow-0: duplicate dialog id"
 
@@ -240,7 +239,7 @@ class TestLoadSmcalflow:
         p = tmp_path / "noprog.jsonl"
         p.write_text(json.dumps({"dialogue_id": "x", "turns": [
             {"user_utterance": {"original_text": "hi"}}]}) + "\n", "utf-8")
-        with pytest.raises(StructuralError):
+        with pytest.raises(InputError):
             load_smcalflow(p)
 
 
@@ -266,7 +265,7 @@ class TestValidate:
 
 
 # ---------------------------------------------------------------------------
-# malformed input: a located CorpusError, never a traceback
+# malformed input: a located InputError, never a traceback
 # ---------------------------------------------------------------------------
 
 def _mwz_agent_meta(meta):
@@ -299,6 +298,13 @@ MALFORMED = {
     "mwz-book-is-list": ("multiwoz", {"d.json": _mwz_agent_meta(
         {"hotel": {"semi": {}, "book": []}})}, "d.json",
         ["d.json", "dialog D1", "turn 1", "'book'"]),
+    # an object or a nested list would load as its Python repr
+    "mwz-value-is-object": ("multiwoz", {"d.json": _mwz_agent_meta(
+        {"hotel": {"semi": {"area": {"x": 1}}}})}, "d.json",
+        ["d.json", "dialog D1", "turn 1", "'hotel' slot 'area' must be a string, got dict"]),
+    "mwz-list-value-holds-a-list": ("multiwoz", {"d.json": _mwz_agent_meta(
+        {"hotel": {"book": {"name": [["a"]]}}})}, "d.json",
+        ["d.json", "dialog D1", "turn 1", "'hotel' slot 'name' must be a string, got list"]),
     "mwz-text-not-string": ("multiwoz", {"d.json": {"D1": {"log": [
         {"text": 7, "metadata": {}},
         {"text": "ok", "metadata": {"hotel": {"semi": {"area": "north"}}}}]}}},
@@ -361,7 +367,7 @@ class TestMalformedInput:
     def test_located_corpus_error(self, tmp_path, case):
         dataset, files, rel, named = MALFORMED[case]
         write_layout(tmp_path, files)
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(InputError) as exc:
             LOADERS[dataset](tmp_path / rel, "test")
         for part in named:
             assert part in str(exc.value)
@@ -456,14 +462,25 @@ _smc_lines = st.lists(st.fixed_dictionaries(
     min_size=1, max_size=2, unique_by=lambda d: d["dialogue_id"])
 
 
+def _scalar_texts(doc):
+    """Each JSON string, number or boolean value in `doc`, as the MultiWOZ
+    loader reads it: str() of it, split at '|', each part stripped."""
+    if isinstance(doc, (dict, list)):
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            yield from _scalar_texts(value)
+    elif doc is not None:
+        yield from (part.strip() for part in str(doc).split("|"))
+
+
 def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
     """Load `files` as they are, then once with each value at `min_depth` or
     deeper (a whole file at depth 1) replaced by a junk value: each load
-    returns a Corpus or raises a CorpusError. In a returned Corpus, turn
+    returns a Corpus or raises an InputError. In a returned Corpus, turn
     indexes are positions, speakers alternate starting with the user, every
     user turn has a state (MultiWOZ, SGD) or a program whose tree is its
     parse (SMCalFlow), and every state's alternates are non-empty and hold
-    no duplicates."""
+    no duplicates; a MultiWOZ alternate is text from a JSON string, number
+    or boolean of the document, never the repr of an object or a list."""
     paths = [p for p in _paths(files) if len(p) >= min_depth]
     variants = [files] + [_replaced(files, p, junk[k % len(junk)]) for k, p in enumerate(paths)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -471,9 +488,10 @@ def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
             write_layout(Path(tmp), variant)
             try:
                 result = LOADERS[dataset](Path(tmp) / rel, "test")
-            except CorpusError:
+            except InputError:
                 continue
             assert isinstance(result, Corpus)
+            scalars = set(_scalar_texts(variant)) if dataset == "multiwoz" else None
             for dialog in result.dialogs:
                 assert [t.index for t in dialog.turns] == list(range(len(dialog.turns)))
                 assert [t.speaker for t in dialog.turns] == [
@@ -485,6 +503,7 @@ def _check_every_value_replaced(dataset, files, rel, junk, min_depth=1):
                     assert turn.state is not None
                     for vals in turn.state.values():
                         assert vals and len(set(vals)) == len(vals)
+                        assert scalars is None or scalars.issuperset(vals)
 
 
 _junk = st.lists(_json, min_size=1, max_size=4)
@@ -618,21 +637,21 @@ def reference_load_multiwoz(data, path):
     for dialog_id in data:
         log = _check(data[dialog_id], dict, "dialog", path, dialog_id).get("log")
         if not isinstance(log, list) or not log:
-            raise StructuralError(f"{_where(path, dialog_id)}: missing or empty turn log")
+            raise InputError(f"{_where(path, dialog_id)}: missing or empty turn log")
         turns = []
         memo = {}
         for i, entry in enumerate(log):
             utterance, metadata = entry_of(entry, i)
             is_user = i % 2 == 0
             if is_user and metadata:
-                raise StructuralError(f"{_where(path, dialog_id, i)}: "
-                                      "non-alternating speakers (state on a user turn)")
+                raise InputError(f"{_where(path, dialog_id, i)}: "
+                                 "non-alternating speakers (state on a user turn)")
             if not is_user and not metadata:
-                raise StructuralError(f"{_where(path, dialog_id, i)}: "
-                                      "non-alternating speakers (no state on an agent turn)")
+                raise InputError(f"{_where(path, dialog_id, i)}: "
+                                 "non-alternating speakers (no state on an agent turn)")
             if is_user:
                 if i + 1 >= len(log):
-                    raise StructuralError(
+                    raise InputError(
                         f"{_where(path, dialog_id, i)}: user turn has no system annotation")
                 _, agent_metadata = entry_of(log[i + 1], i + 1)
                 state = _parse_multiwoz_state(agent_metadata, path, dialog_id, i + 1, memo)
@@ -706,11 +725,11 @@ class TestMultiwozWalk:
             write_layout(Path(tmp), {"d.json": data})
             try:
                 new = load_multiwoz(path).dialogs
-            except CorpusError as exc:
+            except InputError as exc:
                 new = exc
             try:
                 ref = reference_load_multiwoz(data, path)
-            except CorpusError as exc:
+            except InputError as exc:
                 ref = exc
         # key order and alternate order included
         assert _mwz_outcome(new) == _mwz_outcome(ref)
@@ -728,7 +747,7 @@ def reference_sgd_dialog(raw, path, schemas, memo):
     services = tuple(_check(raw.get("services", []), list, "services", path, dialog_id))
     for svc in services:
         if not isinstance(svc, str) or svc not in schemas:
-            raise StructuralError(
+            raise InputError(
                 f"{_where(path, dialog_id)}: references service {svc!r} not in schema")
     turns = []
     cumulative = {}
@@ -737,7 +756,7 @@ def reference_sgd_dialog(raw, path, schemas, memo):
         speaker = _check(t.get("speaker", ""), str, "speaker", path, dialog_id, i).upper()
         utterance = _check(t.get("utterance", ""), str, "utterance", path, dialog_id, i)
         if speaker != ("USER" if i % 2 == 0 else "SYSTEM"):
-            raise StructuralError(f"{_where(path, dialog_id, i)}: non-alternating speakers")
+            raise InputError(f"{_where(path, dialog_id, i)}: non-alternating speakers")
         if speaker == "SYSTEM":
             turns.append(Turn(i, Speaker.AGENT, utterance))
             continue
@@ -745,8 +764,8 @@ def reference_sgd_dialog(raw, path, schemas, memo):
             _check(frame, dict, "frame", path, dialog_id, i)
             svc = frame.get("service", "")
             if not isinstance(svc, str) or svc not in schemas:
-                raise StructuralError(f"{_where(path, dialog_id, i)}: "
-                                      f"frame references service {svc!r} not in schema")
+                raise InputError(f"{_where(path, dialog_id, i)}: "
+                                 f"frame references service {svc!r} not in schema")
             state = _check(frame.get("state", {}), dict, "frame state", path, dialog_id, i)
             slot_values = _check(state.get("slot_values", {}), dict, "slot_values",
                                  path, dialog_id, i)
@@ -770,7 +789,7 @@ def reference_sgd_dialog(raw, path, schemas, memo):
                     cumulative[key] = vals
         turns.append(Turn(i, Speaker.USER, utterance, state=cumulative))
     if not turns:
-        raise StructuralError(f"{_where(path, dialog_id)}: empty dialog")
+        raise InputError(f"{_where(path, dialog_id)}: empty dialog")
     return Dialog(dialog_id, tuple(turns), services=services)
 
 
@@ -828,7 +847,7 @@ def _sgd_outcome(load, dialogs):
     memo = {}
     try:
         loaded = [load(raw, Path("d.json"), _SGD_MEMO_SCHEMAS, memo) for raw in dialogs]
-    except CorpusError as exc:
+    except InputError as exc:
         return type(exc), str(exc)
     return [[list(t.state.items()) for t in dialog.user_turns()] for dialog in loaded]
 

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import evaluate, lispress
-from dialoscope.corpus import (Corpus, DatasetKind, Dialog, ParseError,
+from dialoscope.corpus import (Corpus, DatasetKind, Dialog, InputError,
                                Speaker, Turn, apply_update, load_multiwoz, load_sgd,
                                load_smcalflow, state_update)
-from dialoscope.evaluate import (PredictionFileError, ScoreReport,
-                                 accumulate_predicted_states,
+from dialoscope.evaluate import (ScoreReport, accumulate_predicted_states,
                                  exact_match_score, jga, load_predictions,
                                  states_equal)
 from dialoscope.linearize import TargetParseError, linearize_target, parse_target
@@ -46,21 +45,21 @@ class TestLoadPredictions:
         p = tmp_path / "preds.jsonl"
         rec = json.dumps({"dialogue_id": "d", "turn_index": 0, "prediction": "x"})
         p.write_text(rec + "\n" + rec + "\n", "utf-8")
-        with pytest.raises(PredictionFileError) as exc:
+        with pytest.raises(InputError) as exc:
             load_predictions(p)
         assert ":2" in str(exc.value)
 
     def test_missing_field_rejected(self, tmp_path):
         p = tmp_path / "preds.jsonl"
         p.write_text('{"dialogue_id": "d", "turn_index": 0}\n', "utf-8")
-        with pytest.raises(PredictionFileError):
+        with pytest.raises(InputError):
             load_predictions(p)
 
     def test_malformed_json_reports_line(self, tmp_path):
         p = tmp_path / "preds.jsonl"
         p.write_text('{"dialogue_id": "d", "turn_index": 0, "prediction": ""}\n'
                      "{broken\n", "utf-8")
-        with pytest.raises(PredictionFileError) as exc:
+        with pytest.raises(InputError) as exc:
             load_predictions(p)
         assert ":2" in str(exc.value)
 
@@ -72,7 +71,7 @@ class TestLoadPredictions:
         if type(turn_index) is int:
             assert load_predictions(p) == {("d", turn_index): "x"}
             return
-        with pytest.raises(PredictionFileError) as exc:
+        with pytest.raises(InputError) as exc:
             load_predictions(p)
         assert str(exc.value) == f"{p}:1: need dialogue_id, turn_index, prediction"
 
@@ -261,7 +260,7 @@ class TestExactMatch:
         smcalflow_raw[0]["turns"][1]["lispress"] = "(Yield (foo"
         path = tmp_path / "c.jsonl"
         path.write_text("".join(json.dumps(d) + "\n" for d in smcalflow_raw), "utf-8")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InputError) as exc:
             load_smcalflow(path)
         assert str(exc.value).startswith(
             f"{path}:1: dialog calflow-0, turn 2: gold program does not parse: ")

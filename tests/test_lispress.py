@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import lispress
-from dialoscope.corpus import ParseError, load_smcalflow
+from dialoscope.corpus import InputError, load_smcalflow
 from dialoscope.evaluate import exact_match_score
 from dialoscope.lispress import (MAX_DEPTH, LispressError, List, Number, StringLit, Symbol,
                                  TypedLiteral, call_heads, parse, print_canonical)
@@ -279,11 +279,11 @@ class TestExactMatch:
         assert not scored_correct("(a", "(a b)")
 
     def test_unparseable_gold_is_error(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             scored_correct("(a)", "(a")
 
     def test_gold_error_names_one_offset(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InputError) as exc:
             scored_correct("(a)", "(Yield (foo")
         assert str(exc.value).endswith("d.jsonl:1: dialog d, turn 0: gold program does not "
                                        "parse: unbalanced '(' (at character offset 7)")

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialoscope import normalize
-from dialoscope.normalize import (EntityKind, Lexicon, LexiconError,
-                                  MatchCategory, MatchResult, UNRESOLVED, Variant,
+from dialoscope.corpus import InputError
+from dialoscope.normalize import (EntityKind, Lexicon, MatchCategory, MatchResult,
+                                  UNRESOLVED, Variant,
                                   damerau_levenshtein, default_lexicon,
                                   load_lexicon, match_in_text, variants)
 
@@ -564,7 +565,7 @@ class TestLoadLexicon:
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text("a/b: ok\nnot a mapping\n", "utf-8")
-        with pytest.raises(LexiconError) as exc:
+        with pytest.raises(InputError) as exc:
             load_lexicon(p)
         assert ":2" in str(exc.value)
 
@@ -572,7 +573,7 @@ class TestLoadLexicon:
         # a form feed ends no line: str.splitlines() would count three here
         p = tmp_path / "lex.txt"
         p.write_text("a/b: ok\x0c\nnot a mapping\n", "utf-8")
-        with pytest.raises(LexiconError) as exc:
+        with pytest.raises(InputError) as exc:
             load_lexicon(p)
         assert str(exc.value) == f"{p}:2: expected 'key: phrase|phrase'"
 
