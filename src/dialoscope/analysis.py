@@ -216,18 +216,23 @@ def trace_turn(dialog: Dialog, turn_index: int, lexicon: Optional[Lexicon] = Non
 def _tally_frame_dialog(dialog: Dialog, lexicon: Optional[Lexicon],
                         overrides: Optional[Overrides]) -> Counter:
     tally: Counter = Counter()
+    non_contextual = ContextClass.NON_CONTEXTUAL
     for turn in dialog.user_turns():
         traced = trace_turn(dialog, turn.index, lexicon, overrides)
+        traces = traced.slot_traces
         tally["user_turns"] += 1
         if traced.relaxes:
             tally["relaxed"] += 1
-        flagged = {t.context_class for t in traced.slot_traces} - {
-            ContextClass.NON_CONTEXTUAL}
-        tally.update(("context", ctx) for ctx in flagged or {ContextClass.NON_CONTEXTUAL})
-        if traced.slot_traces:
+        # each distinct class or category counts the turn once
+        flagged = {t.context_class for t in traces}
+        flagged.discard(non_contextual)
+        for ctx in flagged or (non_contextual,):
+            tally["context", ctx] += 1
+        if traces:
             tally["tracked"] += 1
-            tally[("delta", traced.turn_delta_c)] += 1
-            tally.update({("norm", t.report_category) for t in traced.slot_traces})
+            tally["delta", traced.turn_delta_c] += 1
+            for category in {t.report_category for t in traces}:
+                tally["norm", category] += 1
     return tally
 
 

@@ -119,7 +119,7 @@ def cmd_inspect(args) -> int:
     try:
         dialog = corp.get_dialog(args.dialog_id)
     except KeyError:
-        print(f"unknown dialog_id: {args.dialog_id}", file=sys.stderr)
+        print(f"error: unknown dialog_id: {args.dialog_id}", file=sys.stderr)
         return EXIT_FAILURE
     lexicon = _load_lexicon(args)
     overrides = _load_overrides(args)

@@ -203,15 +203,65 @@ def apply_update(prev: Slots, update: StateUpdate) -> Slots:
 _JSON_ERRORS = (ValueError, RecursionError)
 
 
-def _read_json(path: Path):
+def _read_text(path: Path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return f.read()
     except FileNotFoundError:
         raise InputError(f"missing file: {path}")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}")
+
+
+def _loads(text: str, path):
+    try:
+        return json.loads(text)
     except _JSON_ERRORS as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}")
+
+
+def _read_json(path: Path):
+    return _loads(_read_text(path), path)
+
+
+_json_space = json.decoder.WHITESPACE.match
+_json_value = json.JSONDecoder().raw_decode
+
+
+def _json_members(text: str, path) -> Iterator[Tuple[str, object]]:
+    """(key, value) of each member of the JSON object `text`, in document
+    order, a repeated key included. Each value is decoded only when it is
+    reached, so the whole document never exists at once. A document that is
+    not an object has no members; malformed text raises, once its fault is
+    reached, the InputError json.loads would give."""
+    end = _json_space(text).end()
+    if text[end:end + 1] != "{":
+        _loads(text, path)  # a list or a scalar, or malformed
+        return
+    end = _json_space(text, end + 1).end()
+    try:
+        if text[end:end + 1] != "}":
+            while True:
+                if text[end:end + 1] != '"':
+                    raise ValueError("expecting a member name")
+                key, end = json.decoder.scanstring(text, end + 1)
+                end = _json_space(text, end).end()
+                if text[end:end + 1] != ":":
+                    raise ValueError("expecting ':'")
+                value, end = _json_value(text, _json_space(text, end + 1).end())
+                yield key, value
+                end = _json_space(text, end).end()
+                if text[end:end + 1] != ",":
+                    break
+                end = _json_space(text, end + 1).end()
+            if text[end:end + 1] != "}":
+                raise ValueError("expecting ',' or '}'")
+        if _json_space(text, end + 1).end() != len(text):
+            raise ValueError("extra data")
+    except _JSON_ERRORS as exc:
+        # json.loads decodes from the start, so it stops at the same first
+        # fault, and words it as the running Python does
+        _loads(text, path)
         raise InputError(f"malformed JSON in {path}: {exc}")
 
 
@@ -279,11 +329,24 @@ def _add_dialog(dialogs: Dict[str, Dialog], dialog: Dialog, path) -> None:
 # MultiWOZ
 # ---------------------------------------------------------------------------
 
-# raw domain name -> (its last raw frame, that frame's entries); one per dialog
-_FrameMemo = Dict[str, Tuple[dict, List[Tuple[Tuple[str, str], Tuple[str, ...]]]]]
+# a load's memos: raw domain name -> (its last raw frame, that frame's
+# entries), and (raw domain, section prefix, raw slot, value as a string)
+# -> the slot's entry, or None for an absent value
+_Entry = Tuple[Tuple[str, str], Tuple[str, ...]]
+_FrameMemo = Dict[str, Tuple[dict, List[_Entry]]]
+_ValueMemo = Dict[Tuple[str, str, str, str], Optional[_Entry]]
 
 
-def _parse_multiwoz_frame(domain: str, frame, path, dialog_id, turn):
+def _multiwoz_slot(domain: str, prefix: str, slot: str, value: str) -> Optional[_Entry]:
+    """The ((domain, slot), alternates) entry of one value, or None when
+    the value is absent or the slot is "booked"."""
+    if slot == "booked" or value.strip().lower() in _ABSENT_VALUES:
+        return None
+    vals = _value_tuple(v.strip() for v in value.split("|") if v.strip())
+    return ((domain.lower(), canonical_slot(prefix + slot)), vals) if vals else None
+
+
+def _parse_multiwoz_frame(domain: str, frame, path, dialog_id, turn, values: _ValueMemo):
     """The ((domain, slot), alternates) entries of one domain's frame, in
     source order, and whether every value read from it was a string."""
     if not isinstance(frame, dict):
@@ -297,21 +360,26 @@ def _parse_multiwoz_frame(domain: str, frame, path, dialog_id, turn):
             raise _type_error(f"{domain!r} {section!r} section", dict, slots,
                               path, dialog_id, turn)
         for slot, value in slots.items():
-            if slot == "booked":
+            if type(value) is not str:
+                if slot == "booked":
+                    continue
+                if isinstance(value, list):
+                    value = value[0] if value else ""
+                if not isinstance(value, str):
+                    if isinstance(value, (dict, list)):
+                        raise _type_error(f"{domain!r} slot {slot!r}", str, value,
+                                          path, dialog_id, turn)
+                    all_str = False
+                    value = str(value)  # a number, boolean or null
+            if value in _ABSENT_VALUES:  # most values, so tested first
                 continue
-            if isinstance(value, list):
-                value = value[0] if value else ""
-            if not isinstance(value, str):
-                if isinstance(value, (dict, list)):
-                    raise _type_error(f"{domain!r} slot {slot!r}", str, value,
-                                      path, dialog_id, turn)
-                all_str = False
-                value = str(value)  # a number, boolean or null
-            if value in _ABSENT_VALUES or value.strip().lower() in _ABSENT_VALUES:
-                continue
-            vals = _value_tuple(v.strip() for v in value.split("|") if v.strip())
-            if vals:
-                entries.append(((domain.lower(), canonical_slot(prefix + slot)), vals))
+            key = (domain, prefix, slot, value)
+            try:
+                entry = values[key]
+            except KeyError:
+                entry = values[key] = _multiwoz_slot(domain, prefix, slot, value)
+            if entry is not None:
+                entries.append(entry)
     return entries, all_str
 
 
@@ -323,21 +391,23 @@ def _same_key_order(a: dict, b: dict) -> bool:
 
 
 def _parse_multiwoz_state(metadata: dict, path, dialog_id, turn,
-                          memo: _FrameMemo) -> Slots:
+                          frames: _FrameMemo, values: _ValueMemo) -> Slots:
     slots: Slots = {}
     for domain, frame in metadata.items():
-        # most frames equal the domain's frame one user turn earlier. A frame
-        # is remembered only when every value it read was a string: 1, 1.0
-        # and True are equal but coerce to different strings. Dict == ignores
-        # key order, which orders two or more entries
-        hit = memo.get(domain)
+        # most frames equal the domain's frame one user turn earlier, in this
+        # dialog or the one before. A frame is remembered only when every
+        # value it read was a string: 1, 1.0 and True are equal but coerce
+        # to different strings. Dict == ignores key order, which orders two
+        # or more entries
+        hit = frames.get(domain)
         if hit is not None and hit[0] == frame and (
                 len(hit[1]) < 2 or _same_key_order(hit[0], frame)):
             entries = hit[1]
         else:
-            entries, all_str = _parse_multiwoz_frame(domain, frame, path, dialog_id, turn)
+            entries, all_str = _parse_multiwoz_frame(domain, frame, path, dialog_id, turn,
+                                                     values)
             if all_str:
-                memo[domain] = (frame, entries)
+                frames[domain] = (frame, entries)
         for key, vals in entries:
             # a key seen twice (semi and book, or two raw domains that
             # lowercase to one name): concatenate, then dedupe
@@ -372,54 +442,67 @@ def _multiwoz_entry(entry, path, dialog_id, turn) -> Tuple[str, dict]:
             _check(entry.get("metadata", {}), dict, "metadata", path, dialog_id, turn))
 
 
+def _multiwoz_dialog(dialog_id: str, raw, path, frames: _FrameMemo,
+                     values: _ValueMemo) -> Dialog:
+    log = _check(raw, dict, "dialog", path, dialog_id).get("log")
+    if not isinstance(log, list) or not log:
+        raise InputError(f"{_where(path, dialog_id)}: missing or empty turn log")
+    turns: List[Turn] = []
+    user, agent = Speaker.USER, Speaker.AGENT  # faster than the enum's attributes
+    # one (user, agent) exchange per step: the cumulative belief state of a
+    # user turn lives in the following wizard turn's metadata
+    for i in range(0, len(log), 2):
+        utterance, metadata = _multiwoz_entry(log[i], path, dialog_id, i)
+        if metadata:
+            raise InputError(f"{_where(path, dialog_id, i)}: "
+                             "non-alternating speakers (state on a user turn)")
+        if i + 1 == len(log):
+            raise InputError(
+                f"{_where(path, dialog_id, i)}: user turn has no system annotation")
+        reply, metadata = _multiwoz_entry(log[i + 1], path, dialog_id, i + 1)
+        if not metadata:
+            raise InputError(f"{_where(path, dialog_id, i + 1)}: "
+                             "non-alternating speakers (no state on an agent turn)")
+        state = _parse_multiwoz_state(metadata, path, dialog_id, i + 1, frames, values)
+        turns.append(Turn(i, user, utterance, state))
+        turns.append(Turn(i + 1, agent, reply))
+    return Dialog(dialog_id, tuple(turns))
+
+
 def load_multiwoz(path, split: str = "all") -> Corpus:
     """Load MultiWOZ 2.1/2.4-format data.
 
     `path` may be the data JSON itself (all its dialogs become the split)
-    or a directory holding data.json plus valListFile/testListFile.
+    or a directory holding data.json plus valListFile/testListFile. Each
+    dialog is built as soon as its JSON is decoded, so the whole document
+    never exists at once.
     """
     path = Path(path)
     wanted, excluded = None, set()
     if path.is_dir():
         path = path / "data.json"
-        data = _read_json(path)
-        wanted, excluded = _multiwoz_split_ids(path.parent, split)
+        text = _read_text(path)
+        try:
+            wanted, excluded = _multiwoz_split_ids(path.parent, split)
+        except InputError:
+            _loads(text, path)  # malformed JSON is reported first
+            raise
     else:
-        data = _read_json(path)
-    if not isinstance(data, dict) or not data:
+        text = _read_text(path)
+
+    frames: _FrameMemo = {}
+    values: _ValueMemo = {}
+    dialogs: Dict[str, Dialog] = {}
+    found = False
+    for dialog_id, raw in _json_members(text, path):
+        found = True
+        if (wanted is None or dialog_id in wanted) and dialog_id not in excluded:
+            _add_dialog(dialogs, _multiwoz_dialog(dialog_id, raw, path, frames, values), path)
+    if not found:
         raise InputError(f"no dialogs found in {path}")
-
-    ids = [i for i in data if (wanted is None or i in wanted) and i not in excluded]
-    if not ids:
+    if not dialogs:
         raise InputError(f"split {split!r} selected no dialogs from {path}")
-
-    dialogs = []
-    user, agent = Speaker.USER, Speaker.AGENT  # faster than the enum's attributes
-    for dialog_id in ids:
-        log = _check(data[dialog_id], dict, "dialog", path, dialog_id).get("log")
-        if not isinstance(log, list) or not log:
-            raise InputError(f"{_where(path, dialog_id)}: missing or empty turn log")
-        turns: List[Turn] = []
-        memo: _FrameMemo = {}
-        # one (user, agent) exchange per step: the cumulative belief state
-        # of a user turn lives in the following wizard turn's metadata
-        for i in range(0, len(log), 2):
-            utterance, metadata = _multiwoz_entry(log[i], path, dialog_id, i)
-            if metadata:
-                raise InputError(f"{_where(path, dialog_id, i)}: "
-                                 "non-alternating speakers (state on a user turn)")
-            if i + 1 == len(log):
-                raise InputError(
-                    f"{_where(path, dialog_id, i)}: user turn has no system annotation")
-            reply, metadata = _multiwoz_entry(log[i + 1], path, dialog_id, i + 1)
-            if not metadata:
-                raise InputError(f"{_where(path, dialog_id, i + 1)}: "
-                                 "non-alternating speakers (no state on an agent turn)")
-            state = _parse_multiwoz_state(metadata, path, dialog_id, i + 1, memo)
-            turns.append(Turn(i, user, utterance, state))
-            turns.append(Turn(i + 1, agent, reply))
-        dialogs.append(Dialog(dialog_id, tuple(turns)))
-    return Corpus(DatasetKind.MULTIWOZ, split, tuple(dialogs))
+    return Corpus(DatasetKind.MULTIWOZ, split, tuple(dialogs.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,14 @@ def _typo_threshold(target: str) -> int:
 _TypoTarget = Tuple[str, int, int, FrozenSet[str]]
 
 
+# the typo pass reads each utterance once for every slot searched past it
+@lru_cache(maxsize=1024)
+def _text_chars(haystack: str) -> FrozenSet[str]:
+    """The characters of lowered ASCII text, and the space that joins the
+    words of a candidate."""
+    return frozenset(haystack).union(" ")
+
+
 def _typo_match(targets: Tuple[_TypoTarget, ...], text: str,
                 haystack: Optional[str]) -> Optional[MatchResult]:
     """The typo of a target in text at the least distance, then the earliest
@@ -474,7 +482,7 @@ def _typo_match(targets: Tuple[_TypoTarget, ...], text: str,
     checked there.
     """
     best: Optional[Tuple[int, int, int]] = None  # (distance, start, end)
-    text_chars = None if haystack is None else set(haystack) | {" "}
+    text_chars = None if haystack is None else _text_chars(haystack)
     for tgt, n_words, threshold, chars in targets:
         if text_chars is not None and len(chars - text_chars) > threshold:
             continue

@@ -685,10 +685,9 @@ class TestInspect:
         assert "(nothing to predict)" in out
 
     def test_unknown_dialog(self, capsys, mwz_path):
-        code, _, err = run(capsys, "inspect", "--dataset", "multiwoz",
-                           "--path", str(mwz_path), "NOPE.json")
-        assert code == EXIT_FAILURE
-        assert "unknown dialog_id" in err
+        code, out, err = run(capsys, "inspect", "--dataset", "multiwoz",
+                             "--path", str(mwz_path), "NOPE.json")
+        assert (code, out, err) == (EXIT_FAILURE, "", "error: unknown dialog_id: NOPE.json\n")
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,48 @@ class TestLoadMultiwoz:
 
     def test_deterministic(self, mwz_path):
         assert load_multiwoz(mwz_path) == load_multiwoz(mwz_path)
+
+
+def _generated_multiwoz(n_dialogs):
+    """MultiWOZ-shaped data: 8 exchanges per dialog, seven domain frames on
+    every agent turn, most slots not mentioned."""
+    data = {}
+    for k in range(n_dialogs):
+        log = []
+        for i in range(8):
+            metadata = {domain: {"book": {"booked": [], "people": ""},
+                                 "semi": dict.fromkeys(["area", "name", "type", "day"],
+                                                       "not mentioned")}
+                        for domain in ("restaurant", "hotel", "attraction", "train",
+                                       "taxi", "hospital", "police")}
+            metadata["hotel"]["semi"]["area"] = f"area {i}"
+            log += [{"text": f"user turn {i} of dialog {k}", "metadata": {}},
+                    {"text": "ok", "metadata": metadata}]
+        data[f"D{k:04}.json"] = {"log": log}
+    return data
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMultiwozLoadMemory:
+    def test_peak_below_json_load_of_the_file(self, tmp_path):
+        # the loader decodes one dialog at a time: the document never
+        # exists whole, only its text and the dialogs built so far
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(_generated_multiwoz(200)), "utf-8")
+        load_multiwoz(path)  # fills the slot-name tables once
+
+        def json_load():
+            with open(path, encoding="utf-8") as f:
+                json.load(f)
+        assert _peak_bytes(lambda: load_multiwoz(path)) < _peak_bytes(json_load)
 
 
 class TestLoadSgd:
@@ -305,6 +348,11 @@ MALFORMED = {
     "mwz-list-value-holds-a-list": ("multiwoz", {"d.json": _mwz_agent_meta(
         {"hotel": {"book": {"name": [["a"]]}}})}, "d.json",
         ["d.json", "dialog D1", "turn 1", "'hotel' slot 'name' must be a string, got list"]),
+    # two members with one id: decoding the whole document keeps only the last
+    "mwz-duplicate-dialog-id": ("multiwoz", {"d.json": (
+        '{"D1": %s, "D1": %s}' % (json.dumps(_mwz_agent_meta({"hotel": {}})["D1"]),
+                                  json.dumps(_mwz_agent_meta({"train": {}})["D1"]))).encode()},
+        "d.json", ["d.json: dialog D1: duplicate dialog id"]),
     "mwz-text-not-string": ("multiwoz", {"d.json": {"D1": {"log": [
         {"text": 7, "metadata": {}},
         {"text": "ok", "metadata": {"hotel": {"semi": {"area": "north"}}}}]}}},
@@ -350,10 +398,14 @@ MALFORMED = {
 
 
 def write_layout(root: Path, files):
+    """Write each file: bytes as they are, a document as JSON, a list of
+    documents under a .jsonl name as JSON lines."""
     for name, doc in files.items():
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        if name.endswith(".jsonl"):
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        elif name.endswith(".jsonl"):
             path.write_text("".join(json.dumps(line) + "\n" for line in doc), "utf-8")
         else:
             path.write_text(json.dumps(doc), "utf-8")
@@ -570,12 +622,16 @@ def _reordered(draw, frame):
             for section, slots in frame.items()}
 
 
+_frame_pool = st.lists(_memo_frame, min_size=1, max_size=3)
+
+
 @st.composite
-def _repeating_frames_dialog(draw):
-    """A dialog whose agent turns draw each domain's frame from a small pool,
-    or a copy of one that lists its slots in another order, so that
-    consecutive frames are often equal, and often equal only by ==."""
-    pool = draw(st.lists(_memo_frame, min_size=1, max_size=3))
+def _repeating_frames_dialog(draw, pool=None):
+    """A dialog whose agent turns draw each domain's frame from a small pool
+    (drawn unless given), or a copy of one that lists its slots in another
+    order, so that consecutive frames are often equal, and often equal only
+    by ==."""
+    pool = draw(_frame_pool) if pool is None else pool
     frame = st.sampled_from(pool).flatmap(lambda f: st.just(f) | _reordered(f))
     metadata = st.dictionaries(st.sampled_from(["Hotel", "hotel", "train"]), frame,
                                min_size=1, max_size=3)
@@ -586,9 +642,31 @@ def _repeating_frames_dialog(draw):
     return {"log": log}
 
 
+@st.composite
+def _dialogs_sharing_frames(draw):
+    """One to three dialogs drawing their frames from one pool: the frame
+    memo spans a load, so a dialog's first frames are often equal to the
+    last frames of the dialog before it."""
+    pool = draw(_frame_pool)
+    return draw(st.lists(_repeating_frames_dialog(pool), min_size=1, max_size=3))
+
+
+def _user_states(logs):
+    """The user-turn states of each log's dialog, all loaded from one file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.json"
+        path.write_text(json.dumps({f"D{k}": {"log": log} for k, log in enumerate(logs)}),
+                        "utf-8")
+        return [[t.state for t in d.user_turns()] for d in load_multiwoz(path).dialogs]
+
+
+def _one_frame_log(frame):
+    return [{"text": "hi", "metadata": {}}, {"text": "ok", "metadata": {"hotel": frame}}]
+
+
 class TestMultiwozFrameMemo:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_repeating_frames_dialog(), min_size=1, max_size=2))
+    @given(_dialogs_sharing_frames())
     def test_states_as_reference(self, dialogs):
         data = {f"D{k}": dialog for k, dialog in enumerate(dialogs)}
         with tempfile.TemporaryDirectory() as tmp:
@@ -619,6 +697,18 @@ class TestMultiwozFrameMemo:
         write_layout(tmp_path, {"d.json": {"D1": {"log": log}}})
         states = [t.state for t in load_multiwoz(tmp_path / "d.json").dialogs[0].user_turns()]
         assert [s[("hotel", "stars")] for s in states] == [("1",), ("True",), ("1.0",), ("1",)]
+
+    def test_the_previous_dialogs_frame_in_another_slot_order_loads_in_its_order(self):
+        states = _user_states([_one_frame_log({"semi": {"area": "north", "name": "x"}}),
+                               _one_frame_log({"semi": {"name": "x", "area": "north"}})])
+        assert [list(s[0]) for s in states] == [[("hotel", "area"), ("hotel", "name")],
+                                                [("hotel", "name"), ("hotel", "area")]]
+
+    def test_the_previous_dialogs_frame_of_other_types_loads_apart(self):
+        states = _user_states([_one_frame_log({"semi": {"stars": stars}})
+                               for stars in (1, True, 1.0, "1", 1)])
+        assert [s[0][("hotel", "stars")] for s in states] == [
+            ("1",), ("True",), ("1.0",), ("1",), ("1",)]
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +744,7 @@ def reference_load_multiwoz(data, path):
                     raise InputError(
                         f"{_where(path, dialog_id, i)}: user turn has no system annotation")
                 _, agent_metadata = entry_of(log[i + 1], i + 1)
-                state = _parse_multiwoz_state(agent_metadata, path, dialog_id, i + 1, memo)
+                state = _parse_multiwoz_state(agent_metadata, path, dialog_id, i + 1, memo, {})
                 turns.append(Turn(i, Speaker.USER, utterance, state=state))
             else:
                 turns.append(Turn(i, Speaker.AGENT, utterance))
@@ -732,6 +822,83 @@ class TestMultiwozWalk:
             except InputError as exc:
                 ref = exc
         # key order and alternate order included
+        assert _mwz_outcome(new) == _mwz_outcome(ref)
+
+
+# ---------------------------------------------------------------------------
+# reference whole-document MultiWOZ loader: json.loads of the whole file, then
+# every dialog, frozen here so the loader's member-by-member decoding is
+# checked result for result and JSON error for JSON error
+# ---------------------------------------------------------------------------
+
+def reference_load_document(path):
+    text = path.read_text("utf-8")
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}")
+    if not isinstance(data, dict) or not data:
+        raise InputError(f"no dialogs found in {path}")
+    return reference_load_multiwoz(data, path)
+
+
+_space = st.text(" \t\n\r", max_size=3)
+_mwz_document = st.dictionaries(
+    st.sampled_from(["D1", "D2", "Dé", 'D"3', "D\\4"]),
+    st.fixed_dictionaries({"log": st.lists(_mwz_pair, min_size=1, max_size=3).map(_flatten)}),
+    max_size=3)
+
+
+@st.composite
+def _mwz_text(draw):
+    """A MultiWOZ document serialized with drawn whitespace, escapes and
+    indentation, then maybe mutated: truncated at any offset, trailing
+    junk, a leading UTF-8 BOM, a comma before a closing bracket, a member
+    name that is not a string, or a top level that is not an object."""
+    text = draw(_space) + json.dumps(
+        draw(_mwz_document), ensure_ascii=draw(st.booleans()),
+        indent=draw(st.sampled_from([None, 0, 2, "\t", "\r\n "])),
+        separators=(draw(_space) + "," + draw(_space), draw(_space) + ":" + draw(_space)),
+    ) + draw(_space)
+    mutation = draw(st.sampled_from(
+        [None, "truncate", "junk", "bom", "comma", "name", "top-level"]))
+    if mutation == "truncate":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif mutation == "junk":
+        text += draw(st.sampled_from(["x", "{}", "]", "}", ",", " 1", '"', "\x00"]))
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "comma":
+        closers = [i for i, c in enumerate(text) if c in "}]"]
+        if closers:
+            i = draw(st.sampled_from(closers))
+            text = text[:i] + "," + text[i:]
+    elif mutation == "name":
+        name = draw(st.sampled_from(['"D1"', '"log"', '"text"', '"hotel"']))
+        text = text.replace(name, draw(st.sampled_from(["1", "D1", "null", "[]"])), 1)
+    elif mutation == "top-level":
+        text = draw(st.sampled_from(["[%s]", "%s", "3", '"x"', "null", "[]", " "])).replace(
+            "%s", text if text.strip() else "{}")
+    return text
+
+
+class TestMultiwozMemberDecoding:
+    @settings(max_examples=300, deadline=None)
+    @given(_mwz_text())
+    def test_as_whole_document_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.json"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                new = load_multiwoz(path).dialogs
+            except InputError as exc:
+                new = exc
+            try:
+                ref = reference_load_document(path)
+            except InputError as exc:
+                ref = exc
+        # a malformed file: "malformed JSON in <path>: " and json.loads's
+        # message, as the running Python words it
         assert _mwz_outcome(new) == _mwz_outcome(ref)
 
 

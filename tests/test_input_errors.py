@@ -99,6 +99,17 @@ class TestEveryReader:
         assert exc.value is error
 
 
+class TestMultiwozDuplicateId:
+    def test_a_repeated_dialog_id_exits_one(self, capsys, tmp_path):
+        dialog = json.dumps({"log": [{"text": "hi", "metadata": {}},
+                                     {"text": "ok", "metadata": {"hotel": {}}}]})
+        path = tmp_path / "d.json"
+        path.write_text('{"D1": %s, "D2": %s, "D1": %s}' % (dialog, dialog, dialog), "utf-8")
+        code = main(["validate", "--dataset", "multiwoz", "--path", str(path)])
+        assert (code, *capsys.readouterr()) == (
+            EXIT_FAILURE, "", f"error: {path}: dialog D1: duplicate dialog id\n")
+
+
 # ---------------------------------------------------------------------------
 # the three line readers on any text: they return, or raise an InputError
 # that starts with the path, and `path:line:` for an error in a line
