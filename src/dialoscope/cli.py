@@ -91,6 +91,12 @@ def cmd_eval(args) -> int:
     if (args.mode == "exact-match") != (args.dataset == DatasetKind.SMCALFLOW.value):
         raise UsageError("--mode exact-match applies to smcalflow only, "
                          "jga-oracle and jga to multiwoz and sgd only")
+    if args.fuzzy_sgd_matching and args.dataset != DatasetKind.SGD.value:
+        raise UsageError("--fuzzy-sgd-matching applies to sgd only")
+    for flag, given in (("--honor-refer-flags", args.honor_refer_flags),
+                        ("--strict-exact-match", args.strict_exact_match)):
+        if given and args.mode != "exact-match":
+            raise UsageError(f"{flag} applies to --mode exact-match only")
     corp = _load_corpus(args)
     preds = evaluate.load_predictions(args.preds)
     if args.mode == "exact-match":

@@ -26,8 +26,7 @@ def mwz_dialog(exchanges):
     return {"log": log}
 
 
-@pytest.fixture
-def mwz_raw():
+def mwz_dialogs():
     """Two hand-built dialogs: a Fig-1-style trace target and a relaxation case."""
     mul0635 = mwz_dialog([
         ("i'd like to book a room at the university arms hotel .",
@@ -76,6 +75,11 @@ def mwz_raw():
 
 
 @pytest.fixture
+def mwz_raw():
+    return mwz_dialogs()
+
+
+@pytest.fixture
 def mwz_path(tmp_path, mwz_raw):
     path = tmp_path / "mwz.json"
     path.write_text(json.dumps(mwz_raw), "utf-8")
@@ -107,8 +111,7 @@ def sgd_user_frame(service, slot_values):
                       "slot_values": {k: list(v) for k, v in slot_values.items()}}}
 
 
-@pytest.fixture
-def sgd_raw():
+def sgd_dialogs():
     dlg1 = {
         "dialogue_id": "1_00000",
         "services": ["Restaurants_1"],
@@ -156,21 +159,30 @@ def sgd_raw():
     return [dlg1, dlg2]
 
 
-@pytest.fixture
-def sgd_path(tmp_path, sgd_raw):
-    split_dir = tmp_path / "sgd" / "test"
+def write_sgd(root, dialogs):
+    """Write `dialogs` as the test split of root/sgd; return root/sgd."""
+    split_dir = root / "sgd" / "test"
     split_dir.mkdir(parents=True)
     (split_dir / "schema.json").write_text(json.dumps(SGD_SCHEMA), "utf-8")
-    (split_dir / "dialogues_001.json").write_text(json.dumps(sgd_raw), "utf-8")
-    return tmp_path / "sgd"
+    (split_dir / "dialogues_001.json").write_text(json.dumps(dialogs), "utf-8")
+    return root / "sgd"
+
+
+@pytest.fixture
+def sgd_raw():
+    return sgd_dialogs()
+
+
+@pytest.fixture
+def sgd_path(tmp_path, sgd_raw):
+    return write_sgd(tmp_path, sgd_raw)
 
 
 # ---------------------------------------------------------------------------
 # raw SMCalFlow fixtures
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def smcalflow_raw():
+def smcalflow_dialogs():
     def turn(user, program, agent, flagged=False):
         return {
             "user_utterance": {"original_text": user},
@@ -194,6 +206,11 @@ def smcalflow_raw():
                  "done ."),
         ]},
     ]
+
+
+@pytest.fixture
+def smcalflow_raw():
+    return smcalflow_dialogs()
 
 
 @pytest.fixture

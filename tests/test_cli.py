@@ -735,6 +735,14 @@ class TestUsage:
                       "--out", "o.jsonl"]),
         ("sgd", ["linearize", "--repr", "user", "--previous-state", "gold",
                  "--preds", "p.jsonl", "--out", "o.jsonl"]),
+        ("smcalflow", ["eval", "--preds", "p.jsonl", "--mode", "exact-match",
+                       "--fuzzy-sgd-matching"]),
+        ("multiwoz", ["eval", "--preds", "p.jsonl", "--mode", "jga", "--fuzzy-sgd-matching"]),
+        ("sgd", ["eval", "--preds", "p.jsonl", "--mode", "jga", "--honor-refer-flags"]),
+        ("multiwoz", ["eval", "--preds", "p.jsonl", "--mode", "jga-oracle",
+                      "--strict-exact-match"]),
+        ("sgd", ["eval", "--preds", "p.jsonl", "--mode", "jga", "--honor-refer-flags",
+                 "--strict-exact-match"]),
     ])
     def test_mode_for_another_dataset_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                                      dataset, command):
