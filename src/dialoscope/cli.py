@@ -76,6 +76,8 @@ def cmd_linearize(args) -> int:
         raise UsageError("--preds applies to --previous-state predicted only")
     if args.previous_state == "predicted" and args.dataset == DatasetKind.SMCALFLOW.value:
         raise UsageError("--previous-state predicted applies to multiwoz and sgd only")
+    if args.repr == "prev-state" and args.dataset == DatasetKind.SMCALFLOW.value:
+        raise UsageError("--repr prev-state applies to multiwoz and sgd only")
     corp = _load_corpus(args)
     repr_ = linearize.InputRepresentation(args.repr)
     predicted_states = None

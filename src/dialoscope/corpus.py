@@ -659,10 +659,13 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
     """Load a line-delimited SMCalFlow dialog file.
 
     Each source exchange becomes a user turn (with its Lispress program,
-    parsed once here) followed by the agent's reply; a trailing empty agent
-    reply is dropped so dialogs may end on a user turn.
+    parsed here) followed by the agent's reply; a trailing empty agent
+    reply is dropped so dialogs may end on a user turn. Turns whose program
+    texts are equal share one tree, parsed once per load: treat it as
+    read-only.
     """
     dialogs: Dict[str, Dialog] = {}
+    trees: Dict[str, lispress.Node] = {}  # program text -> its tree
     for lineno, raw in json_lines(path):
         line_path = f"{path}:{lineno}"
         _check(raw, dict, "dialog", line_path)
@@ -684,11 +687,13 @@ def load_smcalflow(path, split: str = "train") -> Corpus:
                                  (oracle, "program_execution_oracle.refer_are_incorrect")):
                 flagged |= _check(source.get("refer_are_incorrect", False), bool,
                                   what, line_path, dialog_id, user)
-            try:
-                tree = lispress.parse(program)
-            except lispress.LispressError as exc:
-                raise InputError(f"{_where(line_path, dialog_id, user)}: "
-                                 f"gold program does not parse: {exc}") from exc
+            tree = trees.get(program)
+            if tree is None:
+                try:
+                    tree = trees[program] = lispress.parse(program)
+                except lispress.LispressError as exc:
+                    raise InputError(f"{_where(line_path, dialog_id, user)}: "
+                                     f"gold program does not parse: {exc}") from exc
             turns.append(Turn(user, Speaker.USER, user_text, program=program, tree=tree,
                               refer_are_incorrect=flagged))
             agent_text = _utt_text(t.get("agent_utterance"), line_path, dialog_id, user + 1)

@@ -220,6 +220,9 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
     if corpus.dataset_kind is not DatasetKind.SMCALFLOW:
         raise ValueError("exact match applies to SMCalFlow corpora only")
     report = ScoreReport(metric="exact-match")
+    # prediction text -> its tree, or None if it does not parse: each
+    # distinct text is parsed once per call
+    trees: Dict[str, Optional[lispress.Node]] = {}
 
     def verdicts():
         for dialog in corpus.dialogs:
@@ -229,14 +232,19 @@ def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],
                 if key not in predictions:
                     yield key, False
                     continue
-                try:
-                    pred = lispress.parse(predictions[key])
-                except lispress.LispressError:
+                text = predictions[key]
+                if text not in trees:
+                    try:
+                        trees[text] = lispress.parse(text)
+                    except lispress.LispressError:
+                        trees[text] = None
+                pred = trees[text]
+                if pred is None:
                     yield key, None
                     continue
                 # parse(print_canonical(t)) == t for every parsed tree, so
                 # equal trees are exactly equal canonical prints
-                correct = predictions[key] == turn.program if strict else pred == gold
+                correct = text == turn.program if strict else pred == gold
                 if correct and honor_refer_flags and turn.refer_are_incorrect:
                     report.correct_but_flagged += 1
                     correct = False

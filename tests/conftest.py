@@ -1,8 +1,10 @@
 """Shared fixtures: miniature raw dataset files and synthetic corpora."""
 import json
+from collections import Counter
 
 import pytest
 
+from dialoscope import lispress
 from dialoscope.corpus import Corpus, DatasetKind, Dialog, Speaker, Turn
 
 # ---------------------------------------------------------------------------
@@ -217,6 +219,40 @@ def smcalflow_raw():
 def smcalflow_path(tmp_path, smcalflow_raw):
     path = tmp_path / "calflow.jsonl"
     path.write_text("\n".join(json.dumps(d) for d in smcalflow_raw) + "\n", "utf-8")
+    return path
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """A Counter of the texts `lispress.parse` is called on, through the
+    module attribute (as the benchmark's tracer counts its calls)."""
+    calls = Counter()
+    parse = lispress.parse
+
+    def counting_parse(text):
+        calls[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(lispress, "parse", counting_parse)
+    return calls
+
+
+def smcalflow_repeated_dialogs():
+    """The SMCalFlow fixture with two distinct programs over four turns:
+    calflow-0's flagged `refer` turn repeats as its unflagged last turn,
+    and its first program opens calflow-1."""
+    dialogs = smcalflow_dialogs()
+    first, second = dialogs
+    first["turns"][2]["lispress"] = first["turns"][1]["lispress"]
+    second["turns"][0]["lispress"] = first["turns"][0]["lispress"]
+    return dialogs
+
+
+@pytest.fixture
+def smcalflow_repeated_path(tmp_path):
+    path = tmp_path / "repeated.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in smcalflow_repeated_dialogs()),
+                    "utf-8")
     return path
 
 

@@ -731,6 +731,7 @@ class TestUsage:
         ("sgd", ["eval", "--preds", "p.jsonl", "--mode", "exact-match"]),
         ("smcalflow", ["linearize", "--repr", "prev-state", "--previous-state",
                        "predicted", "--preds", "p.jsonl", "--out", "o.jsonl"]),
+        ("smcalflow", ["linearize", "--repr", "prev-state", "--out", "o.jsonl"]),
         ("multiwoz", ["linearize", "--repr", "prev-state", "--preds", "p.jsonl",
                       "--out", "o.jsonl"]),
         ("sgd", ["linearize", "--repr", "user", "--previous-state", "gold",

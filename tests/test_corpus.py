@@ -1,6 +1,7 @@
 import json
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,36 @@ class TestLoadSmcalflow:
         assert str(exc.value) == (f"{p}:2: dialog calflow-1, turn 2: gold program does not "
                                   "parse: unbalanced '(' (at character offset 0)")
         assert exc.value.__cause__.offset == 0
+
+    def test_equal_programs_share_one_tree(self, smcalflow_repeated_path):
+        first, second = (d.user_turns() for d in load_smcalflow(smcalflow_repeated_path).dialogs)
+        # across turns of one dialog, and across dialogs
+        assert first[1].tree is first[2].tree
+        assert first[0].tree is second[0].tree
+        assert first[0].tree is not first[1].tree
+        for turn in first + second:
+            assert turn.tree == lispress.parse(turn.program)
+
+    def test_each_distinct_program_parsed_once(self, smcalflow_repeated_path, parse_calls):
+        corpus = load_smcalflow(smcalflow_repeated_path)
+        programs = [t.program for d in corpus.dialogs for t in d.user_turns()]
+        assert len(programs) == 4
+        assert parse_calls == Counter(set(programs)) and len(parse_calls) == 2
+
+    def test_repeated_bad_program_fails_at_its_first_line(self, tmp_path, smcalflow_raw):
+        smcalflow_raw[0]["turns"][1]["lispress"] = "(a b"
+        write_layout(tmp_path, {"once.jsonl": smcalflow_raw})
+        smcalflow_raw[0]["turns"][2]["lispress"] = "(a b"
+        smcalflow_raw[1]["turns"][0]["lispress"] = "(a b"
+        write_layout(tmp_path, {"c.jsonl": smcalflow_raw})
+        messages = []
+        for name in ("once.jsonl", "c.jsonl"):
+            with pytest.raises(InputError) as exc:
+                load_smcalflow(tmp_path / name)
+            messages.append(str(exc.value).replace(str(tmp_path / name), "<file>"))
+        assert messages[0] == messages[1] == (
+            "<file>:1: dialog calflow-0, turn 2: gold program does not parse: "
+            "unbalanced '(' (at character offset 0)")
 
     def test_refer_flag_at_the_turn(self, tmp_path, smcalflow_raw):
         # the fixture flags turn 2 under program_execution_oracle

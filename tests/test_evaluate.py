@@ -1,5 +1,7 @@
+import itertools
 import json
 import logging
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -254,6 +256,19 @@ class TestExactMatch:
         assert not verdicts[("calflow-0", 0)] and not verdicts[("calflow-1", 0)]
         assert report.correct == report.total - 2
 
+    def test_each_distinct_prediction_parsed_once_per_call(self, smcalflow_repeated_path,
+                                                           parse_calls):
+        corpus = load_smcalflow(smcalflow_repeated_path)
+        preds = {key: "(Yield (foo" if key[1] == 0 else text
+                 for key, text in gold_predictions(corpus).items()}
+        parse_calls.clear()
+        report = exact_match_score(corpus, preds)
+        assert parse_calls == Counter(set(preds.values())) and len(parse_calls) == 2
+        assert report.unparseable == 2
+        # the memo is the call's own: a second call parses again
+        exact_match_score(corpus, preds)
+        assert parse_calls == Counter({text: 2 for text in preds.values()})
+
     def test_unparseable_gold_names_dialog_and_turn(self, smcalflow_raw, tmp_path):
         # the loader parses each gold program, so no corpus reaches the scorer
         # with one that does not parse
@@ -489,3 +504,21 @@ class TestEquivalence:
             assert new_log == ref_log
 
         check()
+
+    def test_repeated_predictions_match_the_reference(self, smcalflow_repeated_path):
+        # every assignment of these texts to the four turns: repeated gold
+        # programs, repeated unparseable texts and gaps; calflow-0's turns 2
+        # and 4 share one gold tree and only turn 2 is flagged
+        corpus = load_smcalflow(smcalflow_repeated_path)
+        gold = gold_predictions(corpus)
+        programs = sorted(set(gold.values()))
+        pool = [None, *programs, f"( {programs[0][1:]}", *UNPARSEABLE_PROGRAMS[:2]]
+        for texts in itertools.product(pool, repeat=len(gold)):
+            preds = {key: text for key, text in zip(gold, texts) if text is not None}
+            for flags, strict in itertools.product((False, True), repeat=2):
+                new = exact_match_score(corpus, preds, flags, strict).to_json()
+                ref = reference_exact_match(corpus, preds, flags, strict).to_json()
+                assert new.pop("unparseable_predictions") == sum(
+                    p in UNPARSEABLE_PROGRAMS for p in preds.values())
+                assert ref.pop("unparseable_predictions") == 0
+                assert new == ref, preds

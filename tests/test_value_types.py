@@ -110,6 +110,17 @@ class TestValueSemantics:
         assert copy.turns[0].state is copy.turns[2].state
         assert copy.turns[0].state == STATE
 
+    def test_pickled_dialogs_keep_a_shared_tree_shared(self, smcalflow_repeated_path):
+        # turns with equal programs share one tree, within and across dialogs;
+        # a spawned analyze pool sends each worker the dialogs in one pickle
+        dialogs = load_smcalflow(smcalflow_repeated_path).dialogs
+        copy = pickle.loads(pickle.dumps(dialogs))
+        assert copy == dialogs
+        first, second = (d.user_turns() for d in copy)
+        assert first[1].tree is first[2].tree
+        assert first[0].tree is second[0].tree
+        assert first[0].tree == lispress.parse(first[0].program)
+
     @pytest.mark.parametrize("text, cls", [("x", lispress.Symbol), ("1", lispress.Number)])
     def test_shared_atoms_stay_frozen(self, text, cls):
         # the parser's atom cache hands one node to every tree
@@ -190,6 +201,11 @@ class TestCorpusIsNotMutated:
         self._check(load_multiwoz(mwz_path), tmp_path)
         self._check(load_sgd(sgd_path, "test"), tmp_path)
         self._check(load_smcalflow(smcalflow_path), tmp_path)
+
+    def test_smcalflow_with_repeated_programs(self, smcalflow_repeated_path, tmp_path):
+        # turns with equal programs share one tree, so a change made through
+        # one turn's tree would show in another turn's
+        self._check(load_smcalflow(smcalflow_repeated_path), tmp_path)
 
     def test_planted(self, planted, tmp_path):
         self._check(planted[0], tmp_path)
