@@ -731,7 +731,6 @@ class TestUsage:
         ("sgd", ["eval", "--preds", "p.jsonl", "--mode", "exact-match"]),
         ("smcalflow", ["linearize", "--repr", "prev-state", "--previous-state",
                        "predicted", "--preds", "p.jsonl", "--out", "o.jsonl"]),
-        ("smcalflow", ["linearize", "--repr", "prev-state", "--out", "o.jsonl"]),
         ("multiwoz", ["linearize", "--repr", "prev-state", "--preds", "p.jsonl",
                       "--out", "o.jsonl"]),
         ("sgd", ["linearize", "--repr", "user", "--previous-state", "gold",
@@ -744,6 +743,7 @@ class TestUsage:
                       "--strict-exact-match"]),
         ("sgd", ["eval", "--preds", "p.jsonl", "--mode", "jga", "--honor-refer-flags",
                  "--strict-exact-match"]),
+        ("smcalflow", ["linearize", "--repr", "prev-state", "--out", "o.jsonl"]),
     ])
     def test_mode_for_another_dataset_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                                      dataset, command):
