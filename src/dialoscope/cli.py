@@ -44,13 +44,13 @@ def _load_corpus(args) -> corpus.Corpus:
 
 
 def _load_lexicon(args):
-    if getattr(args, "lexicon", None):
+    if args.lexicon:
         return load_lexicon(args.lexicon)
     return default_lexicon()
 
 
 def _load_overrides(args):
-    if getattr(args, "overrides", None):
+    if args.overrides:
         return analysis.apply_overrides(args.overrides)
     return None
 
@@ -127,8 +127,7 @@ def cmd_inspect(args) -> int:
     try:
         dialog = corp.get_dialog(args.dialog_id)
     except KeyError:
-        print(f"error: unknown dialog_id: {args.dialog_id}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise corpus.InputError(f"unknown dialog_id: {args.dialog_id}")
     lexicon = _load_lexicon(args)
     overrides = _load_overrides(args)
     for turn in dialog.turns:

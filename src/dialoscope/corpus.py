@@ -4,17 +4,17 @@ All three datasets are loaded into the same Corpus/Dialog/Turn shape:
 user turns carry either a cumulative slot-value state (MultiWOZ,
 SGD) or a Lispress program, as source text and parsed tree (SMCalFlow).
 Values are kept verbatim from the source files; only slot *names* are
-canonicalized at load time via a versioned mapping table.
+canonicalized at load time.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import IO, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import lispress
 
@@ -42,38 +42,22 @@ class Speaker(str, Enum):
 # slot-name canonicalization
 # ---------------------------------------------------------------------------
 
-def _load_slot_map() -> Dict[str, str]:
-    text = (resources.files("dialoscope") / "data" / "slot_names.txt").read_text("utf-8")
-    mapping = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        raw, _, canon = line.partition(":")
-        mapping[raw.strip().lower()] = canon.strip().lower()
-    return mapping
-
-
-_SLOT_MAP: Optional[Dict[str, str]] = None
+# the booking names some releases glue together; every other booking name
+# loses its `book` prefix in the fold itself
+_GLUED_BOOKING = {"bookday": "day", "bookpeople": "people", "bookstay": "stay",
+                  "booktime": "time"}
 
 
 @functools.lru_cache(maxsize=4096)
 def canonical_slot(name: str) -> str:
-    """Lowercase, fold separators and the 'book ' prefix, apply the shipped
-    exception table. Keeps the three public eval scripts' namings mergeable."""
-    global _SLOT_MAP
-    if _SLOT_MAP is None:
-        _SLOT_MAP = _load_slot_map()
+    """Lowercase, drop a leading 'book ' or 'book_', drop separators and
+    whitespace, then unglue a booking name. Keeps the three public eval
+    scripts' namings mergeable."""
     key = name.strip().lower()
-    if key in _SLOT_MAP:
-        return _SLOT_MAP[key]
-    if key.startswith("book "):
+    if key.startswith(("book ", "book_")):
         key = key[len("book "):]
-    elif key.startswith("book_"):
-        key = key[len("book_"):]
-    key = key.replace("_", " ").replace("-", " ")
-    key = "".join(key.split())
-    return _SLOT_MAP.get(key, key)
+    key = "".join(key.replace("_", " ").replace("-", " ").split())
+    return _GLUED_BOOKING.get(key, key)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +187,22 @@ def apply_update(prev: Slots, update: StateUpdate) -> Slots:
 _JSON_ERRORS = (ValueError, RecursionError)
 
 
-def _read_text(path: Path) -> str:
+@contextlib.contextmanager
+def _text_file(path) -> Iterator[IO[str]]:
+    """`path` open as UTF-8 text: the one place where a missing input file,
+    or one whose bytes are not UTF-8, becomes an InputError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+            yield f
     except FileNotFoundError:
         raise InputError(f"missing file: {path}")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}")
+
+
+def _read_text(path: Path) -> str:
+    with _text_file(path) as f:
+        return f.read()
 
 
 def _loads(text: str, path):
@@ -269,13 +261,8 @@ def text_lines(path) -> Iterator[Tuple[int, str]]:
     """(line number, line) for each line of the UTF-8 text file `path`,
     split only at newlines. A missing file, or bytes that are not UTF-8,
     raise an InputError naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            yield from enumerate(f, start=1)
-    except FileNotFoundError:
-        raise InputError(f"missing file: {path}")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc}")
+    with _text_file(path) as f:
+        yield from enumerate(f, start=1)
 
 
 def json_lines(path) -> Iterator[Tuple[int, object]]:

@@ -37,7 +37,6 @@ class Seq2SeqRecord:
 _FRAME_TAGS = {Speaker.USER: "[user]", Speaker.AGENT: "[agent]"}
 _FRAME_STATE_TAG = "[states]"
 _PROGRAM_TAGS = {Speaker.USER: "__User", Speaker.AGENT: "__Agent"}
-_PROGRAM_STATE_TAG = "__State"
 
 
 class TargetParseError(ValueError):
@@ -127,15 +126,14 @@ def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetK
                        schemas: Optional[Dict[str, str]] = None) -> List[Seq2SeqRecord]:
     """One record per user turn, from one walk over the turns that carries
     the tagged turns so far, the previous gold state and the previous state
-    that a prev-state input shows (gold, or predicted)."""
-    if kind is DatasetKind.SMCALFLOW:
-        tags, state_tag = _PROGRAM_TAGS, _PROGRAM_STATE_TAG
-    else:
-        tags, state_tag = _FRAME_TAGS, _FRAME_STATE_TAG
-    prefix = ""
-    if kind is DatasetKind.SGD and schemas is not None:
-        prefix = " ".join(schemas.get(svc, "") for svc in dialog.services).strip()
+    that a prev-state input shows (gold, or predicted). A prev-state input
+    of an SMCalFlow dialog, which has no slot state, is a ValueError."""
     with_state = repr is InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE
+    if kind is DatasetKind.SMCALFLOW and with_state:
+        raise ValueError("a prev-state input applies to multiwoz and sgd only")
+    tags = _PROGRAM_TAGS if kind is DatasetKind.SMCALFLOW else _FRAME_TAGS
+    # only SGD dialogs name services
+    prefix = " ".join(schemas.get(svc, "") for svc in dialog.services).strip() if schemas else ""
     records = []
     history: List[str] = []
     prev_gold = shown = EMPTY_STATE
@@ -143,7 +141,7 @@ def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetK
         history.append(f"{tags[turn.speaker]} {turn.utterance}".rstrip())
         if turn.speaker is not Speaker.USER:
             continue
-        state = f"{state_tag} {linearize_state(shown)}".rstrip() if with_state else ""
+        state = f"{_FRAME_STATE_TAG} {linearize_state(shown)}".rstrip() if with_state else ""
         inp = linearize_input(repr, prefix, state, history)
         target = linearize_target(dialog.gold_tree(turn) if kind is DatasetKind.SMCALFLOW
                                   else state_update(prev_gold, turn.state))
@@ -167,7 +165,7 @@ def emit_dataset(corpus: Corpus, repr: InputRepresentation, out_path,
         with write_atomically(out_path) as f:
             for dialog in corpus.dialogs:
                 for rec in records_for_dialog(dialog, repr, corpus.dataset_kind,
-                                              predicted_states, corpus.schemas or None):
+                                              predicted_states, corpus.schemas):
                     f.write(f'{{"dialogue_id": {json_string(rec.dialog_id)}, '
                             f'"turn_index": {rec.turn_index}, '
                             f'"input": {json_string(rec.input)}, '

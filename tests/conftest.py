@@ -5,7 +5,23 @@ from collections import Counter
 import pytest
 
 from dialoscope import lispress
-from dialoscope.corpus import Corpus, DatasetKind, Dialog, Speaker, Turn
+from dialoscope.corpus import Corpus, DatasetKind, Dialog, Speaker, Turn, state_update
+from dialoscope.linearize import linearize_target
+
+
+def gold_predictions(corpus):
+    """Perfect predictions derived from the gold annotations."""
+    preds = {}
+    for dialog in corpus.dialogs:
+        for turn in dialog.user_turns():
+            if corpus.dataset_kind is DatasetKind.SMCALFLOW:
+                preds[(dialog.dialog_id, turn.index)] = turn.program
+            else:
+                prev = dialog.previous_user_state(turn.index)
+                preds[(dialog.dialog_id, turn.index)] = linearize_target(
+                    state_update(prev, turn.state))
+    return preds
+
 
 # ---------------------------------------------------------------------------
 # raw MultiWOZ fixtures

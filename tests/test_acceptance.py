@@ -14,14 +14,13 @@ import pytest
 
 from dialoscope import lispress
 from dialoscope.analysis import analyze_corpus, histogram, trace_turn
-from dialoscope.corpus import (DatasetKind, EMPTY_STATE, apply_update,
-                               load_multiwoz, load_sgd, load_smcalflow,
-                               state_update)
+from dialoscope.corpus import (EMPTY_STATE, apply_update, load_multiwoz, load_sgd,
+                               load_smcalflow, state_update)
 from dialoscope.evaluate import exact_match_score, jga
-from dialoscope.linearize import (InputRepresentation, emit_dataset,
-                                  linearize_target, records_for_dialog)
+from dialoscope.linearize import InputRepresentation, emit_dataset, records_for_dialog
 from dialoscope.normalize import default_lexicon
 from dialoscope.report import diff_reports, load_reference
+from conftest import gold_predictions
 
 
 def dataset_dir(name: str) -> Path:
@@ -38,19 +37,6 @@ def dataset_dir(name: str) -> Path:
 @pytest.fixture(scope="module")
 def lexicon():
     return default_lexicon()
-
-
-def gold_predictions(corpus):
-    preds = {}
-    for dialog in corpus.dialogs:
-        for turn in dialog.user_turns():
-            if corpus.dataset_kind is DatasetKind.SMCALFLOW:
-                preds[(dialog.dialog_id, turn.index)] = turn.program
-            else:
-                prev = dialog.previous_user_state(turn.index)
-                preds[(dialog.dialog_id, turn.index)] = linearize_target(
-                    state_update(prev, turn.state))
-    return preds
 
 
 class TestFixtureGroundTruth:

@@ -12,7 +12,7 @@ from dialoscope import cli, corpus
 from dialoscope.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from dialoscope.corpus import DatasetKind
 from dialoscope.lispress import MAX_DEPTH
-from conftest import SGD_SCHEMA
+from conftest import SGD_SCHEMA, gold_predictions
 from test_corpus import MALFORMED, write_layout
 
 
@@ -209,23 +209,20 @@ class TestLinearize:
         assert exc.value.code == EXIT_USAGE
 
 
+def write_gold_predictions(corpus, path):
+    """`gold_predictions(corpus)` as a predictions file at `path`."""
+    path.write_text("".join(json.dumps({"dialogue_id": dialog_id, "turn_index": index,
+                                        "prediction": prediction}) + "\n"
+                            for (dialog_id, index), prediction
+                            in gold_predictions(corpus).items()), "utf-8")
+    return path
+
+
 class TestEval:
     @pytest.fixture
     def gold_preds_file(self, mwz_path, tmp_path):
-        from dialoscope.corpus import load_multiwoz, state_update
-        from dialoscope.linearize import linearize_target
-        lines = []
-        for dialog in load_multiwoz(mwz_path).dialogs:
-            for turn in dialog.user_turns():
-                prev = dialog.previous_user_state(turn.index)
-                lines.append(json.dumps({
-                    "dialogue_id": dialog.dialog_id,
-                    "turn_index": turn.index,
-                    "prediction": linearize_target(
-                        state_update(prev, turn.state))}))
-        p = tmp_path / "preds.jsonl"
-        p.write_text("\n".join(lines) + "\n", "utf-8")
-        return p
+        from dialoscope.corpus import load_multiwoz
+        return write_gold_predictions(load_multiwoz(mwz_path), tmp_path / "preds.jsonl")
 
     def test_jga_modes(self, capsys, mwz_path, gold_preds_file, tmp_path):
         for mode in ("jga-oracle", "jga"):
@@ -240,14 +237,7 @@ class TestEval:
 
     def test_exact_match(self, capsys, smcalflow_path, tmp_path):
         from dialoscope.corpus import load_smcalflow
-        lines = []
-        for dialog in load_smcalflow(smcalflow_path).dialogs:
-            for turn in dialog.user_turns():
-                lines.append(json.dumps({"dialogue_id": dialog.dialog_id,
-                                         "turn_index": turn.index,
-                                         "prediction": turn.program}))
-        p = tmp_path / "preds.jsonl"
-        p.write_text("\n".join(lines) + "\n", "utf-8")
+        p = write_gold_predictions(load_smcalflow(smcalflow_path), tmp_path / "preds.jsonl")
         code, stdout, _ = run(capsys, "eval", "--dataset", "smcalflow",
                               "--path", str(smcalflow_path), "--preds", str(p),
                               "--mode", "exact-match")

@@ -46,6 +46,37 @@ class TestStateUpdate:
         assert apply_update(prev, state_update(prev, curr)) == curr
 
 
+# the slot-name table the package once shipped, looked up before and after
+# the fold: a reference for the fold with its four glued booking names
+_SLOT_TABLE = {
+    "price range": "pricerange", "price_range": "pricerange",
+    "leave at": "leaveat", "leave_at": "leaveat", "leaveat": "leaveat",
+    "arrive by": "arriveby", "arrive_by": "arriveby", "arriveby": "arriveby",
+    "book day": "day", "book people": "people", "book stay": "stay", "book time": "time",
+    "bookday": "day", "bookpeople": "people", "bookstay": "stay", "booktime": "time",
+}
+
+
+def reference_canonical_slot(name):
+    key = name.strip().lower()
+    if key in _SLOT_TABLE:
+        return _SLOT_TABLE[key]
+    if key.startswith("book "):
+        key = key[len("book "):]
+    elif key.startswith("book_"):
+        key = key[len("book_"):]
+    key = key.replace("_", " ").replace("-", " ")
+    key = "".join(key.split())
+    return _SLOT_TABLE.get(key, key)
+
+
+# the table's words in several cases, near misses of `book`, and the
+# separators, whitespace and case-changing letters the fold must handle
+_SLOT_NAME_PARTS = ["book", "Book", "BOOK", "booking", "ed", "day", "People", "STAY",
+                    "time", "price", "range", "leave", "at", "arrive", "by", "area",
+                    " ", "_", "-", "\t", "\n", "\u00a0", "\u0130", "ß"]
+
+
 class TestCanonicalSlot:
     @pytest.mark.parametrize("raw,expected", [
         ("leaveAt", "leaveat"),
@@ -55,9 +86,20 @@ class TestCanonicalSlot:
         ("book people", "people"),
         ("price range", "pricerange"),
         ("Area", "area"),
+        ("bookday", "day"),
+        ("BookPeople", "people"),
+        ("book_time", "time"),
+        ("booked", "booked"),
+        ("bookingref", "bookingref"),
     ])
     def test_folding(self, raw, expected):
         assert canonical_slot(raw) == expected
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.lists(st.sampled_from(_SLOT_NAME_PARTS), max_size=6).map("".join)
+           | st.text(max_size=12))
+    def test_equals_the_table_driven_fold(self, name):
+        assert canonical_slot(name) == reference_canonical_slot(name)
 
 
 class TestLoadMultiwoz:
@@ -163,7 +205,7 @@ class TestMultiwozLoadMemory:
         # exists whole, only its text and the dialogs built so far
         path = tmp_path / "data.json"
         path.write_text(json.dumps(_generated_multiwoz(200)), "utf-8")
-        load_multiwoz(path)  # fills the slot-name tables once
+        load_multiwoz(path)  # fills canonical_slot's cache once
 
         def json_load():
             with open(path, encoding="utf-8") as f:

@@ -3,8 +3,10 @@ src/dialoscope is named somewhere else in src/, by another top-level
 statement of any module, an `__init__.py` re-export or the console-script
 entry point in pyproject.toml; every non-dunder method and property of a
 module-level class is named by a src/ statement other than its own
-definition; and every name a module other than `__init__.py` imports is
-used in that module. A path that only tests reach fails here.
+definition; every non-dunder name a module-level assignment binds, in a
+module other than `__init__.py`, is read by another src/ statement; and
+every name a module other than `__init__.py` imports is used in that
+module. A path that only tests reach fails here.
 """
 import ast
 import re
@@ -17,6 +19,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # to stop calling it (ROADMAP item 1)
 ALLOWED = {("report", "diff_reports"), ("report", "load_reference"),
            ("corpus", "validate_corpus")}
+
+# (module, name) of a module-level assignment no src/ statement reads:
+# argparse exits 2 by itself, and the tests import EXIT_USAGE as that code
+ALLOWED_ASSIGNMENTS = {("cli", "EXIT_USAGE")}
 
 
 def _names(node):
@@ -73,11 +79,33 @@ def unused_methods(package: Path):
     for path in sorted(package.glob("*.py")):
         for owner, node in _parts(ast.parse(path.read_text("utf-8"))):
             key = owner and (path.stem, *owner)
-            if owner and not (owner[1].startswith("__") and owner[1].endswith("__")):
+            if owner and not _is_dunder(owner[1]):
                 methods.append(key)
             for name in _names(node):
                 named_by.setdefault(name, set()).add(key)
     return [m for m in methods if not named_by.get(m[-1], set()) - {m}]
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unused_assignments(package: Path):
+    """(module, name) of each non-dunder name that a module-level assignment
+    of a module of `package` other than `__init__.py` binds and that no
+    other top-level statement there names, in file order."""
+    assigned, named_by = [], {}
+    for path in sorted(package.glob("*.py")):
+        for index, node in enumerate(ast.parse(path.read_text("utf-8")).body):
+            owner = (path.stem, index)
+            if path.name != "__init__.py" and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [(owner, sub.id) for target in targets for sub in ast.walk(target)
+                             if isinstance(sub, ast.Name) and not _is_dunder(sub.id)]
+            for name in _names(node):
+                named_by.setdefault(name, set()).add(owner)
+    return [(owner[0], name) for owner, name in assigned
+            if not named_by.get(name, set()) - {owner}]
 
 
 def unused_imports(package: Path):
@@ -124,6 +152,24 @@ def test_finds_a_definition_only_it_names(tmp_path):
 
 def test_every_method_has_a_caller():
     assert unused_methods(ROOT / "src" / "dialoscope") == []
+
+
+def test_every_assignment_is_read():
+    unused = unused_assignments(ROOT / "src" / "dialoscope")
+    # an allowed name that gains a reader leaves the list
+    assert sorted(unused) == sorted(ALLOWED_ASSIGNMENTS)
+
+
+def test_finds_an_assignment_only_it_names(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import main\nPUBLIC = 1\n", "utf-8")
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['main']\n"
+        "USED = 1\nUNUSED = 2\nFIRST, SECOND = 3, 4\nTYPED: int = 5\n"
+        "EXPORTED = 6\nDERIVED = USED * 2\nCOUNT = 0\nCOUNT = COUNT + 1\n\n"
+        "def main():\n    return FIRST + COUNT\n", "utf-8")
+    (tmp_path / "b.py").write_text("from .a import EXPORTED\n", "utf-8")
+    assert unused_assignments(tmp_path) == [
+        ("a", "UNUSED"), ("a", "SECOND"), ("a", "TYPED"), ("a", "DERIVED")]
 
 
 def test_every_import_is_used():

@@ -9,25 +9,12 @@ from hypothesis import given, settings, strategies as st
 from dialoscope import evaluate, lispress
 from dialoscope.corpus import (Corpus, DatasetKind, Dialog, InputError,
                                Speaker, Turn, apply_update, load_multiwoz, load_sgd,
-                               load_smcalflow, state_update)
+                               load_smcalflow)
 from dialoscope.evaluate import (ScoreReport, accumulate_predicted_states,
                                  exact_match_score, jga, load_predictions,
                                  states_equal)
-from dialoscope.linearize import TargetParseError, linearize_target, parse_target
-
-
-def gold_predictions(corpus):
-    """Perfect predictions derived from the gold annotations."""
-    preds = {}
-    for dialog in corpus.dialogs:
-        for turn in dialog.user_turns():
-            if corpus.dataset_kind is DatasetKind.SMCALFLOW:
-                preds[(dialog.dialog_id, turn.index)] = turn.program
-            else:
-                prev = dialog.previous_user_state(turn.index)
-                preds[(dialog.dialog_id, turn.index)] = linearize_target(
-                    state_update(prev, turn.state))
-    return preds
+from dialoscope.linearize import TargetParseError, parse_target
+from conftest import gold_predictions
 
 
 class TestLoadPredictions:

@@ -185,6 +185,9 @@ def run_everything(corp, out_dir):
     for workers in (1, 2):
         run(analyze_corpus, corp, lexicon, workers=workers)
     for repr in InputRepresentation:
+        if (corp.dataset_kind is DatasetKind.SMCALFLOW
+                and repr is InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE):
+            continue  # a ValueError: an SMCalFlow dialog has no slot state
         for states in predicted:
             run(emit_dataset, corp, repr, out_dir / f"{repr.value}.jsonl", states)
 
