@@ -260,6 +260,8 @@ _worker_args: tuple = ()
 
 def _init_worker(dialogs: Tuple[Dialog, ...], kind: DatasetKind,
                  lexicon: Optional[Lexicon], overrides: Optional[Overrides]) -> None:
+    # runs once per worker: a task then carries only a dialog index, and
+    # the worker's lexicon keeps its match plans from dialog to dialog
     global _worker_args
     _worker_args = (dialogs, kind, lexicon, overrides)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import analysis, corpus, evaluate, linearize, report
 from .atomic import write_text, write_texts
-from .corpus import DatasetKind
+from .corpus import DatasetKind, Speaker
 from .normalize import default_lexicon, load_lexicon
 
 EXIT_OK = 0
@@ -132,7 +132,7 @@ def cmd_inspect(args) -> int:
     overrides = _load_overrides(args)
     for turn in dialog.turns:
         print(f"[{turn.index}] {turn.speaker.value}: {turn.utterance}")
-        if turn.speaker.value != "user":
+        if turn.speaker is not Speaker.USER:
             continue
         if corp.dataset_kind is DatasetKind.SMCALFLOW:
             print(f"      program: {turn.program}")

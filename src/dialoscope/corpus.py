@@ -80,6 +80,12 @@ Slots = Dict[Tuple[str, str], Tuple[str, ...]]
 EMPTY_STATE: Slots = {}
 
 
+# The records built per dialog, turn, update, match, trace, output record and
+# Lispress node (StateUpdate, Turn, Dialog, normalize.MatchResult and the
+# like) are slotted but not frozen: a frozen dataclass sets each field
+# through object.__setattr__, which made them several times slower to
+# build. Nothing changes them once built; tests/test_value_types.py checks
+# that the library leaves a loaded corpus as it was.
 @dataclass(slots=True, unsafe_hash=True)
 class StateUpdate:
     """Per-turn diff between consecutive cumulative states."""
@@ -645,14 +651,20 @@ def load_sgd(path, split: str = "test") -> Corpus:
 def load_smcalflow(path, split: str = "train") -> Corpus:
     """Load a line-delimited SMCalFlow dialog file.
 
-    Each source exchange becomes a user turn (with its Lispress program,
-    parsed here) followed by the agent's reply; a trailing empty agent
-    reply is dropped so dialogs may end on a user turn. Turns whose program
-    texts are equal share one tree, parsed once per load: treat it as
-    read-only.
+    `path` is the file itself, or a directory holding the release's
+    `<split>.dataflow_dialogues.jsonl`. Each source exchange becomes a user
+    turn (with its Lispress program, parsed here) followed by the agent's
+    reply; a trailing empty agent reply is dropped so dialogs may end on a
+    user turn. Turns whose program texts are equal share one tree, parsed
+    once per load: treat it as read-only.
     """
+    # a file path stays as the caller wrote it: every error message names it
+    if Path(path).is_dir():
+        path = Path(path) / f"{split}.dataflow_dialogues.jsonl"
     dialogs: Dict[str, Dialog] = {}
-    trees: Dict[str, lispress.Node] = {}  # program text -> its tree
+    # program text -> its tree, for this load only: a cache in lispress.parse
+    # would keep every tree the process ever parsed
+    trees: Dict[str, lispress.Node] = {}
     for lineno, raw in json_lines(path):
         line_path = f"{path}:{lineno}"
         _check(raw, dict, "dialog", line_path)

@@ -45,6 +45,7 @@ class Variant:
     sub_kind: Optional[EntityKind] = None
 
 
+# slotted but not frozen, for build speed: see the note above corpus.StateUpdate
 @dataclass(slots=True, unsafe_hash=True)
 class MatchResult:
     category: MatchCategory
@@ -385,12 +386,6 @@ _TOKEN_CHAR = r"[^\s" + re.escape(".,;!?\"'()[]") + "]"
 _TOKEN_RE = re.compile(_TOKEN_CHAR + r"(?:\S*" + _TOKEN_CHAR + ")?")
 
 
-# one text's tokens serve the n-gram lists of each word count its values have
-@lru_cache(maxsize=1024)
-def _tokens_with_spans(text: str) -> List[Tuple[str, int, int]]:
-    return [(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-
-
 # the backward search re-reads each utterance of a dialog for every slot of
 # every later turn; 1024 entries hold a long dialog's utterances at each of
 # the few word counts its values have
@@ -398,7 +393,7 @@ def _tokens_with_spans(text: str) -> List[Tuple[str, int, int]]:
 def _word_ngrams(text: str, n_words: int) -> Dict[int, List[Tuple[str, int, int]]]:
     """(lowered candidate, start, end) for each run of n_words tokens, in
     text order, grouped by the candidate's length."""
-    toks = _tokens_with_spans(text)
+    toks = [(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
     cands = [t[0] for t in toks]
     if n_words > 1:
         cands = [" ".join(cands[i:i + n_words]) for i in range(len(cands) - n_words + 1)]

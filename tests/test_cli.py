@@ -367,6 +367,23 @@ class TestValidate:
         assert code == EXIT_OK
         assert out == "ok: 2 dialogs, 6 user turns, no violations\n"
 
+    @pytest.mark.parametrize("with_path", [False, True], ids=["data-dir", "path"])
+    def test_smcalflow_directory_reads_the_split_file(self, capsys, tmp_path, monkeypatch,
+                                                      smcalflow_path, with_path):
+        root = tmp_path / "datasets"
+        (root / "smcalflow").mkdir(parents=True)
+        (root / "smcalflow" / "valid.dataflow_dialogues.jsonl").write_bytes(
+            smcalflow_path.read_bytes())
+        monkeypatch.setenv("DIALOSCOPE_DATA_DIR", str(root))
+        path = ["--path", str(root / "smcalflow")] if with_path else []
+        code, out, err = run(capsys, "validate", "--dataset", "smcalflow", *path,
+                             "--split", "valid")
+        assert (code, out, err) == (EXIT_OK, "ok: 2 dialogs, 4 user turns, no violations\n", "")
+        code, out, err = run(capsys, "validate", "--dataset", "smcalflow", *path,
+                             "--split", "test")
+        missing = root / "smcalflow" / "test.dataflow_dialogues.jsonl"
+        assert (code, out, err) == (EXIT_FAILURE, "", f"error: missing file: {missing}\n")
+
     def test_duplicate_smcalflow_dialog_id(self, capsys, tmp_path, smcalflow_raw):
         write_layout(tmp_path, {"c.jsonl": smcalflow_raw + smcalflow_raw[1:]})
         code, out, err = run(capsys, "validate", "--dataset", "smcalflow",

@@ -378,7 +378,6 @@ class TestTokens:
         st.characters(blacklist_categories=("Cs",))), max_size=30).map("".join),
         st.integers(1, 3))
     def test_ngrams_as_reference(self, text, n_words):
-        assert normalize._tokens_with_spans(text) == _ref_tokens(text)
         assert normalize._word_ngrams(text, n_words) == _ref_ngrams(text, n_words)
 
     @pytest.mark.parametrize("text", [
