@@ -285,12 +285,14 @@ def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
     round trip.
 
     The merge is pure counting (associative and commutative), so results
-    are identical for any worker count. The pool never exceeds the CPU count.
-    On Linux its workers are forked, which is unsafe in a process that runs
-    other threads.
+    are identical for any worker count. The pool never exceeds the number of
+    CPUs this process may run on. On Linux its workers are forked, which is
+    unsafe in a process that runs other threads.
     """
     kind = corpus.dataset_kind
-    workers = min(workers, os.cpu_count() or 1)
+    # taskset or a cpuset may leave this process fewer CPUs than the machine has
+    workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
     if workers > 1 and len(corpus.dialogs) > 1:
         # forking hands the workers the corpus without pickling it; spawn,
         # the default on macOS and Windows, pickles it once per worker

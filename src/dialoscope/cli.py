@@ -111,7 +111,7 @@ def cmd_eval(args) -> int:
                               fuzzy_values=args.fuzzy_sgd_matching)
     print(result.table())
     if args.out:
-        write_text(args.out, evaluate.report_json_text(result.to_json()))
+        write_text(args.out, result.json_text())
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as json_string
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Tuple
 
 from . import lispress
 from .corpus import (Corpus, DatasetKind, DONTCARE, EMPTY_STATE, InputError, Slots,
@@ -63,8 +63,11 @@ class ScoreReport:
     def accuracy(self) -> float:
         return self.correct / self.total if self.total else 0.0
 
-    def to_json(self) -> dict:
-        return {
+    def json_text(self) -> str:
+        """The report as `eval --out` writes it, as `json.dumps(indent=2,
+        ensure_ascii=False)` would. The verdicts, most of the document, are
+        formatted directly: the indenting encoder is pure Python."""
+        head = json.dumps({
             "metric": self.metric,
             "accuracy": self.accuracy,
             "correct": self.correct,
@@ -72,11 +75,17 @@ class ScoreReport:
             "missing_predictions": self.missing,
             "unparseable_predictions": self.unparseable,
             "correct_but_flagged": self.correct_but_flagged,
-            "verdicts": [
-                {"dialogue_id": d, "turn_index": t, "correct": ok}
-                for d, t, ok in self.verdicts
-            ],
-        }
+            "verdicts": [],
+        }, indent=2, ensure_ascii=False)
+        if not self.verdicts:
+            return head + "\n"
+        rows = ",\n".join(
+            f'    {{\n      "dialogue_id": {json_string(dialog_id)},\n'
+            f'      "turn_index": {turn_index},\n'
+            f'      "correct": {"true" if correct else "false"}\n    }}'
+            for dialog_id, turn_index, correct in self.verdicts)
+        # head ends in `"verdicts": []\n}`
+        return f"{head[:-4]}[\n{rows}\n  ]\n}}\n"
 
     def table(self) -> str:
         lines = [
@@ -89,23 +98,6 @@ class ScoreReport:
         if self.correct_but_flagged:
             lines.append(f"correct but flagged     {self.correct_but_flagged}")
         return "\n".join(lines)
-
-
-def report_json_text(doc: dict) -> str:
-    """`json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"` for a
-    `ScoreReport.to_json()` document, whose last key is its verdict list.
-    The verdicts are formatted directly: the indenting encoder is pure
-    Python, and the verdicts are most of the document."""
-    head = json.dumps({**doc, "verdicts": []}, indent=2, ensure_ascii=False)
-    if not doc["verdicts"]:
-        return head + "\n"
-    rows = ",\n".join(
-        f'    {{\n      "dialogue_id": {json_string(v["dialogue_id"])},\n'
-        f'      "turn_index": {v["turn_index"]},\n'
-        f'      "correct": {"true" if v["correct"] else "false"}\n    }}'
-        for v in doc["verdicts"])
-    # head ends in `"verdicts": []\n}`
-    return f"{head[:-4]}[\n{rows}\n  ]\n}}\n"
 
 
 def canonical_value(value: str) -> str:
@@ -138,9 +130,7 @@ def _score(report: ScoreReport, predictions: Dict[PredKey, str],
            verdicts: Iterable[Tuple[PredKey, Optional[bool]]]) -> ScoreReport:
     """Tally one (key, verdict) per user turn; a None verdict marks an
     unparseable prediction. Missing and unparseable predictions are wrong."""
-    known_keys = set()
     for key, correct in verdicts:
-        known_keys.add(key)
         report.total += 1
         if key not in predictions:
             report.missing += 1
@@ -148,10 +138,16 @@ def _score(report: ScoreReport, predictions: Dict[PredKey, str],
             report.unparseable += 1
         report.correct += bool(correct)
         report.verdicts.append((*key, bool(correct)))
+    _warn_unknown(predictions, {(dialog_id, index) for dialog_id, index, _ in report.verdicts})
+    return report
+
+
+def _warn_unknown(predictions: Dict[PredKey, str], known_keys: Container[PredKey]) -> None:
+    """One warning per prediction for a turn not in `known_keys`, in
+    predictions-file order."""
     for key in predictions:
         if key not in known_keys:
             log.warning("prediction for unknown turn %s ignored", key)
-    return report
 
 
 def _predicted_states(corpus: Corpus, predictions: Dict[PredKey, str], oracle: bool):
@@ -200,9 +196,11 @@ def accumulate_predicted_states(corpus: Corpus, predictions: Dict[PredKey, str]
                                 ) -> Dict[PredKey, Slots]:
     """Running fold of predicted updates per dialog: the cumulative predicted
     state at each user turn. A missing or unparseable prediction applies no
-    update."""
-    return {key: state
-            for key, _, state, _ in _predicted_states(corpus, predictions, oracle=False)}
+    update; a prediction for an unknown turn is warned about and ignored."""
+    states = {key: state
+              for key, _, state, _ in _predicted_states(corpus, predictions, oracle=False)}
+    _warn_unknown(predictions, states)
+    return states
 
 
 def exact_match_score(corpus: Corpus, predictions: Dict[PredKey, str],

@@ -1,10 +1,7 @@
-"""Rendering of analysis report documents to Markdown and histogram CSV,
-plus tolerance-based comparison against reference numbers."""
+"""Rendering of analysis report documents to Markdown and histogram CSV."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .analysis import histogram
 
@@ -68,60 +65,3 @@ def markdown(doc: dict) -> str:
 def histogram_csv(doc: dict) -> str:
     """The δc ≥ 2 histogram of a report document as CSV."""
     return "delta_c,count\n" + "".join(f"{d},{c}\n" for d, c in histogram(doc))
-
-
-@dataclass(frozen=True)
-class CellDelta:
-    cell: str
-    expected: float
-    actual: float
-    tolerance: float
-
-    @property
-    def delta(self) -> float:
-        return self.actual - self.expected
-
-    @property
-    def within(self) -> bool:
-        return abs(self.delta) <= self.tolerance
-
-
-class SchemaMismatch(KeyError):
-    pass
-
-
-def diff_reports(actual: dict, reference: dict,
-                 tolerances: Optional[Dict[str, float]] = None,
-                 default_tolerance: float = 1.0) -> Tuple[bool, List[CellDelta]]:
-    """Compare every numeric cell of a reference document against a report
-    document; returns overall pass plus per-cell deltas."""
-    tolerances = tolerances or {}
-    deltas: List[CellDelta] = []
-    missing: List[str] = []
-
-    def walk(ref, act, path: str):
-        if isinstance(ref, dict):
-            for key, val in ref.items():
-                if key.startswith("_") or key in ("dataset", "split"):
-                    continue
-                sub = f"{path}.{key}" if path else key
-                if not isinstance(act, dict) or key not in act:
-                    missing.append(sub)
-                    continue
-                walk(val, act[key], sub)
-        elif isinstance(ref, (int, float)) and not isinstance(ref, bool):
-            tol = tolerances.get(path, default_tolerance)
-            deltas.append(CellDelta(path, float(ref), float(act), tol))
-
-    walk(reference, actual, "")
-    if missing:
-        raise SchemaMismatch(f"reference keys missing from report: {missing}")
-    return all(d.within for d in deltas), deltas
-
-
-def load_reference(name: str) -> dict:
-    """Load a bundled reference document, e.g. 'table2_multiwoz_test'."""
-    from importlib import resources
-    text = (resources.files("dialoscope") / "data" / "reference" /
-            f"{name}.json").read_text("utf-8")
-    return json.loads(text)

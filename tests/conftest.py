@@ -1,12 +1,21 @@
 """Shared fixtures: miniature raw dataset files and synthetic corpora."""
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from dialoscope import lispress
 from dialoscope.corpus import Corpus, DatasetKind, Dialog, Speaker, Turn, state_update
 from dialoscope.linearize import linearize_target
+
+# test data files: the published Table 2 numbers and example overrides
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def load_table2(name):
+    """A published Table 2 document, e.g. 'table2_multiwoz_test'."""
+    return json.loads((DATA / f"{name}.json").read_text("utf-8"))
 
 
 def gold_predictions(corpus):

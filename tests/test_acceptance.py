@@ -19,8 +19,7 @@ from dialoscope.corpus import (EMPTY_STATE, apply_update, load_multiwoz, load_sg
 from dialoscope.evaluate import exact_match_score, jga
 from dialoscope.linearize import InputRepresentation, emit_dataset, records_for_dialog
 from dialoscope.normalize import default_lexicon
-from dialoscope.report import diff_reports, load_reference
-from conftest import gold_predictions
+from conftest import gold_predictions, load_table2
 
 
 def dataset_dir(name: str) -> Path:
@@ -37,6 +36,28 @@ def dataset_dir(name: str) -> Path:
 @pytest.fixture(scope="module")
 def lexicon():
     return default_lexicon()
+
+
+def out_of_tolerance(report, reference, tolerances, default_tolerance, prefix=""):
+    """'cell: expected E got A' for each number of a Table 2 reference
+    document that `report` misses by more than the cell's tolerance, and for
+    each other value that `report` does not equal. Keys starting with `_`
+    are notes; a reference key that `report` lacks fails the test."""
+    cells = []
+    for key, expected in reference.items():
+        if key.startswith("_"):
+            continue
+        cell = prefix + key
+        if key not in report:
+            pytest.fail(f"reference key missing from report: {cell}")
+        actual = report[key]
+        if isinstance(expected, dict):
+            cells += out_of_tolerance(actual, expected, tolerances, default_tolerance,
+                                      cell + ".")
+        elif (abs(actual - expected) > tolerances.get(cell, default_tolerance)
+              if isinstance(expected, (int, float)) else actual != expected):
+            cells.append(f"{cell}: expected {expected} got {actual}")
+    return cells
 
 
 class TestFixtureGroundTruth:
@@ -73,16 +94,10 @@ class TestTable2Reproduction:
     }
 
     def _check(self, corpus, reference_name):
-        lexicon = default_lexicon()
-        report = analyze_corpus(corpus, lexicon,
-                                workers=os.cpu_count() or 1)
-        ok, deltas = diff_reports(report,
-                                  load_reference(reference_name),
-                                  tolerances=self.TOLERANCES,
-                                  default_tolerance=2.0)
-        violations = [f"{d.cell}: expected {d.expected} got {d.actual}"
-                      for d in deltas if not d.within]
-        assert ok, f"{reference_name}: out-of-tolerance cells: {violations}"
+        report = analyze_corpus(corpus, default_lexicon(), workers=os.cpu_count() or 1)
+        violations = out_of_tolerance(report, load_table2(reference_name),
+                                      self.TOLERANCES, default_tolerance=2.0)
+        assert not violations, f"{reference_name}: out-of-tolerance cells: {violations}"
 
     def test_multiwoz_test_split(self):
         path = dataset_dir("multiwoz")
@@ -95,6 +110,42 @@ class TestTable2Reproduction:
     def test_sgd_test_split(self):
         path = dataset_dir("sgd")
         self._check(load_sgd(path, "test"), "table2_sgd_test")
+
+
+class TestTable2Comparison:
+    """`out_of_tolerance` on the fixture report, which needs no dataset."""
+
+    @pytest.fixture
+    def report(self, mwz_path, lexicon):
+        return analyze_corpus(load_multiwoz(mwz_path), lexicon)
+
+    def test_self_compare_passes(self, report):
+        reference = json.loads(json.dumps(report))
+        assert out_of_tolerance(report, reference, {}, 1.0) == []
+        reference["conversationality"]["nothing_to_predict"] += 0.5
+        assert out_of_tolerance(report, reference, {}, 1.0) == []
+
+    def test_cell_past_its_tolerance_is_named(self, report):
+        reference = json.loads(json.dumps(report))
+        reference["normalization"]["verbatim"] += 5.0
+        assert out_of_tolerance(report, reference, {}, 1.0) == [
+            f"normalization.verbatim: expected {reference['normalization']['verbatim']} "
+            f"got {report['normalization']['verbatim']}"]
+
+    def test_per_cell_tolerance_overrides_the_default(self, report):
+        reference = {"relaxation": report["relaxation"] + 2.0}
+        assert [cell.split(":")[0] for cell in out_of_tolerance(
+            report, reference, {}, 1.0)] == ["relaxation"]
+        assert out_of_tolerance(report, reference, {"relaxation": 3.0}, 1.0) == []
+
+    def test_missing_key_fails(self, report):
+        with pytest.raises(pytest.fail.Exception,
+                           match="missing from report: conversationality.no_such_row$"):
+            out_of_tolerance(report, {"conversationality": {"no_such_row": 1.0}}, {}, 1.0)
+
+    def test_notes_are_skipped(self, report):
+        reference = {"_comment": "reference notes", "relaxation": report["relaxation"]}
+        assert out_of_tolerance(report, reference, {}, 1.0) == []
 
 
 class TestRelaxationStatistic:

@@ -2,7 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +16,47 @@ from dialoscope.evaluate import jga
 from dialoscope.linearize import linearize_target
 from dialoscope.lispress import List, Symbol, TypedLiteral, parse
 from dialoscope.normalize import MatchCategory, default_lexicon, match_in_text
+from conftest import DATA
 
 
 @pytest.fixture(scope="module")
 def lexicon():
     return default_lexicon()
+
+
+def usable_cpus(monkeypatch, count, machine=None):
+    """Let this process run on `count` CPUs of a machine with `machine`
+    (default `count`), on any platform."""
+    monkeypatch.setattr(analysis.os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: machine or count)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The sizes of the pools `analyze_corpus` starts and the tasks sent to
+    them. A stand-in executor runs the tasks in-process, so no large pool is
+    ever started."""
+    record = SimpleNamespace(sizes=[], tasks=[])
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            record.sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            record.tasks.extend(items)
+            return map(fn, record.tasks)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(analysis, "_worker_args", ())
+    return record
 
 
 class TestTraceTurn:
@@ -116,10 +152,7 @@ class TestOverrides:
         assert result.turn_delta_c == 5
 
     def test_bundled_example_override_file(self, mwz_path, lexicon):
-        from importlib import resources
-        with resources.as_file(resources.files("dialoscope") / "data" /
-                               "overrides_multiwoz_examples.tsv") as p:
-            overrides = apply_overrides(p)
+        overrides = apply_overrides(DATA / "overrides_multiwoz_examples.tsv")
         dialog = load_multiwoz(mwz_path).get_dialog("MUL0635.json")
         result = trace_turn(dialog, 10, lexicon, overrides)
         trace = {t.slot: t for t in result.slot_traces}[("train", "destination")]
@@ -254,36 +287,34 @@ class TestAnalyzeCorpus:
         assert analyze_corpus(corpus, lexicon, workers=1) == \
             analyze_corpus(corpus, lexicon, workers=4)
 
-    def test_pool_is_clamped_to_cpu_count(self, planted, lexicon, monkeypatch):
-        # a stand-in executor records the pool size and the tasks and runs
-        # in-process, so no large pool is ever started
-        sizes, tasks = [], []
-
-        class RecordingPool:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                tasks.extend(items)
-                return map(fn, tasks)
-
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(analysis, "_worker_args", ())
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
+    def test_pool_is_clamped_to_cpu_count(self, planted, lexicon, monkeypatch,
+                                          recording_pool):
+        usable_cpus(monkeypatch, 3, machine=8)
         corpus, _ = planted
         pooled = analyze_corpus(corpus, lexicon, workers=64)
-        assert sizes == [3]
+        assert recording_pool.sizes == [3]
         # a task is a dialog index: no dialog is sent to a worker
-        assert tasks == list(range(len(corpus.dialogs)))
+        assert recording_pool.tasks == list(range(len(corpus.dialogs)))
         assert pooled == analyze_corpus(corpus, lexicon, workers=1)
-        assert sizes == [3]  # one worker runs serially, without a pool
+        assert recording_pool.sizes == [3]  # one worker runs serially, without a pool
+
+    def test_one_usable_cpu_runs_serially(self, planted, lexicon, monkeypatch,
+                                          recording_pool):
+        # taskset -c 0 on a 2-CPU machine
+        usable_cpus(monkeypatch, 1, machine=2)
+        corpus, _ = planted
+        assert analyze_corpus(corpus, lexicon, workers=2) == \
+            analyze_corpus(corpus, lexicon, workers=1)
+        assert recording_pool.sizes == []
+
+    def test_without_affinity_the_cpu_count_clamps(self, planted, lexicon, monkeypatch,
+                                                   recording_pool):
+        # macOS and Windows have no sched_getaffinity
+        monkeypatch.delattr(analysis.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        corpus, _ = planted
+        analyze_corpus(corpus, lexicon, workers=64)
+        assert recording_pool.sizes == [2]
 
     def test_no_dialog_is_pickled_for_the_pool(self, planted, lexicon, monkeypatch):
         # forked workers inherit the corpus and are sent dialog indices, so
@@ -301,7 +332,7 @@ class TestAnalyzeCorpus:
             raise AssertionError(f"dialog {self.dialog_id} was pickled")
 
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", fork_pool)
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(Dialog, "__reduce_ex__", refuse)
         corpus, _ = planted
         pooled = analyze_corpus(corpus, lexicon, workers=2)
@@ -319,7 +350,7 @@ class TestAnalyzeCorpus:
             return ProcessPoolExecutor(*args, mp_context=spawn, **kwargs)
 
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", spawn_pool)
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         planted_corpus, _ = planted
         # a value no utterance surfaces, filled in by an override
         unplaced = Dialog("unplaced", (Turn(0, Speaker.USER, "somewhere my wife likes",
@@ -522,9 +553,7 @@ class TestWindowOracle:
     def test_jga_is_the_conversationality_ceiling(self, mwz_path, sgd_path, planted,
                                                   lexicon):
         corpora = [load_multiwoz(mwz_path), load_sgd(sgd_path, "test"), planted[0]]
-        with resources.as_file(resources.files("dialoscope") / "data" /
-                               "overrides_multiwoz_examples.tsv") as p:
-            examples = apply_overrides(p)
+        examples = apply_overrides(DATA / "overrides_multiwoz_examples.tsv")
 
         @settings(max_examples=60, deadline=None)
         @given(st.data())

@@ -201,6 +201,32 @@ class TestLinearize:
         assert run(capsys, "analyze", "--dataset", "smcalflow",
                    "--path", str(source)) == (EXIT_FAILURE, "", err)
 
+    def test_predictions_for_unknown_turns_are_warned_about(self, capfd, mwz_path,
+                                                            tmp_path):
+        # predictions that name no turn leave every predicted state empty;
+        # linearize warns about each as eval does, in predictions-file order.
+        # A fresh process: under pytest the root logger has handlers
+        from dialoscope.corpus import load_multiwoz
+        records = [{"dialogue_id": f"x{dialog_id}", "turn_index": index, "prediction": pred}
+                   for (dialog_id, index), pred
+                   in gold_predictions(load_multiwoz(mwz_path)).items()]
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        common = ["--dataset", "multiwoz", "--path", str(mwz_path), "--preds", str(preds)]
+        env = dict(os.environ, PYTHONPATH=str(Path(dialoscope.__file__).parents[1]))
+        errs = []
+        for argv in (["linearize", "--repr", "prev-state", "--previous-state", "predicted",
+                      "--out", str(tmp_path / "records.jsonl")],
+                     ["eval", "--mode", "jga"]):
+            code = subprocess.call([sys.executable, "-m", "dialoscope.cli", *argv, *common],
+                                   env=env, stdout=subprocess.DEVNULL)
+            assert code == EXIT_OK
+            errs.append(capfd.readouterr().err)
+        assert errs[0].splitlines() == [
+            f"prediction for unknown turn {(r['dialogue_id'], r['turn_index'])} ignored"
+            for r in records]
+        assert errs[0] == errs[1]
+
     def test_bad_repr_is_usage_error(self, capsys, mwz_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["linearize", "--dataset", "multiwoz", "--path",

@@ -4,9 +4,11 @@ statement of any module, an `__init__.py` re-export or the console-script
 entry point in pyproject.toml; every non-dunder method and property of a
 module-level class is named by a src/ statement other than its own
 definition; every non-dunder name a module-level assignment binds, in a
-module other than `__init__.py`, is read by another src/ statement; and
+module other than `__init__.py`, is read by another src/ statement;
 every name a module other than `__init__.py` imports is used in that
-module. A path that only tests reach fails here.
+module; and every file under data/ is named by a string constant of a src/
+module, so the package ships no file that only tests read. A path that
+only tests reach fails here.
 """
 import ast
 import re
@@ -14,11 +16,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (module, name) with no caller in src/ yet: the report diff waits for a
-# `diff` command (ROADMAP item 3), and the validation stub for the benchmark
-# to stop calling it (ROADMAP item 1)
-ALLOWED = {("report", "diff_reports"), ("report", "load_reference"),
-           ("corpus", "validate_corpus")}
+# (module, name) with no caller in src/ yet: perfbench/test_perfbench.py
+# still calls the validation stub (ROADMAP item 1)
+ALLOWED = {("corpus", "validate_corpus")}
 
 # (module, name) of a module-level assignment no src/ statement reads:
 # argparse exits 2 by itself, and the tests import EXIT_USAGE as that code
@@ -129,6 +129,18 @@ def unused_imports(package: Path):
     return unused
 
 
+def unused_data_files(package: Path):
+    """The path, relative to `package`, of each file under its data/ whose
+    name is part of no string constant of a module of `package`, in path
+    order."""
+    constants = [sub.value for path in sorted(package.glob("*.py"))
+                 for sub in ast.walk(ast.parse(path.read_text("utf-8")))
+                 if isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
+    return [path.relative_to(package).as_posix()
+            for path in sorted((package / "data").rglob("*"))
+            if path.is_file() and not any(path.name in text for text in constants)]
+
+
 def test_every_definition_has_a_caller():
     unused = unused_definitions(ROOT / "src" / "dialoscope", ROOT / "pyproject.toml")
     # an allowed name that gains a caller leaves the list
@@ -148,6 +160,22 @@ def test_finds_a_definition_only_it_names(tmp_path):
     pyproject = tmp_path / "pyproject.toml"
     pyproject.write_text('[project.scripts]\npkg = "pkg.a:main"\n', "utf-8")
     assert unused_definitions(package, pyproject) == [("a", "recursive"), ("a", "Unused")]
+
+
+def test_every_data_file_is_named():
+    assert unused_data_files(ROOT / "src" / "dialoscope") == []
+
+
+def test_finds_a_data_file_no_module_names(tmp_path):
+    (tmp_path / "data" / "reference").mkdir(parents=True)
+    for name in ("used.txt", "in_a_path.tsv", "in_a_comment.txt", "reference/table.json"):
+        (tmp_path / "data" / name).write_text("", "utf-8")
+    (tmp_path / "a.py").write_text(
+        "from importlib import resources\n"
+        "USED = resources.files('pkg') / 'data' / 'used.txt'\n"
+        "IN_A_PATH = 'data/in_a_path.tsv'\n"
+        "# in_a_comment.txt and table.json are named in comments only\n", "utf-8")
+    assert unused_data_files(tmp_path) == ["data/in_a_comment.txt", "data/reference/table.json"]
 
 
 def test_every_method_has_a_caller():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -277,10 +278,10 @@ class TestExactMatch:
 
 
 class TestScoreReport:
-    def test_to_json_and_table(self, mwz_path):
+    def test_json_text_and_table(self, mwz_path):
         corpus = load_multiwoz(mwz_path)
         report = jga(corpus, gold_predictions(corpus))
-        doc = report.to_json()
+        doc = json.loads(report.json_text())
         assert doc["accuracy"] == 1.0
         assert len(doc["verdicts"]) == 9
         assert "jga-oracle" in report.table()
@@ -298,25 +299,37 @@ _json_text = st.text(st.one_of(
     st.characters()), max_size=8)
 
 
+def score_doc(report):
+    """The document `ScoreReport.json_text` writes, key for key."""
+    return {
+        "metric": report.metric,
+        "accuracy": report.accuracy,
+        "correct": report.correct,
+        "total": report.total,
+        "missing_predictions": report.missing,
+        "unparseable_predictions": report.unparseable,
+        "correct_but_flagged": report.correct_but_flagged,
+        "verdicts": [{"dialogue_id": d, "turn_index": t, "correct": ok}
+                     for d, t, ok in report.verdicts],
+    }
+
+
 class TestReportJsonText:
     @settings(max_examples=200, deadline=None)
     @given(st.builds(
         ScoreReport, metric=_json_text, correct=st.integers(0, 10**6),
         total=st.integers(0, 10**6), missing=st.integers(0, 10**6),
         unparseable=st.integers(0, 10**6), correct_but_flagged=st.integers(0, 10**6),
-        verdicts=st.lists(st.tuples(_json_text, st.integers(), st.booleans()), max_size=5)),
-        st.one_of(st.none(), st.floats()))
-    def test_equals_indented_dumps(self, report, accuracy):
-        doc = report.to_json()
-        if accuracy is not None:
-            doc["accuracy"] = accuracy
-        assert evaluate.report_json_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        verdicts=st.lists(st.tuples(_json_text, st.integers(), st.booleans()), max_size=5)))
+    def test_equals_indented_dumps(self, report):
+        assert report.json_text() == json.dumps(
+            score_doc(report), indent=2, ensure_ascii=False) + "\n"
 
     def test_empty_verdicts(self):
-        doc = ScoreReport(metric="jga").to_json()
-        text = evaluate.report_json_text(doc)
+        report = ScoreReport(metric="jga")
+        text = report.json_text()
         assert text.endswith('"verdicts": []\n}\n')
-        assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert text == json.dumps(score_doc(report), indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +471,13 @@ class TestEquivalence:
                 new, new_log = warnings_of(caplog, lambda: jga(corpus, preds, mode, fuzzy))
                 ref, ref_log = warnings_of(
                     caplog, lambda: reference_jga(corpus, preds, mode, fuzzy))
-                assert new.to_json() == ref.to_json()
+                assert new == ref
                 assert new.table() == ref.table()
                 assert new_log == ref_log
-            states = accumulate_predicted_states(corpus, preds)
+            states, fold_log = warnings_of(
+                caplog, lambda: accumulate_predicted_states(corpus, preds))
+            # the fold warns as the scorer does, in predictions-file order
+            assert fold_log == ref_log
             ref_states = reference_accumulate(corpus, preds)
             assert list(states) == list(ref_states)
             for key, ref_state in ref_states.items():
@@ -483,11 +499,10 @@ class TestEquivalence:
                 caplog, lambda: exact_match_score(corpus, preds, flags, strict))
             ref, ref_log = warnings_of(
                 caplog, lambda: reference_exact_match(corpus, preds, flags, strict))
-            new_doc, ref_doc = new.to_json(), ref.to_json()
-            assert new_doc.pop("unparseable_predictions") == sum(
+            assert new.unparseable == sum(
                 p in UNPARSEABLE_PROGRAMS for k, p in preds.items() if k in gold)
-            assert ref_doc.pop("unparseable_predictions") == 0
-            assert new_doc == ref_doc
+            assert ref.unparseable == 0
+            assert dataclasses.replace(new, unparseable=0) == ref
             assert new_log == ref_log
 
         check()
@@ -503,9 +518,9 @@ class TestEquivalence:
         for texts in itertools.product(pool, repeat=len(gold)):
             preds = {key: text for key, text in zip(gold, texts) if text is not None}
             for flags, strict in itertools.product((False, True), repeat=2):
-                new = exact_match_score(corpus, preds, flags, strict).to_json()
-                ref = reference_exact_match(corpus, preds, flags, strict).to_json()
-                assert new.pop("unparseable_predictions") == sum(
+                new = exact_match_score(corpus, preds, flags, strict)
+                ref = reference_exact_match(corpus, preds, flags, strict)
+                assert new.unparseable == sum(
                     p in UNPARSEABLE_PROGRAMS for p in preds.values())
-                assert ref.pop("unparseable_predictions") == 0
-                assert new == ref, preds
+                assert ref.unparseable == 0
+                assert dataclasses.replace(new, unparseable=0) == ref, preds

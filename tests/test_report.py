@@ -5,8 +5,8 @@ import pytest
 from dialoscope.analysis import analyze_corpus
 from dialoscope.corpus import load_multiwoz, load_smcalflow
 from dialoscope.normalize import default_lexicon
-from dialoscope.report import (CellDelta, SchemaMismatch, diff_reports,
-                               histogram_csv, load_reference, markdown)
+from dialoscope.report import histogram_csv, markdown
+from conftest import load_table2
 
 
 @pytest.fixture
@@ -58,67 +58,21 @@ class TestJsonRoundTrip:
         assert json.loads(json.dumps(doc)) == doc
 
 
-class TestDiffReports:
-    def test_within_tolerance_passes(self, mwz_report):
-        doc = mwz_report
-        ref = json.loads(json.dumps(doc))
-        ref["conversationality"]["nothing_to_predict"] += 0.5
-        ok, deltas = diff_reports(doc, ref, default_tolerance=1.0)
-        assert ok
-        assert all(isinstance(d, CellDelta) for d in deltas)
-
-    def test_out_of_tolerance_fails_with_cell(self, mwz_report):
-        doc = mwz_report
-        ref = json.loads(json.dumps(doc))
-        ref["normalization"]["verbatim"] += 5.0
-        ok, deltas = diff_reports(doc, ref, default_tolerance=1.0)
-        assert not ok
-        bad = [d for d in deltas if not d.within]
-        assert [d.cell for d in bad] == ["normalization.verbatim"]
-        assert bad[0].delta == pytest.approx(-5.0)
-
-    def test_per_cell_tolerance_override(self, mwz_report):
-        doc = mwz_report
-        ref = json.loads(json.dumps(doc))
-        ref["relaxation"] += 2.0
-        ok, _ = diff_reports(doc, ref, default_tolerance=1.0)
-        assert not ok
-        ok, _ = diff_reports(doc, ref, tolerances={"relaxation": 3.0},
-                             default_tolerance=1.0)
-        assert ok
-
-    def test_missing_key_raises_schema_mismatch(self, mwz_report):
-        doc = mwz_report
-        ref = {"conversationality": {"no_such_row": 1.0}}
-        with pytest.raises(SchemaMismatch):
-            diff_reports(doc, ref)
-
-    def test_underscore_keys_skipped(self, mwz_report):
-        doc = mwz_report
-        ref = {"_comment": "reference notes", "relaxation": doc["relaxation"]}
-        ok, deltas = diff_reports(doc, ref)
-        assert ok and len(deltas) == 1
-
-
 class TestLoadReference:
     @pytest.mark.parametrize("name", ["table2_multiwoz_test",
                                       "table2_multiwoz_dev",
                                       "table2_sgd_test"])
     def test_bundled_references_parse(self, name):
-        doc = load_reference(name)
+        doc = load_table2(name)
         assert "conversationality" in doc
         assert "normalization" in doc
 
     def test_reference_values_spot_check(self):
-        doc = load_reference("table2_multiwoz_test")
+        doc = load_table2("table2_multiwoz_test")
         assert doc["conversationality"]["nothing_to_predict"] == \
             pytest.approx(32.63)
         assert doc["conversationality"]["delta2_plus"] == pytest.approx(3.52)
         assert doc["normalization"]["verbatim"] == pytest.approx(87.30)
-
-    def test_unknown_reference(self):
-        with pytest.raises(FileNotFoundError):
-            load_reference("no_such_table")
 
 
 class TestEmptyCorpus:
