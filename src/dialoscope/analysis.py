@@ -165,14 +165,15 @@ def trace_turn(dialog: Dialog, turn_index: int, lexicon: Optional[Lexicon] = Non
     prev = dialog.previous_user_state(turn_index)
     update = state_update(prev, turn.state)
 
+    turns = dialog.turns
     traces: List[SlotTrace] = []
     for domain, slot, values in sorted(update.added_or_changed):
+        slot_key = (domain, slot)
         best: Optional[Tuple[int, MatchResult, str]] = None
         for distance in range(turn_index + 1):
-            i = turn_index - distance
+            utterance = turns[turn_index - distance].utterance
             for value in values:
-                result = match_in_text(value, (domain, slot),
-                                       dialog.turns[i].utterance, lexicon)
+                result = match_in_text(value, slot_key, utterance, lexicon)
                 if result.resolved:
                     if (best is None or CATEGORY_RANK[result.category]
                             < CATEGORY_RANK[best[1].category]):
@@ -184,16 +185,16 @@ def trace_turn(dialog: Dialog, turn_index: int, lexicon: Optional[Lexicon] = Non
         if best is not None:
             if override is not None:
                 log.warning("override for resolved slot %s ignored", key)
-            traces.append(SlotTrace((domain, slot), best[2], best[0], best[1]))
+            traces.append(SlotTrace(slot_key, best[2], best[0], best[1]))
         elif override is not None:
             traces.append(SlotTrace(
-                (domain, slot), values[0], override.delta_c,
+                slot_key, values[0], override.delta_c,
                 MatchResult(override.category or MatchCategory.UNRESOLVED),
                 override.context_class or ContextClass.UNKNOWN,
                 overridden=True))
         else:
             traces.append(SlotTrace(
-                (domain, slot), values[0], None,
+                slot_key, values[0], None,
                 MatchResult(MatchCategory.UNRESOLVED), ContextClass.UNKNOWN))
 
     turn_delta = None
@@ -236,19 +237,30 @@ def _tally_frame_dialog(dialog: Dialog, lexicon: Optional[Lexicon],
     return tally
 
 
-def _tally_program_dialog(dialog: Dialog) -> Counter:
+# the id of an SMCalFlow gold tree -> the names of ("refer", "revise") it
+# calls; one per analyze_corpus call (one per pool worker), whose corpus
+# keeps every tree alive, so turns that share a tree walk it once
+HeadMemo = Dict[int, Tuple[str, ...]]
+
+
+def _tally_program_dialog(dialog: Dialog, heads: HeadMemo) -> Counter:
     tally: Counter = Counter()
     for turn in dialog.user_turns():
         tally["user_turns"] += 1
-        heads = call_heads(dialog.gold_tree(turn))
-        tally.update(name for name in ("refer", "revise") if name in heads)
+        tree = dialog.gold_tree(turn)
+        names = heads.get(id(tree))
+        if names is None:
+            called = call_heads(tree)
+            names = heads[id(tree)] = tuple(
+                name for name in ("refer", "revise") if name in called)
+        tally.update(names)
     return tally
 
 
 def _tally_dialog(dialog: Dialog, kind: DatasetKind, lexicon: Optional[Lexicon],
-                 overrides: Optional[Overrides]) -> Counter:
+                 overrides: Optional[Overrides], heads: HeadMemo) -> Counter:
     if kind is DatasetKind.SMCALFLOW:
-        return _tally_program_dialog(dialog)
+        return _tally_program_dialog(dialog, heads)
     return _tally_frame_dialog(dialog, lexicon, overrides)
 
 
@@ -263,12 +275,12 @@ def _init_worker(dialogs: Tuple[Dialog, ...], kind: DatasetKind,
     # runs once per worker: a task then carries only a dialog index, and
     # the worker's lexicon keeps its match plans from dialog to dialog
     global _worker_args
-    _worker_args = (dialogs, kind, lexicon, overrides)
+    _worker_args = (dialogs, kind, lexicon, overrides, {})
 
 
 def _tally_in_worker(index: int) -> Counter:
-    dialogs, kind, lexicon, overrides = _worker_args
-    return _tally_dialog(dialogs[index], kind, lexicon, overrides)
+    dialogs, kind, lexicon, overrides, heads = _worker_args
+    return _tally_dialog(dialogs[index], kind, lexicon, overrides, heads)
 
 
 def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
@@ -303,7 +315,8 @@ def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
             tallies = list(pool.map(_tally_in_worker, range(len(corpus.dialogs)),
                                     chunksize=16))
     else:
-        tallies = [_tally_dialog(d, kind, lexicon, overrides) for d in corpus.dialogs]
+        heads: HeadMemo = {}
+        tallies = [_tally_dialog(d, kind, lexicon, overrides, heads) for d in corpus.dialogs]
     total: Counter = Counter()
     for tally in tallies:
         total.update(tally)

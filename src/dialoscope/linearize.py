@@ -123,17 +123,24 @@ def linearize_input(repr: InputRepresentation, prefix: str, state: str,
 
 def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetKind,
                        predicted_states: Optional[PredictedStates] = None,
-                       schemas: Optional[Dict[str, str]] = None) -> List[Seq2SeqRecord]:
+                       schemas: Optional[Dict[str, str]] = None,
+                       printed: Optional[Dict[int, str]] = None) -> List[Seq2SeqRecord]:
     """One record per user turn, from one walk over the turns that carries
     the tagged turns so far, the previous gold state and the previous state
     that a prev-state input shows (gold, or predicted). A prev-state input
-    of an SMCalFlow dialog, which has no slot state, is a ValueError."""
+    of an SMCalFlow dialog, which has no slot state, is a ValueError.
+
+    `printed` maps the id of an SMCalFlow gold tree to its target, so that a
+    tree that turns share is printed once; the caller keeps every tree in it
+    alive while it is in use."""
     with_state = repr is InputRepresentation.PLUS_PREVIOUS_DIALOG_STATE
     if kind is DatasetKind.SMCALFLOW and with_state:
         raise ValueError("a prev-state input applies to multiwoz and sgd only")
     tags = _PROGRAM_TAGS if kind is DatasetKind.SMCALFLOW else _FRAME_TAGS
     # only SGD dialogs name services
     prefix = " ".join(schemas.get(svc, "") for svc in dialog.services).strip() if schemas else ""
+    if printed is None:
+        printed = {}
     records = []
     history: List[str] = []
     prev_gold = shown = EMPTY_STATE
@@ -143,8 +150,13 @@ def records_for_dialog(dialog: Dialog, repr: InputRepresentation, kind: DatasetK
             continue
         state = f"{_FRAME_STATE_TAG} {linearize_state(shown)}".rstrip() if with_state else ""
         inp = linearize_input(repr, prefix, state, history)
-        target = linearize_target(dialog.gold_tree(turn) if kind is DatasetKind.SMCALFLOW
-                                  else state_update(prev_gold, turn.state))
+        if kind is DatasetKind.SMCALFLOW:
+            tree = dialog.gold_tree(turn)
+            target = printed.get(id(tree))
+            if target is None:
+                target = printed[id(tree)] = linearize_target(tree)
+        else:
+            target = linearize_target(state_update(prev_gold, turn.state))
         if turn.state is not None:
             prev_gold = turn.state
         shown = (prev_gold if predicted_states is None else
@@ -161,11 +173,12 @@ def emit_dataset(corpus: Corpus, repr: InputRepresentation, out_path,
     Records go to a temporary file as each dialog is linearized, which
     replaces `out_path` only once every record is written."""
     count = 0
+    printed: Dict[int, str] = {}  # the corpus keeps each tree alive
     try:
         with write_atomically(out_path) as f:
             for dialog in corpus.dialogs:
                 for rec in records_for_dialog(dialog, repr, corpus.dataset_kind,
-                                              predicted_states, corpus.schemas):
+                                              predicted_states, corpus.schemas, printed):
                     f.write(f'{{"dialogue_id": {json_string(rec.dialog_id)}, '
                             f'"turn_index": {rec.turn_index}, '
                             f'"input": {json_string(rec.input)}, '

@@ -15,6 +15,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .corpus import InputError, text_lines
@@ -390,17 +391,25 @@ _TOKEN_RE = re.compile(_TOKEN_CHAR + r"(?:\S*" + _TOKEN_CHAR + ")?")
 # every later turn; 1024 entries hold a long dialog's utterances at each of
 # the few word counts its values have
 @lru_cache(maxsize=1024)
-def _word_ngrams(text: str, n_words: int) -> Dict[int, List[Tuple[str, int, int]]]:
-    """(lowered candidate, start, end) for each run of n_words tokens, in
-    text order, grouped by the candidate's length."""
-    toks = [(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-    cands = [t[0] for t in toks]
-    if n_words > 1:
-        cands = [" ".join(cands[i:i + n_words]) for i in range(len(cands) - n_words + 1)]
-    by_length: Dict[int, List[Tuple[str, int, int]]] = {}
-    for cand, first, last in zip(cands, toks, toks[n_words - 1:]):
-        cand = cand.lower()
-        by_length.setdefault(len(cand), []).append((cand, first[1], last[2]))
+def _word_ngrams(text: str, n_words: int) -> Dict[int, List[Tuple[str, int]]]:
+    """(lowered candidate, index of its first token) for each run of n_words
+    tokens, in text order, grouped by the candidate's length.
+
+    No candidate carries its character span: `_typo_match` recovers the
+    span of its winner alone. Lowering ASCII text keeps every offset, so
+    ASCII text is lowered once before it is tokenized; elsewhere each
+    candidate is lowered on its own, since lowering can change a length
+    (`İ`) or depend on the context (final sigma).
+    """
+    ascii_text = text.isascii()
+    toks = _TOKEN_RE.findall(text.lower() if ascii_text else text)
+    cands = toks if n_words == 1 else [
+        " ".join(toks[i:i + n_words]) for i in range(len(toks) - n_words + 1)]
+    if not ascii_text:
+        cands = [cand.lower() for cand in cands]
+    by_length: Dict[int, List[Tuple[str, int]]] = {}
+    for first, cand in enumerate(cands):
+        by_length.setdefault(len(cand), []).append((cand, first))
     return by_length
 
 
@@ -413,10 +422,23 @@ def damerau_levenshtein(a: str, b: str, limit: int) -> int:
     certain: at once when the lengths differ by more than `limit`, else at
     the first row whose minimum exceeds it; row minima never decrease
     (Ukkonen 1985). `limit=max(len(a), len(b))` gives the exact distance.
+
+    The common prefix and suffix are trimmed first. The trim is exact: some
+    alignment of least cost leaves a shared prefix or suffix unedited,
+    transpositions across its boundary included, so the rest has the
+    distance of the whole.
     """
     la, lb = len(a), len(b)
     if abs(la - lb) > limit:
         return limit + 1
+    head, shorter = 0, min(la, lb)
+    while head < shorter and a[head] == b[head]:
+        head += 1
+    tail = 0
+    while tail < shorter - head and a[la - 1 - tail] == b[lb - 1 - tail]:
+        tail += 1
+    a, b = a[head:la - tail], b[head:lb - tail]
+    la, lb = la - head - tail, lb - head - tail
     if la == 0 or lb == 0:
         return max(la, lb)
     cap = limit + 1  # stands for every value outside the band
@@ -475,25 +497,31 @@ def _typo_match(targets: Tuple[_TypoTarget, ...], text: str,
     the whole text, whose characters every candidate's are among. Outside
     ASCII lowering depends on context (final sigma), so the text is not
     checked there.
+
+    Candidates are ranked by the index of their first token, which orders
+    them as their start offsets do. Only the winner's character span is
+    computed, by tokenizing the text once more.
     """
-    best: Optional[Tuple[int, int, int]] = None  # (distance, start, end)
+    best: Optional[Tuple[int, int, int]] = None  # (distance, first token, words)
     text_chars = None if haystack is None else _text_chars(haystack)
     for tgt, n_words, threshold, chars in targets:
         if text_chars is not None and len(chars - text_chars) > threshold:
             continue
         by_length = _word_ngrams(text, n_words)
         for length in range(len(tgt) - threshold, len(tgt) + threshold + 1):
-            for cand, start, end in by_length.get(length, ()):
+            for cand, first in by_length.get(length, ()):
                 if len(chars.difference(cand)) > threshold:
                     continue
                 dist = damerau_levenshtein(tgt, cand, threshold)
                 if dist == 0 or dist > threshold:
                     continue
-                if best is None or (dist, start) < best[:2]:
-                    best = (dist, start, end)
+                if best is None or (dist, first) < best[:2]:
+                    best = (dist, first, n_words)
     if best is None:
         return None
-    dist, start, end = best
+    dist, first, n_words = best
+    toks = list(islice(_TOKEN_RE.finditer(text), first, first + n_words))
+    start, end = toks[0].start(), toks[-1].end()
     return MatchResult(MatchCategory.TYPO, span=(start, end),
                        matched_surface=text[start:end], distance=dist)
 
@@ -524,23 +552,30 @@ CATEGORY_RANK = {MatchCategory.VERBATIM: 0, MatchCategory.ENTITY_RECOGNITION: 1,
 _PLAN_CACHE_MAX = 65536
 
 
-def _probe(category: MatchCategory, sub_kind: Optional[EntityKind],
-           surface: str) -> _Probe:
-    return (category, sub_kind, surface,
-            surface.lower() if surface.isascii() else None)
-
-
 def _match_plan(value: str, slot: Optional[Tuple[str, str]],
                 lexicon: Lexicon) -> _MatchPlan:
-    plan = lexicon._plans.get((value, slot))
-    if plan is not None:
-        return plan
-    vlist = variants(value, slot, lexicon)
-    probes = tuple(_probe(v.category, v.sub_kind, v.surface) for v in sorted(
-        vlist, key=lambda v: (CATEGORY_RANK[v.category], -len(v.surface))))
-    targets = tuple((s.lower(), len(s.split()), _typo_threshold(s), frozenset(s.lower()))
-                    for s in (v.surface for v in vlist) if len(s) >= _TYPO_MIN_LEN and s.split())
-    plan = _MatchPlan(probes, targets)
+    """Plan the matching of a (value, slot) from one pass over its variants,
+    and cache the plan on the lexicon.
+
+    The probes are the variants stably sorted by (category rank, longest
+    surface first); a lone probe needs no sort. The typo targets keep the
+    variants' order, which breaks ties between equal typo hits.
+    """
+    probes: List[_Probe] = []
+    targets: List[_TypoTarget] = []
+    for v in variants(value, slot, lexicon):
+        surface = v.surface
+        lowered = surface.lower()
+        probes.append((v.category, v.sub_kind, surface,
+                       lowered if surface.isascii() else None))
+        if len(surface) >= _TYPO_MIN_LEN:
+            n_words = len(surface.split())
+            if n_words:
+                targets.append((lowered, n_words, _typo_threshold(surface),
+                                frozenset(lowered)))
+    if len(probes) > 1:
+        probes.sort(key=lambda p: (CATEGORY_RANK[p[0]], -len(p[2])))
+    plan = _MatchPlan(tuple(probes), tuple(targets))
     if len(lexicon._plans) >= _PLAN_CACHE_MAX:
         lexicon._plans.clear()
     lexicon._plans[(value, slot)] = plan
@@ -559,7 +594,10 @@ def match_in_text(value: str, slot: Optional[Tuple[str, str]], text: str,
     """
     if not value or not text:
         return UNRESOLVED
-    plan = _match_plan(value, slot, lexicon or _EMPTY_LEXICON)
+    lexicon = lexicon or _EMPTY_LEXICON
+    plan = lexicon._plans.get((value, slot))
+    if plan is None:
+        plan = _match_plan(value, slot, lexicon)
     haystack = text.lower() if text.isascii() else None
     for category, sub_kind, surface, needle in plan.probes:
         if haystack is not None and needle is not None:

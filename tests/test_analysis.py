@@ -490,6 +490,15 @@ class TestRecount:
     def test_smcalflow(self, smcalflow_path):
         self.check(load_smcalflow(smcalflow_path))
 
+    def test_smcalflow_programs_shared_across_dialogs(self, tmp_path, smcalflow_raw):
+        # each turn of the first dialog again as a dialog of its own: it
+        # repeats a program, and so shares its tree, at another turn index
+        raw = smcalflow_raw + [{"dialogue_id": f"alone-{i}", "turns": [turn]}
+                               for i, turn in enumerate(smcalflow_raw[0]["turns"])]
+        path = tmp_path / "calflow.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in raw), "utf-8")
+        self.check(load_smcalflow(path))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_planted(self, planted, lexicon, workers):
         corpus, _ = planted

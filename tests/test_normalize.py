@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -40,7 +41,7 @@ def _ref_ngrams(text, n_words):
     toks = _ref_tokens(text)
     for i in range(len(toks) - n_words + 1):
         cand = " ".join(t[0] for t in toks[i:i + n_words]).lower()
-        by_length.setdefault(len(cand), []).append((cand, toks[i][1], toks[i + n_words - 1][2]))
+        by_length.setdefault(len(cand), []).append((cand, i))
     return by_length
 
 
@@ -379,9 +380,14 @@ class TestTokens:
         st.integers(1, 3))
     def test_ngrams_as_reference(self, text, n_words):
         assert normalize._word_ngrams(text, n_words) == _ref_ngrams(text, n_words)
+        # the tokens whose index a candidate holds are those that give a
+        # typo winner its span
+        assert [(m.group(), m.start(), m.end()) for m in normalize._TOKEN_RE.finditer(text)] \
+            == _ref_tokens(text)
 
     @pytest.mark.parametrize("text", [
-        "", " \t\n", "((.))", "(a)", "'tis the [end].", "a.b, c!?d", "\u039f\u0394\u039f\u03a3. \u03a3\u0391\u03a3!"])
+        "", " \t\n", "((.))", "(a)", "'tis the [end].", "a.b, c!?d", "\u039f\u0394\u039f\u03a3. \u03a3\u0391\u03a3!",
+        "CENTRE of Town", "\u0130 Kings COLLEGE"])
     def test_edges(self, text):
         for n_words in (1, 2, 3):
             assert normalize._word_ngrams(text, n_words) == _ref_ngrams(text, n_words)
@@ -420,6 +426,17 @@ class TestMatchInText:
     def test_no_substring_match_inside_word(self):
         r = match_in_text("3", None, "room 13 please")
         assert r.category is MatchCategory.UNRESOLVED
+
+    @pytest.mark.parametrize("value,expected", [
+        ("center", MatchCategory.ENTITY_RECOGNITION),  # "centre" beats "downtown"
+        ("midtown", MatchCategory.SEMANTIC_UNDERSTANDING),  # "downtown" beats "the middle"
+    ])
+    def test_precedence_between_categories(self, value, expected):
+        lex = Lexicon({f"*/{value}": {"downtown"}}, {}, {f"*/{value}": {"the middle"}})
+        text = "the middle of downtown, the centre"
+        got = match_in_text(value, None, text, lex)
+        assert got == reference_match_in_text(value, None, text, lex)
+        assert got.category is expected
 
     def test_dontcare_phrase(self, lexicon):
         r = match_in_text("dontcare", ("restaurant", "food"),
@@ -468,6 +485,14 @@ class TestMatchInText:
         ("saturday", None, "leave on saxyrday please"),
         # words apart by a tab still make a candidate with a space
         ("st ives", None, "st\tivs"),
+        # two hits at distance 1 in one length bucket: the earlier start wins
+        ("centre", None, "centra or cantre"),
+        # a 2-word winner after a capital dotted I, which lowercases to two
+        # characters: the span is in the text's own offsets
+        ("kings college", None, "\u0130 went to KIMGS College today"),
+        # a 3-word winner that ends in a capital sigma, lowered to a final sigma
+        ("\u03bc\u03b9\u03b1 \u03ba\u03b1\u03bb\u03b7 \u03bf\u03b4\u03bf\u03c2", None,
+         "\u03a3\u03a4\u0397\u039d \u039c\u0399\u0391 \u039a\u0391\u039b\u0399 \u039f\u0394\u039f\u03a3!"),
     ])
     def test_typo_pass_as_reference(self, value, phrase, text):
         lex = Lexicon({f"*/{value}": {phrase}} if phrase else {}, {}, {})
@@ -539,6 +564,26 @@ class TestDamerauLevenshtein:
         full = full_distance(a, b)
         assert full == _ref_distance(a, b)
         assert damerau_levenshtein(a, b, limit=k) == min(full, k + 1)
+
+    def test_every_short_pair_as_reference(self):
+        # every pair of strings up to 4 characters over abc: each shared
+        # prefix and suffix the trim can meet, transpositions at its edges
+        words = [""] + ["".join(p) for n in range(1, 5)
+                        for p in itertools.product("abc", repeat=n)]
+        for a in words:
+            for b in words:
+                ref = _ref_distance(a, b)
+                for k in (1, 2, max(len(a), len(b))):
+                    assert damerau_levenshtein(a, b, k) == min(ref, k + 1), (a, b, k)
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet="abc", max_size=4), st.text(alphabet="abc", max_size=4),
+           st.text(alphabet="abc", max_size=4), st.text(alphabet="abc", max_size=4),
+           st.sampled_from([1, 2, None]))
+    def test_shared_affixes_as_reference(self, prefix, x, y, suffix, k):
+        a, b = prefix + x + suffix, prefix + y + suffix
+        k = max(len(a), len(b)) if k is None else k
+        assert damerau_levenshtein(a, b, k) == min(_ref_distance(a, b), k + 1)
 
 
 class TestLoadLexicon:
