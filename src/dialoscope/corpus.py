@@ -226,34 +226,44 @@ _json_space = json.decoder.WHITESPACE.match
 _json_value = json.JSONDecoder().raw_decode
 
 
-def _json_members(text: str, path) -> Iterator[Tuple[str, object]]:
-    """(key, value) of each member of the JSON object `text`, in document
-    order, a repeated key included. Each value is decoded only when it is
-    reached, so the whole document never exists at once. A document that is
-    not an object has no members; malformed text raises, once its fault is
-    reached, the InputError json.loads would give."""
+def _json_members(text: str, path, kind: type = dict,
+                  what: Optional[str] = None) -> Iterator[object]:
+    """The members of the JSON document `text`, a `kind`, in document order:
+    (key, value) of each member of an object, a repeated key included, or
+    each element of a list. Each value is decoded only when it is reached,
+    so the whole document never exists at once. A document of another type
+    has no members, or, when `what` names it, raises the InputError
+    `_check` gives; malformed text raises, once its fault is reached, the
+    InputError json.loads would give."""
+    opener, closer = ("{", "}") if kind is dict else ("[", "]")
     end = _json_space(text).end()
-    if text[end:end + 1] != "{":
-        _loads(text, path)  # a list or a scalar, or malformed
+    if text[end:end + 1] != opener:
+        document = _loads(text, path)  # another type, or malformed
+        if what is not None:
+            raise _type_error(what, kind, document, path)
         return
     end = _json_space(text, end + 1).end()
     try:
-        if text[end:end + 1] != "}":
+        if text[end:end + 1] != closer:
             while True:
-                if text[end:end + 1] != '"':
-                    raise ValueError("expecting a member name")
-                key, end = json.decoder.scanstring(text, end + 1)
-                end = _json_space(text, end).end()
-                if text[end:end + 1] != ":":
-                    raise ValueError("expecting ':'")
-                value, end = _json_value(text, _json_space(text, end + 1).end())
-                yield key, value
+                if kind is dict:
+                    if text[end:end + 1] != '"':
+                        raise ValueError("expecting a member name")
+                    key, end = json.decoder.scanstring(text, end + 1)
+                    end = _json_space(text, end).end()
+                    if text[end:end + 1] != ":":
+                        raise ValueError("expecting ':'")
+                    value, end = _json_value(text, _json_space(text, end + 1).end())
+                    yield key, value
+                else:
+                    value, end = _json_value(text, end)
+                    yield value
                 end = _json_space(text, end).end()
                 if text[end:end + 1] != ",":
                     break
                 end = _json_space(text, end + 1).end()
-            if text[end:end + 1] != "}":
-                raise ValueError("expecting ',' or '}'")
+            if text[end:end + 1] != closer:
+                raise ValueError(f"expecting ',' or '{closer}'")
         if _json_space(text, end + 1).end() != len(text):
             raise ValueError("extra data")
     except _JSON_ERRORS as exc:
@@ -619,7 +629,10 @@ def load_sgd(path, split: str = "test") -> Corpus:
 
     `path` is the dataset root containing per-split subdirectories, or the
     split directory itself; that one is taken only when `split` is "all"
-    or its directory name.
+    or its directory name. Each dialog is built as soon as its JSON is
+    decoded, so no dialogues file exists whole as decoded JSON; a JSON
+    syntax error anywhere in a file is still reported before the fault of
+    any dialog it holds.
     """
     root = Path(path)
     if (root / split).is_dir():
@@ -637,8 +650,13 @@ def load_sgd(path, split: str = "test") -> Corpus:
     memo: _SlotMemo = {}
     dialogs: Dict[str, Dialog] = {}
     for file in dialog_files:
-        for raw in _check(_read_json(file), list, "dialogues file", file):
-            _add_dialog(dialogs, _sgd_dialog(raw, file, schemas, memo), file)
+        text = _read_text(file)
+        for raw in _json_members(text, file, list, "dialogues file"):
+            try:
+                _add_dialog(dialogs, _sgd_dialog(raw, file, schemas, memo), file)
+            except InputError:
+                _loads(text, file)  # malformed JSON is reported first
+                raise
     if not dialogs:
         raise InputError(f"no dialogs found under {split_dir}")
     return Corpus(DatasetKind.SGD, split, tuple(dialogs.values()), schemas=schemas)

@@ -32,6 +32,7 @@ NORMALIZE = "src/dialoscope/normalize.py"
 CORPUS = "src/dialoscope/corpus.py"
 ANALYSIS = "src/dialoscope/analysis.py"
 LINEARIZE = "src/dialoscope/linearize.py"
+EVALUATE = "src/dialoscope/evaluate.py"
 
 T_NORMALIZE = "tests/test_normalize.py"
 TYPO_PASS = f"{T_NORMALIZE}::TestMatchInText::test_typo_pass_as_reference"
@@ -39,6 +40,7 @@ SAME_VERDICT = f"{T_NORMALIZE}::TestMatchInText::test_same_verdict_as_reference"
 SHORT_PAIRS = f"{T_NORMALIZE}::TestDamerauLevenshtein::test_every_short_pair_as_reference"
 SHARED_AFFIXES = f"{T_NORMALIZE}::TestDamerauLevenshtein::test_shared_affixes_as_reference"
 CANONICAL_SLOT = "tests/test_corpus.py::TestCanonicalSlot"
+SGD_ELEMENTS = "tests/test_corpus.py::TestSgdElementDecoding"
 GOLDEN = "tests/test_golden.py::test_outputs_match_recorded_digests"
 
 
@@ -108,7 +110,59 @@ MUTANTS = (
            'key.replace("_", " ").replace("-", " ").split()',
            'key.replace("_", " ").split()',
            (CANONICAL_SLOT,)),
+    # corpus: the streaming JSON reader, and the order of a loader's checks
+    Mutant("sgd-fault-reported-before-malformed-json", CORPUS,
+           "                _loads(text, file)  # malformed JSON is reported first\n",
+           "",
+           (SGD_ELEMENTS,)),
+    Mutant("elements-without-a-comma", CORPUS,
+           "                if text[end:end + 1] != \",\":\n"
+           "                    break\n"
+           "                end = _json_space(text, end + 1).end()",
+           "                if text[end:end + 1] == closer:\n"
+           "                    break\n"
+           "                end = _json_space(text, end + (text[end:end + 1] == \",\")).end()",
+           (SGD_ELEMENTS,)),
+    Mutant("trailing-data-accepted", CORPUS,
+           "if _json_space(text, end + 1).end() != len(text):",
+           "if False:",
+           (SGD_ELEMENTS,)),
+    Mutant("sgd-object-top-level-accepted", CORPUS,
+           "        if what is not None:\n",
+           "        if False:\n",
+           (SGD_ELEMENTS,)),
+    Mutant("multiwoz-odd-log-checked-before-user-state", CORPUS,
+           "        if metadata:\n"
+           "            raise InputError(f\"{_where(path, dialog_id, i)}: \"\n"
+           "                             \"non-alternating speakers (state on a user turn)\")\n"
+           "        if i + 1 == len(log):\n"
+           "            raise InputError(\n"
+           "                f\"{_where(path, dialog_id, i)}: user turn has no system annotation\")\n",
+           "        if i + 1 == len(log):\n"
+           "            raise InputError(\n"
+           "                f\"{_where(path, dialog_id, i)}: user turn has no system annotation\")\n"
+           "        if metadata:\n"
+           "            raise InputError(f\"{_where(path, dialog_id, i)}: \"\n"
+           "                             \"non-alternating speakers (state on a user turn)\")\n",
+           ("tests/test_corpus.py::TestMultiwozWalk",)),
+    # evaluate: the JGA fold
+    Mutant("jga-accumulated-folds-onto-gold", EVALUATE,
+           "            if oracle:\n                state = gold\n",
+           "            if True:\n                state = gold\n",
+           ("tests/test_evaluate.py::TestJga::test_accumulated_error_propagates",)),
+    Mutant("jga-oracle-folds-onto-predictions", EVALUATE,
+           "            if oracle:\n                state = gold\n",
+           "            if False:\n                state = gold\n",
+           ("tests/test_evaluate.py::TestJga::test_oracle_error_does_not_propagate",)),
     # analysis and linearize
+    Mutant("pool-not-clamped-to-usable-cpus", ANALYSIS,
+           "workers = min(workers, len(os.sched_getaffinity(0))",
+           "workers = max(workers, len(os.sched_getaffinity(0))",
+           ("tests/test_analysis.py::TestAnalyzeCorpus::test_pool_is_clamped_to_cpu_count",)),
+    Mutant("pool-not-clamped-without-affinity", ANALYSIS,
+           "                  else os.cpu_count() or 1)",
+           "                  else workers)",
+           ("tests/test_analysis.py::TestAnalyzeCorpus::test_without_affinity_the_cpu_count_clamps",)),
     Mutant("override-skipped", ANALYSIS,
            "        elif override is not None:\n",
            "        elif False:\n",

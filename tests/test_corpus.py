@@ -213,6 +213,41 @@ class TestMultiwozLoadMemory:
         assert _peak_bytes(lambda: load_multiwoz(path)) < _peak_bytes(json_load)
 
 
+def _generated_sgd(n_dialogs):
+    """SGD-shaped dialogs: 8 exchanges each, a user frame restating its
+    service's growing state on every user turn, a system frame on every
+    system turn."""
+    dialogs = []
+    for k in range(n_dialogs):
+        turns = []
+        slot_values = {}
+        for i in range(8):
+            slot_values = {**slot_values, f"slot_{i % 4}": [f"value {i} of {k}"]}
+            turns += [{"speaker": "USER", "utterance": f"user turn {i} of dialog {k}",
+                       "frames": [{"service": "Hotels_1", "slots": [],
+                                   "state": {"active_intent": "NONE", "requested_slots": [],
+                                             "slot_values": slot_values}}]},
+                      {"speaker": "SYSTEM", "utterance": "ok",
+                       "frames": [{"service": "Hotels_1", "slots": [], "actions": []}]}]
+        dialogs.append({"dialogue_id": f"{k}_00000", "services": ["Hotels_1"],
+                        "turns": turns})
+    return dialogs
+
+
+class TestSgdLoadMemory:
+    def test_peak_below_json_load_of_the_file(self, tmp_path):
+        # the loader decodes one dialog at a time: the list never exists
+        # whole, only the file's text and the dialogs built so far
+        write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
+                                "test/dialogues_001.json": _generated_sgd(200)})
+        load_sgd(tmp_path, "test")  # fills canonical_slot's cache once
+
+        def json_load():
+            with open(tmp_path / "test" / "dialogues_001.json", encoding="utf-8") as f:
+                json.load(f)
+        assert _peak_bytes(lambda: load_sgd(tmp_path, "test")) < _peak_bytes(json_load)
+
+
 class TestLoadSgd:
     def test_load(self, sgd_path):
         corpus = load_sgd(sgd_path, "test")
@@ -1123,3 +1158,120 @@ class TestSgdFrameMemo:
             sgd_turn("USER", "u", [json.loads(json.dumps(frame))])]}
         first, second = _sgd_dialog(raw, Path("d.json"), _SGD_MEMO_SCHEMAS, {}).user_turns()
         assert second.state is first.state
+
+
+# ---------------------------------------------------------------------------
+# reference whole-file SGD loader: json.loads of a dialogues file, then each
+# of its dialogs, frozen here so the loader's element-by-element decoding is
+# checked result for result and error for error
+# ---------------------------------------------------------------------------
+
+def reference_load_sgd_file(path):
+    """The dialogs of a split whose one dialogues file is `path`."""
+    text = path.read_text("utf-8")
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}")
+    memo, dialogs = {}, {}
+    for raw in _check(data, list, "dialogues file", path):
+        dialog = _sgd_dialog(raw, path, _SGD_MEMO_SCHEMAS, memo)
+        if dialog.dialog_id in dialogs:
+            raise InputError(f"{_where(path, dialog.dialog_id)}: duplicate dialog id")
+        dialogs[dialog.dialog_id] = dialog
+    if not dialogs:
+        raise InputError(f"no dialogs found under {path.parent}")
+    return tuple(dialogs.values())
+
+
+# two dialogs that pass every check
+_SGD_S1 = '{"dialogue_id": "S1", "turns": [{"speaker": "USER", "utterance": "u"}]}'
+_SGD_S2 = _SGD_S1.replace("S1", "S2")
+
+# elements that fail the loader's checks: not a dialog, a dialogue_id that
+# is not a string, turns that are not a list, no turns
+_SGD_BAD_DIALOGS = [3, None, "S9", [], {"dialogue_id": 3}, {"dialogue_id": "F", "turns": 3},
+                    {"dialogue_id": "F"}]
+
+
+@st.composite
+def _sgd_text(draw):
+    """An SGD dialogues file: a list of dialogs, serialized with drawn
+    whitespace, escapes and indentation, then maybe mutated: truncated at
+    any offset, trailing data, a missing ',' between two elements, a
+    leading UTF-8 BOM, a top level that is not a list, or a dialog that
+    fails a check ahead of a JSON syntax error further on."""
+    # a valid file, and a missing ',', drawn twice as often as the others
+    mutation = draw(st.sampled_from(
+        [None, None, "truncate", "junk", "comma", "comma", "bom", "top-level", "fault-first"]))
+    dialogs = [dict(d, dialogue_id=f"S{k}") for k, d in enumerate(draw(st.lists(
+        _repeating_sgd_dialog(), min_size=2 if mutation == "comma" else 0, max_size=3)))]
+    if mutation == "fault-first":
+        dialogs.insert(0, draw(st.sampled_from(_SGD_BAD_DIALOGS)))
+    ensure_ascii = draw(st.booleans())
+    indent = draw(st.sampled_from([None, 0, 2, "\t"]))
+    elements = [json.dumps(d, ensure_ascii=ensure_ascii, indent=indent) for d in dialogs]
+    separators = [draw(_space) + "," + draw(_space) for _ in elements[1:]]
+    if mutation == "comma" and separators:
+        i = draw(st.integers(0, len(separators) - 1))
+        separators[i] = separators[i].replace(",", "")
+    body = "".join(sep + element for sep, element in zip(["", *separators], elements))
+    text = draw(_space) + "[" + draw(_space) + body + draw(_space) + "]" + draw(_space)
+    if mutation == "truncate":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif mutation == "junk":
+        text += draw(st.sampled_from(["x", "[]", "]", "}", ",", " 1", '"', "\x00"]))
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "top-level":
+        # the list under a key, a dialog alone, {} or a scalar
+        text = draw(st.sampled_from(['{"d": %s}' % text, *elements[:1], "{}", "3", '"x"',
+                                     "null", " "]))
+    elif mutation == "fault-first":
+        # the syntax error after the faulty dialog: no closing bracket, or
+        # trailing data
+        text = draw(st.sampled_from([text.rstrip()[:-1], text + "]", text + "x"]))
+    return text
+
+
+class TestSgdElementDecoding:
+    @settings(max_examples=300, deadline=None)
+    @given(_sgd_text())
+    def test_as_whole_file_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_layout(Path(tmp), {"test/schema.json": SGD_SCHEMA})
+            path = Path(tmp) / "test" / "dialogues_001.json"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                new = load_sgd(tmp, "test").dialogs
+            except InputError as exc:
+                new = exc
+            try:
+                ref = reference_load_sgd_file(path)
+            except InputError as exc:
+                ref = exc
+        if isinstance(ref, InputError):
+            assert (type(new), str(new)) == (type(ref), str(ref))
+        else:
+            assert new == ref
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "no dialogs found under {dir}"),
+        ("{}", "{path}: dialogues file must be a JSON list, got dict"),
+        (_SGD_S1, "{path}: dialogues file must be a JSON list, got dict"),
+        (f"[{_SGD_S1}, {_SGD_S2}]", None),
+        (f"[{_SGD_S1}] x", "malformed JSON in {path}: Extra data"),
+        (f"[{_SGD_S1} {_SGD_S2}]", "malformed JSON in {path}: Expecting ',' delimiter"),
+        # a dialog that fails a check, then the file ends inside the list
+        (f"[3, {_SGD_S1}", "malformed JSON in {path}: Expecting ',' delimiter"),
+    ])
+    def test_fault_messages(self, tmp_path, text, message):
+        write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
+                                "test/dialogues_001.json": text.encode("utf-8")})
+        path = tmp_path / "test" / "dialogues_001.json"
+        if message is None:
+            assert [d.dialog_id for d in load_sgd(tmp_path, "test").dialogs] == ["S1", "S2"]
+            return
+        with pytest.raises(InputError) as exc:
+            load_sgd(tmp_path, "test")
+        assert str(exc.value).startswith(message.format(dir=path.parent, path=path))
