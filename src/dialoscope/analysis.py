@@ -9,14 +9,14 @@ manual-adjudication override file or reported as unresolved.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
+import signal
 import sys
+import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .corpus import (Corpus, DatasetKind, Dialog, InputError, Speaker, canonical_slot,
                      state_update, text_lines)
@@ -238,8 +238,8 @@ def _tally_frame_dialog(dialog: Dialog, lexicon: Optional[Lexicon],
 
 
 # the id of an SMCalFlow gold tree -> the names of ("refer", "revise") it
-# calls; one per analyze_corpus call (one per pool worker), whose corpus
-# keeps every tree alive, so turns that share a tree walk it once
+# calls; one per share of the dialogs (one per spawned pool worker), whose
+# corpus keeps every tree alive, so turns that share a tree walk it once
 HeadMemo = Dict[int, Tuple[str, ...]]
 
 
@@ -264,9 +264,96 @@ def _tally_dialog(dialog: Dialog, kind: DatasetKind, lexicon: Optional[Lexicon],
     return _tally_frame_dialog(dialog, lexicon, overrides)
 
 
-# set once per pool worker, so the corpus, lexicon and overrides reach each
-# worker once, a task is a dialog index, and the lexicon's match-plan cache
-# stays warm across dialogs
+def _tally_share(dialogs: Sequence[Dialog], kind: DatasetKind, lexicon: Optional[Lexicon],
+                 overrides: Optional[Overrides]) -> Counter:
+    heads: HeadMemo = {}
+    total: Counter = Counter()
+    for dialog in dialogs:
+        total.update(_tally_dialog(dialog, kind, lexicon, overrides, heads))
+    return total
+
+
+def _tally_in_child(sink: BinaryIO, dialogs: Sequence[Dialog], kind: DatasetKind,
+                    lexicon: Optional[Lexicon], overrides: Optional[Overrides]) -> NoReturn:
+    """A forked child's whole life: tally its share, write the pickled
+    `Counter`, or the exception and its traceback, to `sink`, and exit
+    without running the parent's cleanup or flushing its copies of the
+    parent's output buffers."""
+    import pickle
+    code = 1
+    try:
+        try:
+            result = pickle.dumps(_tally_share(dialogs, kind, lexicon, overrides))
+        except BaseException as exc:  # raised again in the parent
+            text = traceback.format_exc()
+            try:
+                result = pickle.dumps((exc, text))
+                pickle.loads(result)  # the parent must be able to rebuild it
+            except Exception:
+                result = pickle.dumps((None, text))
+        sink.write(result)
+        sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(data: bytes, worker: int, pid: int, status: int) -> Counter:
+    """The tally a child sent, or its exception raised here."""
+    import pickle
+    name = f"analyze worker {worker} (pid {pid})"
+    try:
+        result = pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"{name} ended without a result ({how})") from None
+    if isinstance(result, Counter):
+        return result
+    error, text = result
+    remote = ChildProcessError(f"{name} failed:\n{text}")
+    if error is None:
+        raise remote
+    raise error from remote
+
+
+def _forked_tallies(dialogs: Sequence[Dialog], workers: int, kind: DatasetKind,
+                    lexicon: Optional[Lexicon], overrides: Optional[Overrides]) -> List[Counter]:
+    """Fork `workers - 1` children; child k tallies `dialogs[k::workers]`
+    and this process tallies share 0. A child inherits the corpus, so
+    nothing is pickled for it, and it sends back one pickled `Counter`
+    through its own pipe. On any failure, here or in a child, every child
+    is killed and reaped before the exception propagates."""
+    pipes: List[BinaryIO] = []
+    running: List[int] = []  # children not yet reaped, in share order
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    _tally_in_child(sink, dialogs[k::workers], kind, lexicon, overrides)
+                running.append(pid)
+        tallies = [_tally_share(dialogs[::workers], kind, lexicon, overrides)]
+        for k, pipe in enumerate(pipes, 1):
+            data = pipe.read()
+            pid = running[0]
+            status = os.waitpid(pid, 0)[1]
+            del running[0]
+            tallies.append(_received(data, k, pid, status))
+        return tallies
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+# set once per spawned pool worker, so the corpus, lexicon and overrides
+# reach each worker once, a task is a dialog index, and the lexicon's
+# match-plan cache stays warm across dialogs
 _worker_args: tuple = ()
 
 
@@ -297,26 +384,32 @@ def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
     round trip.
 
     The merge is pure counting (associative and commutative), so results
-    are identical for any worker count. The pool never exceeds the number of
-    CPUs this process may run on. On Linux its workers are forked, which is
-    unsafe in a process that runs other threads.
+    are identical for any worker count. `workers` is first clamped to the
+    CPUs this process may run on and to the number of dialogs. On Linux
+    this process then tallies one share of the dialogs and `workers - 1`
+    forked children tally the rest, which is unsafe in a process that runs
+    other threads; a child's warnings go to the inherited stderr. Elsewhere
+    a pool of spawned workers, which pickles the corpus once per worker,
+    tallies every dialog.
     """
     kind = corpus.dataset_kind
+    dialogs = corpus.dialogs
     # taskset or a cpuset may leave this process fewer CPUs than the machine has
-    workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
-    if workers > 1 and len(corpus.dialogs) > 1:
-        # forking hands the workers the corpus without pickling it; spawn,
-        # the default on macOS and Windows, pickles it once per worker
-        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                                 initializer=_init_worker,
-                                 initargs=(corpus.dialogs, kind, lexicon, overrides)) as pool:
-            tallies = list(pool.map(_tally_in_worker, range(len(corpus.dialogs)),
-                                    chunksize=16))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    workers = min(workers, cpus, len(dialogs))
+    if workers <= 1:
+        tallies = [_tally_share(dialogs, kind, lexicon, overrides)]
+    elif sys.platform == "linux":
+        tallies = _forked_tallies(dialogs, workers, kind, lexicon, overrides)
     else:
-        heads: HeadMemo = {}
-        tallies = [_tally_dialog(d, kind, lexicon, overrides, heads) for d in corpus.dialogs]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_init_worker,
+                                 initargs=(dialogs, kind, lexicon, overrides)) as pool:
+            tallies = list(pool.map(_tally_in_worker, range(len(dialogs)), chunksize=16))
     total: Counter = Counter()
     for tally in tallies:
         total.update(tally)

@@ -36,12 +36,18 @@ EVALUATE = "src/dialoscope/evaluate.py"
 
 T_NORMALIZE = "tests/test_normalize.py"
 TYPO_PASS = f"{T_NORMALIZE}::TestMatchInText::test_typo_pass_as_reference"
+# the fixed typo-pass cases that kill a mutant, by their parametrize ids
+KINGS_THEN_COLLEGE = f"{TYPO_PASS}[kings college-kings-kimgs college is fine]"
+COLLEGE_THEN_KINGS = f"{TYPO_PASS}[kings-kings college-kimgs college is fine]"
+SATURDAY = f"{TYPO_PASS}[saturday-None-leave on saxyrday please]"
 SAME_VERDICT = f"{T_NORMALIZE}::TestMatchInText::test_same_verdict_as_reference"
 SHORT_PAIRS = f"{T_NORMALIZE}::TestDamerauLevenshtein::test_every_short_pair_as_reference"
 SHARED_AFFIXES = f"{T_NORMALIZE}::TestDamerauLevenshtein::test_shared_affixes_as_reference"
 CANONICAL_SLOT = "tests/test_corpus.py::TestCanonicalSlot"
 SGD_ELEMENTS = "tests/test_corpus.py::TestSgdElementDecoding"
 GOLDEN = "tests/test_golden.py::test_outputs_match_recorded_digests"
+ANALYZE_CORPUS = "tests/test_analysis.py::TestAnalyzeCorpus"
+FORKED_WORKERS = "tests/test_analysis.py::TestForkedWorkers"
 
 
 @dataclass(frozen=True)
@@ -66,11 +72,11 @@ MUTANTS = (
     Mutant("typo-span-from-the-last-token", NORMALIZE,
            "start, end = toks[0].start(), toks[-1].end()",
            "start, end = toks[-1].start(), toks[-1].end()",
-           (TYPO_PASS,)),
+           (KINGS_THEN_COLLEGE,)),
     Mutant("typo-tie-goes-to-the-later-start", NORMALIZE,
            "if best is None or (dist, first) < best[:2]:",
            "if best is None or (dist, first) <= best[:2]:",
-           (TYPO_PASS,)),
+           (KINGS_THEN_COLLEGE, COLLEGE_THEN_KINGS)),
     Mutant("multi-probe-plan-unsorted", NORMALIZE,
            "    if len(probes) > 1:\n        probes.sort(",
            "    if False:\n        probes.sort(",
@@ -86,7 +92,7 @@ MUTANTS = (
     Mutant("typo-threshold-off-by-one", NORMALIZE,
            "return 2 if len(target) >= 8 else 1",
            "return 2 if len(target) > 8 else 1",
-           (TYPO_PASS,)),
+           (SATURDAY,)),
     Mutant("category-rank-entity-after-semantic", NORMALIZE,
            "MatchCategory.VERBATIM: 0, MatchCategory.ENTITY_RECOGNITION: 1,\n"
            "                 MatchCategory.SEMANTIC_UNDERSTANDING: 2,",
@@ -144,7 +150,7 @@ MUTANTS = (
            "        if metadata:\n"
            "            raise InputError(f\"{_where(path, dialog_id, i)}: \"\n"
            "                             \"non-alternating speakers (state on a user turn)\")\n",
-           ("tests/test_corpus.py::TestMultiwozWalk",)),
+           ("tests/test_corpus.py::TestMultiwozWalk::test_turns_and_errors_as_reference",)),
     # evaluate: the JGA fold
     Mutant("jga-accumulated-folds-onto-gold", EVALUATE,
            "            if oracle:\n                state = gold\n",
@@ -156,13 +162,29 @@ MUTANTS = (
            ("tests/test_evaluate.py::TestJga::test_oracle_error_does_not_propagate",)),
     # analysis and linearize
     Mutant("pool-not-clamped-to-usable-cpus", ANALYSIS,
-           "workers = min(workers, len(os.sched_getaffinity(0))",
-           "workers = max(workers, len(os.sched_getaffinity(0))",
-           ("tests/test_analysis.py::TestAnalyzeCorpus::test_pool_is_clamped_to_cpu_count",)),
+           "cpus = len(os.sched_getaffinity(0)) if",
+           "cpus = workers if",
+           (f"{ANALYZE_CORPUS}::test_pool_is_clamped_to_cpu_count",)),
     Mutant("pool-not-clamped-without-affinity", ANALYSIS,
-           "                  else os.cpu_count() or 1)",
-           "                  else workers)",
-           ("tests/test_analysis.py::TestAnalyzeCorpus::test_without_affinity_the_cpu_count_clamps",)),
+           "        else os.cpu_count() or 1\n",
+           "        else workers\n",
+           (f"{ANALYZE_CORPUS}::test_without_affinity_the_cpu_count_clamps",)),
+    Mutant("pool-not-clamped-to-dialog-count", ANALYSIS,
+           "workers = min(workers, cpus, len(dialogs))",
+           "workers = min(workers, cpus)",
+           (f"{ANALYZE_CORPUS}::test_pool_is_clamped_to_dialog_count",)),
+    Mutant("fork-share-skips-a-dialog", ANALYSIS,
+           "_tally_in_child(sink, dialogs[k::workers],",
+           "_tally_in_child(sink, dialogs[k + 1::workers],",
+           (f"{ANALYZE_CORPUS}::test_worker_count_does_not_change_result",)),
+    Mutant("forked-children-not-killed-on-failure", ANALYSIS,
+           "            os.kill(pid, signal.SIGKILL)\n",
+           "",
+           (f"{FORKED_WORKERS}::test_parent_failure_leaves_no_child",)),
+    Mutant("forked-children-not-reaped-on-failure", ANALYSIS,
+           "os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
+           "os.kill(pid, signal.SIGKILL)\n",
+           (f"{FORKED_WORKERS}::test_parent_failure_leaves_no_child",)),
     Mutant("override-skipped", ANALYSIS,
            "        elif override is not None:\n",
            "        elif False:\n",

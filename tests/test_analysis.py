@@ -1,7 +1,11 @@
 import dataclasses
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
+import sys
+import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -34,29 +38,47 @@ def usable_cpus(monkeypatch, count, machine=None):
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """The sizes of the pools `analyze_corpus` starts and the tasks sent to
-    them. A stand-in executor runs the tasks in-process, so no large pool is
-    ever started."""
-    record = SimpleNamespace(sizes=[], tasks=[])
+    """The sizes of the pools `analyze_corpus` forks (this process and its
+    children), the children's pids and what this process unpickles from
+    them. The children really fork; a call that would fork a fourth child
+    fails instead."""
+    if sys.platform != "linux":
+        pytest.skip("analyze_corpus forks its workers on Linux only")
+    record = SimpleNamespace(sizes=[], pids=[], received=[])
+    fork, loads, forked_tallies = os.fork, pickle.loads, analysis._forked_tallies
 
-    class RecordingPool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            record.sizes.append(max_workers)
-            initializer(*initargs)
+    def capped_fork():
+        if len(record.pids) == 3:
+            raise AssertionError("a fourth worker forked")
+        pid = fork()
+        if pid:
+            record.pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    def recording_loads(data):
+        record.received.append(loads(data))
+        return record.received[-1]
 
-        def __exit__(self, *exc):
-            return False
+    def recording(*args):
+        record.pids.clear()
+        try:
+            return forked_tallies(*args)
+        finally:
+            record.sizes.append(len(record.pids) + 1)
 
-        def map(self, fn, items, chunksize=1):
-            record.tasks.extend(items)
-            return map(fn, record.tasks)
-
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(analysis, "_worker_args", ())
+    monkeypatch.setattr(os, "fork", capped_fork)
+    monkeypatch.setattr(pickle, "loads", recording_loads)
+    monkeypatch.setattr(analysis, "_forked_tallies", recording)
     return record
+
+
+def no_child_left(pids):
+    """Every one of these children has been reaped. (Not every child of
+    this process: a spawned pool leaves its resource tracker running.)"""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 class TestTraceTurn:
@@ -282,10 +304,12 @@ class TestAnalyzeCorpus:
         assert report["smcalflow"]["refer"] == pytest.approx(25.0)
         assert report["smcalflow"]["revise"] == pytest.approx(25.0)
 
-    def test_worker_count_does_not_change_result(self, planted, lexicon):
+    def test_worker_count_does_not_change_result(self, planted, lexicon, monkeypatch):
+        # two usable CPUs on any host, so the pool really starts
+        usable_cpus(monkeypatch, 2)
         corpus, _ = planted
         assert analyze_corpus(corpus, lexicon, workers=1) == \
-            analyze_corpus(corpus, lexicon, workers=4)
+            analyze_corpus(corpus, lexicon, workers=2)
 
     def test_pool_is_clamped_to_cpu_count(self, planted, lexicon, monkeypatch,
                                           recording_pool):
@@ -293,10 +317,18 @@ class TestAnalyzeCorpus:
         corpus, _ = planted
         pooled = analyze_corpus(corpus, lexicon, workers=64)
         assert recording_pool.sizes == [3]
-        # a task is a dialog index: no dialog is sent to a worker
-        assert recording_pool.tasks == list(range(len(corpus.dialogs)))
         assert pooled == analyze_corpus(corpus, lexicon, workers=1)
-        assert recording_pool.sizes == [3]  # one worker runs serially, without a pool
+        assert recording_pool.sizes == [3]  # one worker runs serially, without forking
+
+    def test_pool_is_clamped_to_dialog_count(self, planted, lexicon, monkeypatch,
+                                             recording_pool):
+        usable_cpus(monkeypatch, 3)
+        planted_corpus, _ = planted
+        corpus = Corpus(planted_corpus.dataset_kind, planted_corpus.split,
+                        planted_corpus.dialogs[:2])
+        pooled = analyze_corpus(corpus, lexicon, workers=3)
+        assert recording_pool.sizes == [2]
+        assert pooled == analyze_corpus(corpus, lexicon, workers=1)
 
     def test_one_usable_cpu_runs_serially(self, planted, lexicon, monkeypatch,
                                           recording_pool):
@@ -316,40 +348,28 @@ class TestAnalyzeCorpus:
         analyze_corpus(corpus, lexicon, workers=64)
         assert recording_pool.sizes == [2]
 
-    def test_no_dialog_is_pickled_for_the_pool(self, planted, lexicon, monkeypatch):
-        # forked workers inherit the corpus and are sent dialog indices, so
-        # a dialog that cannot be pickled does not stop a real pool
-        started = []
-
-        def fork_pool(*args, mp_context=None, **kwargs):
-            method = (mp_context or multiprocessing.get_context()).get_start_method()
-            if method != "fork":
-                pytest.skip(f"the pool starts its workers by {method}, which pickles")
-            started.append(method)
-            return ProcessPoolExecutor(*args, mp_context=mp_context, **kwargs)
-
+    def test_no_dialog_is_pickled_for_the_pool(self, planted, lexicon, monkeypatch,
+                                               recording_pool):
+        # forked children inherit the corpus, so nothing is pickled for them,
+        # and each sends back one Counter; a dialog that cannot be pickled
+        # does not stop the pool
         def refuse(self, protocol):
             raise AssertionError(f"dialog {self.dialog_id} was pickled")
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", fork_pool)
-        usable_cpus(monkeypatch, 2)
+        usable_cpus(monkeypatch, 3)
         monkeypatch.setattr(Dialog, "__reduce_ex__", refuse)
         corpus, _ = planted
-        pooled = analyze_corpus(corpus, lexicon, workers=2)
-        assert started == ["fork"]
+        pooled = analyze_corpus(corpus, lexicon, workers=3)
+        assert recording_pool.sizes == [3]
+        assert [type(tally) for tally in recording_pool.received] == [Counter, Counter]
         assert pooled == analyze_corpus(corpus, lexicon, workers=1)
 
     def test_spawned_workers_match_serial(self, planted, lexicon, monkeypatch):
-        # macOS and Windows start workers by spawn, which pickles the corpus,
-        # lexicon and overrides once per worker; the pool forks on Linux, so
-        # only this test takes that path there. A partial would not do: the
-        # context analyze_corpus passes would override its keyword
-        spawn = multiprocessing.get_context("spawn")
-
-        def spawn_pool(*args, mp_context=None, **kwargs):
-            return ProcessPoolExecutor(*args, mp_context=spawn, **kwargs)
-
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", spawn_pool)
+        # macOS and Windows start a pool of spawned workers, which pickles
+        # the corpus, lexicon and overrides once per worker. analyze_corpus
+        # reads the platform through its own `sys` name, so only it takes
+        # the spawn branch here
+        monkeypatch.setattr(analysis, "sys", SimpleNamespace(platform="darwin"))
         usable_cpus(monkeypatch, 2)
         planted_corpus, _ = planted
         # a value no utterance surfaces, filled in by an override
@@ -368,6 +388,108 @@ class TestAnalyzeCorpus:
         report = analyze_corpus(corpus, lexicon)
         # every tracked turn resolves in exactly one category here
         assert sum(report["normalization"].values()) == pytest.approx(100.0)
+
+
+class _Unrebuildable(Exception):
+    # pickles, but unpickling calls __init__ with one argument
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+class TestForkedWorkers:
+    """A failure in a forked child, or in this process's own share, raises
+    here after every child has been killed and reaped."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a pipe that never reaches its end would hang the test: fail instead
+        def expire(*_):
+            raise TimeoutError("analyze_corpus took over 20 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def fail(self, monkeypatch, how):
+        """Run `how(dialog)` in place of tallying each dialog, in this
+        process (`parent=True`) or in the children."""
+        tally, parent = analysis._tally_dialog, os.getpid()
+
+        def tally_or_fail(dialog, *args):
+            how(dialog, os.getpid() == parent)
+            return tally(dialog, *args)
+
+        monkeypatch.setattr(analysis, "_tally_dialog", tally_or_fail)
+
+    def test_child_exception_is_raised_with_its_traceback(self, planted, lexicon,
+                                                          monkeypatch, recording_pool):
+        corpus, _ = planted
+        bad = corpus.dialogs[1].dialog_id  # in share 1 of 2: the child's
+
+        def planted_failure(dialog, in_parent):
+            if dialog.dialog_id == bad:
+                raise ValueError(f"planted failure in {dialog.dialog_id}")
+
+        self.fail(monkeypatch, planted_failure)
+        with pytest.raises(ValueError, match=f"^planted failure in {bad}$") as info:
+            analyze_corpus(corpus, lexicon, workers=2)
+        remote = info.value.__cause__
+        assert isinstance(remote, ChildProcessError)
+        assert str(remote).startswith(f"analyze worker 1 (pid {recording_pool.pids[0]}) "
+                                      "failed:\nTraceback (most recent call last):\n")
+        assert "in planted_failure\n" in str(remote)
+        assert str(remote).endswith(f"ValueError: planted failure in {bad}\n")
+        no_child_left(recording_pool.pids)
+
+    def test_exception_that_cannot_be_rebuilt(self, planted, lexicon, monkeypatch,
+                                              recording_pool):
+        def unrebuildable(dialog, in_parent):
+            if not in_parent:
+                raise _Unrebuildable("failure", dialog.dialog_id)
+
+        self.fail(monkeypatch, unrebuildable)
+        corpus, _ = planted
+        with pytest.raises(ChildProcessError, match=r"^analyze worker 1 \(pid \d+\) failed:\n"
+                           r"(.|\n)*_Unrebuildable: failure in \S+\n$"):
+            analyze_corpus(corpus, lexicon, workers=2)
+        no_child_left(recording_pool.pids)
+
+    def test_killed_child_is_named(self, planted, lexicon, monkeypatch, recording_pool):
+        def killed(dialog, in_parent):
+            if not in_parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self.fail(monkeypatch, killed)
+        corpus, _ = planted
+        with pytest.raises(ChildProcessError) as info:
+            analyze_corpus(corpus, lexicon, workers=2)
+        assert str(info.value) == (f"analyze worker 1 (pid {recording_pool.pids[0]}) "
+                                   "ended without a result (killed by SIGKILL)")
+        no_child_left(recording_pool.pids)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_parent_failure_leaves_no_child(self, planted, lexicon, monkeypatch,
+                                            recording_pool, error):
+        def parent_fails(dialog, in_parent):
+            if in_parent:
+                raise error("this process's share failed")
+            time.sleep(15)  # still at work when this process fails
+            os._exit(0)
+
+        self.fail(monkeypatch, parent_fails)
+        corpus, _ = planted
+        started = time.monotonic()
+        with pytest.raises(error, match="^this process's share failed$"):
+            analyze_corpus(corpus, lexicon, workers=2)
+        assert recording_pool.sizes == [2]
+        no_child_left(recording_pool.pids)
+        assert time.monotonic() - started < 5  # the child was killed, not awaited
 
 
 class TestHistogram:

@@ -100,6 +100,23 @@ class TestAnalyze:
             reports.append(out_json.read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("workers", ["1", "2"] if sys.platform == "linux" else ["1"])
+    def test_no_process_pool_module_is_imported(self, mwz_path, tmp_path, workers):
+        # a fresh process, as a user runs it: on Linux the workers are forked
+        # directly, so no command loads multiprocessing or concurrent.futures
+        script = ("import sys\n"
+                  "from dialoscope import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(code, *(name for name in ('multiprocessing', 'concurrent.futures')\n"
+                  "              if name in sys.modules))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dialoscope.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "analyze", "--dataset", "multiwoz",
+             "--path", str(mwz_path), "--out", str(tmp_path / "r.json"), "--workers", workers],
+            env=env, capture_output=True, encoding="utf-8")
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == str(EXIT_OK)
+
     def test_overrides_flag(self, capsys, mwz_path, tmp_path):
         ov = tmp_path / "ov.tsv"
         ov.write_text("MUL0635.json\t10\ttrain\tdestination\t5\t-"

@@ -5,7 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dialoscope import lispress
 from dialoscope.corpus import (Corpus, Dialog, DatasetKind, InputError, Speaker, Turn, _check,
@@ -91,6 +91,11 @@ class TestCanonicalSlot:
         ("book_time", "time"),
         ("booked", "booked"),
         ("bookingref", "bookingref"),
+        # each folds otherwise without the strip, the `book_` prefix or the
+        # hyphen rule; a glued booking name would fold the same either way
+        (" book area", "area"),
+        ("book_area", "area"),
+        ("leave-at", "leaveat"),
     ])
     def test_folding(self, raw, expected):
         assert canonical_slot(raw) == expected
@@ -916,6 +921,9 @@ def _mwz_outcome(dialogs):
 class TestMultiwozWalk:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_broken_log(), min_size=1, max_size=2))
+    # a lone user entry that carries a state: its state is reported, not
+    # the missing system turn
+    @example([{"log": [{"text": "hi", "metadata": {"taxi": {}}}]}])
     def test_turns_and_errors_as_reference(self, logs):
         data = {f"D{k}": log for k, log in enumerate(logs)}
         with tempfile.TemporaryDirectory() as tmp:
