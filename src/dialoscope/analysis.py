@@ -238,8 +238,8 @@ def _tally_frame_dialog(dialog: Dialog, lexicon: Optional[Lexicon],
 
 
 # the id of an SMCalFlow gold tree -> the names of ("refer", "revise") it
-# calls; one per share of the dialogs (one per spawned pool worker), whose
-# corpus keeps every tree alive, so turns that share a tree walk it once
+# calls; one per share of the dialogs, whose dialogs keep every tree alive,
+# so turns that share a tree walk it once
 HeadMemo = Dict[int, Tuple[str, ...]]
 
 
@@ -306,7 +306,12 @@ def _received(data: bytes, worker: int, pid: int, status: int) -> Counter:
         result = pickle.loads(data)
     except Exception:
         code = os.waitstatus_to_exitcode(status)
-        how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+        how = f"exit code {code}"
+        if code < 0:
+            try:
+                how = f"killed by {signal.Signals(-code).name}"
+            except ValueError:  # a real-time signal has no name
+                how = f"killed by signal {-code}"
         raise ChildProcessError(f"{name} ended without a result ({how})") from None
     if isinstance(result, Counter):
         return result
@@ -317,25 +322,25 @@ def _received(data: bytes, worker: int, pid: int, status: int) -> Counter:
     raise error from remote
 
 
-def _forked_tallies(dialogs: Sequence[Dialog], workers: int, kind: DatasetKind,
+def _forked_tallies(shares: Sequence[Sequence[Dialog]], kind: DatasetKind,
                     lexicon: Optional[Lexicon], overrides: Optional[Overrides]) -> List[Counter]:
-    """Fork `workers - 1` children; child k tallies `dialogs[k::workers]`
-    and this process tallies share 0. A child inherits the corpus, so
-    nothing is pickled for it, and it sends back one pickled `Counter`
-    through its own pipe. On any failure, here or in a child, every child
-    is killed and reaped before the exception propagates."""
+    """Fork one child per share after the first, which this process
+    tallies. A child inherits its share, so nothing is pickled for it, and
+    it sends back one pickled `Counter` through its own pipe. On any
+    failure, here or in a child, every child is killed and reaped before
+    the exception propagates."""
     pipes: List[BinaryIO] = []
     running: List[int] = []  # children not yet reaped, in share order
     try:
-        for k in range(1, workers):
+        for share in shares[1:]:
             read, write = os.pipe()
             pipes.append(open(read, "rb"))
             with open(write, "wb") as sink:
                 pid = os.fork()
                 if pid == 0:
-                    _tally_in_child(sink, dialogs[k::workers], kind, lexicon, overrides)
+                    _tally_in_child(sink, share, kind, lexicon, overrides)
                 running.append(pid)
-        tallies = [_tally_share(dialogs[::workers], kind, lexicon, overrides)]
+        tallies = [_tally_share(shares[0], kind, lexicon, overrides)]
         for k, pipe in enumerate(pipes, 1):
             data = pipe.read()
             pid = running[0]
@@ -349,25 +354,6 @@ def _forked_tallies(dialogs: Sequence[Dialog], workers: int, kind: DatasetKind,
             os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
-
-
-# set once per spawned pool worker, so the corpus, lexicon and overrides
-# reach each worker once, a task is a dialog index, and the lexicon's
-# match-plan cache stays warm across dialogs
-_worker_args: tuple = ()
-
-
-def _init_worker(dialogs: Tuple[Dialog, ...], kind: DatasetKind,
-                 lexicon: Optional[Lexicon], overrides: Optional[Overrides]) -> None:
-    # runs once per worker: a task then carries only a dialog index, and
-    # the worker's lexicon keeps its match plans from dialog to dialog
-    global _worker_args
-    _worker_args = (dialogs, kind, lexicon, overrides, {})
-
-
-def _tally_in_worker(index: int) -> Counter:
-    dialogs, kind, lexicon, overrides, heads = _worker_args
-    return _tally_dialog(dialogs[index], kind, lexicon, overrides, heads)
 
 
 def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
@@ -385,12 +371,13 @@ def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
 
     The merge is pure counting (associative and commutative), so results
     are identical for any worker count. `workers` is first clamped to the
-    CPUs this process may run on and to the number of dialogs. On Linux
-    this process then tallies one share of the dialogs and `workers - 1`
-    forked children tally the rest, which is unsafe in a process that runs
-    other threads; a child's warnings go to the inherited stderr. Elsewhere
-    a pool of spawned workers, which pickles the corpus once per worker,
-    tallies every dialog.
+    CPUs this process may run on and to the number of dialogs, which are
+    then dealt into that many strided shares. This process tallies the
+    first share and `workers - 1` helper processes tally the rest. On
+    Linux the helpers are forked, which is unsafe in a process that runs
+    other threads, and a helper's warnings go to the inherited stderr.
+    Elsewhere they are spawned, and each receives only its share, in one
+    pickle.
     """
     kind = corpus.dataset_kind
     dialogs = corpus.dialogs
@@ -398,18 +385,20 @@ def analyze_corpus(corpus: Corpus, lexicon: Optional[Lexicon] = None,
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
     workers = min(workers, cpus, len(dialogs))
+    shares = [dialogs[k::workers] for k in range(workers)]
     if workers <= 1:
         tallies = [_tally_share(dialogs, kind, lexicon, overrides)]
     elif sys.platform == "linux":
-        tallies = _forked_tallies(dialogs, workers, kind, lexicon, overrides)
+        tallies = _forked_tallies(shares, kind, lexicon, overrides)
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_init_worker,
-                                 initargs=(dialogs, kind, lexicon, overrides)) as pool:
-            tallies = list(pool.map(_tally_in_worker, range(len(dialogs)), chunksize=16))
+        from itertools import repeat
+        with ProcessPoolExecutor(workers - 1,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            helped = pool.map(_tally_share, shares[1:],
+                              repeat(kind), repeat(lexicon), repeat(overrides))
+            tallies = [_tally_share(shares[0], kind, lexicon, overrides), *helped]
     total: Counter = Counter()
     for tally in tallies:
         total.update(tally)

@@ -45,6 +45,8 @@ SHORT_PAIRS = f"{T_NORMALIZE}::TestDamerauLevenshtein::test_every_short_pair_as_
 SHARED_AFFIXES = f"{T_NORMALIZE}::TestDamerauLevenshtein::test_shared_affixes_as_reference"
 CANONICAL_SLOT = "tests/test_corpus.py::TestCanonicalSlot"
 SGD_ELEMENTS = "tests/test_corpus.py::TestSgdElementDecoding"
+MULTIWOZ_FRAME_MEMO = "tests/test_corpus.py::TestMultiwozFrameMemo::test_states_as_reference"
+SGD_FRAME_MEMO = "tests/test_corpus.py::TestSgdFrameMemo::test_states_and_errors_as_reference"
 GOLDEN = "tests/test_golden.py::test_outputs_match_recorded_digests"
 ANALYZE_CORPUS = "tests/test_analysis.py::TestAnalyzeCorpus"
 FORKED_WORKERS = "tests/test_analysis.py::TestForkedWorkers"
@@ -137,6 +139,21 @@ MUTANTS = (
            "        if what is not None:\n",
            "        if False:\n",
            (SGD_ELEMENTS,)),
+    # corpus: the frame memos' key-order tests, and a located error message
+    Mutant("multiwoz-frame-memo-ignores-key-order", CORPUS,
+           "len(hit[1]) < 2 or _same_key_order(hit[0], frame)",
+           "True",
+           (MULTIWOZ_FRAME_MEMO,)),
+    Mutant("sgd-frame-memo-ignores-key-order", CORPUS,
+           "(len(slot_values) < 2 or list(old[0]) == list(slot_values))",
+           "True",
+           (SGD_FRAME_MEMO,)),
+    Mutant("gold-program-error-without-its-turn", CORPUS,
+           "_where(line_path, dialog_id, user)}: \"\n"
+           "                                     f\"gold program does not parse",
+           "_where(line_path, dialog_id)}: \"\n"
+           "                                     f\"gold program does not parse",
+           ("tests/test_corpus.py::TestLoadSmcalflow::test_gold_program_that_does_not_parse",)),
     Mutant("multiwoz-odd-log-checked-before-user-state", CORPUS,
            "        if metadata:\n"
            "            raise InputError(f\"{_where(path, dialog_id, i)}: \"\n"
@@ -173,10 +190,14 @@ MUTANTS = (
            "workers = min(workers, cpus, len(dialogs))",
            "workers = min(workers, cpus)",
            (f"{ANALYZE_CORPUS}::test_pool_is_clamped_to_dialog_count",)),
-    Mutant("fork-share-skips-a-dialog", ANALYSIS,
-           "_tally_in_child(sink, dialogs[k::workers],",
-           "_tally_in_child(sink, dialogs[k + 1::workers],",
+    Mutant("share-skips-a-dialog", ANALYSIS,
+           "shares = [dialogs[k::workers] for k in range(workers)]",
+           "shares = [dialogs[k + 1::workers] for k in range(workers)]",
            (f"{ANALYZE_CORPUS}::test_worker_count_does_not_change_result",)),
+    Mutant("spawned-pool-skips-a-share", ANALYSIS,
+           "pool.map(_tally_share, shares[1:],",
+           "pool.map(_tally_share, shares[2:],",
+           (f"{ANALYZE_CORPUS}::test_spawned_workers_match_serial",)),
     Mutant("forked-children-not-killed-on-failure", ANALYSIS,
            "            os.kill(pid, signal.SIGKILL)\n",
            "",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -70,6 +71,23 @@ def recording_pool(monkeypatch):
     monkeypatch.setattr(pickle, "loads", recording_loads)
     monkeypatch.setattr(analysis, "_forked_tallies", recording)
     return record
+
+
+@pytest.fixture
+def spawned_pool(monkeypatch):
+    """The sizes of the pools `analyze_corpus` spawns, with the platform
+    read as macOS. analyze_corpus reads the platform through its own `sys`
+    name, so only it takes the spawn branch."""
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "sys", SimpleNamespace(platform="darwin"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
 
 
 def no_child_left(pids):
@@ -364,12 +382,10 @@ class TestAnalyzeCorpus:
         assert [type(tally) for tally in recording_pool.received] == [Counter, Counter]
         assert pooled == analyze_corpus(corpus, lexicon, workers=1)
 
-    def test_spawned_workers_match_serial(self, planted, lexicon, monkeypatch):
-        # macOS and Windows start a pool of spawned workers, which pickles
-        # the corpus, lexicon and overrides once per worker. analyze_corpus
-        # reads the platform through its own `sys` name, so only it takes
-        # the spawn branch here
-        monkeypatch.setattr(analysis, "sys", SimpleNamespace(platform="darwin"))
+    def test_spawned_workers_match_serial(self, planted, lexicon, monkeypatch,
+                                          spawned_pool):
+        # macOS and Windows spawn the helpers, so each one's share, the
+        # lexicon and the overrides are pickled for it
         usable_cpus(monkeypatch, 2)
         planted_corpus, _ = planted
         # a value no utterance surfaces, filled in by an override
@@ -382,6 +398,34 @@ class TestAnalyzeCorpus:
         serial = analyze_corpus(corpus, lexicon, overrides, workers=1)
         assert serial != analyze_corpus(corpus, lexicon, workers=1)
         assert analyze_corpus(corpus, lexicon, overrides, workers=2) == serial
+
+    def test_spawned_pool_has_a_helper_per_share_but_the_first(self, planted, lexicon,
+                                                              monkeypatch, spawned_pool):
+        # this process tallies share 0
+        usable_cpus(monkeypatch, 3)
+        corpus, _ = planted
+        assert analyze_corpus(corpus, lexicon, workers=3) == \
+            analyze_corpus(corpus, lexicon, workers=1)
+        assert spawned_pool == [2]
+
+    def test_spawned_helper_receives_only_its_share(self, planted, lexicon, monkeypatch,
+                                                    spawned_pool):
+        # each helper's share is pickled once, and share 0 never: count the
+        # dialogs this process pickles
+        pickled = []
+        reduce_ex = Dialog.__reduce_ex__
+
+        def recording(self, protocol):
+            pickled.append(self.dialog_id)
+            return reduce_ex(self, protocol)
+
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(Dialog, "__reduce_ex__", recording)
+        corpus, _ = planted
+        assert analyze_corpus(corpus, lexicon, workers=3) == \
+            analyze_corpus(corpus, lexicon, workers=1)
+        assert sorted(pickled) == sorted(
+            d.dialog_id for d in corpus.dialogs[1::3] + corpus.dialogs[2::3])
 
     def test_normalization_denominator_is_tracked_turns(self, planted, lexicon):
         corpus, _ = planted
@@ -471,6 +515,21 @@ class TestForkedWorkers:
             analyze_corpus(corpus, lexicon, workers=2)
         assert str(info.value) == (f"analyze worker 1 (pid {recording_pool.pids[0]}) "
                                    "ended without a result (killed by SIGKILL)")
+        no_child_left(recording_pool.pids)
+
+    def test_child_killed_by_a_real_time_signal_is_named(self, planted, lexicon,
+                                                          monkeypatch, recording_pool):
+        # signal 40 (SIGRTMIN + 6) is no member of signal.Signals
+        def killed(dialog, in_parent):
+            if not in_parent:
+                os.kill(os.getpid(), 40)
+
+        self.fail(monkeypatch, killed)
+        corpus, _ = planted
+        with pytest.raises(ChildProcessError) as info:
+            analyze_corpus(corpus, lexicon, workers=2)
+        assert str(info.value) == (f"analyze worker 1 (pid {recording_pool.pids[0]}) "
+                                   "ended without a result (killed by signal 40)")
         no_child_left(recording_pool.pids)
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])

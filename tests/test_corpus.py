@@ -780,6 +780,9 @@ def _one_frame_log(frame):
 class TestMultiwozFrameMemo:
     @settings(max_examples=200, deadline=None)
     @given(_dialogs_sharing_frames())
+    # a frame equal to the one before it, with its slots in another order
+    @example([{"log": _one_frame_log({"semi": {"area": "north", "name": "x"}})
+                      + _one_frame_log({"semi": {"name": "x", "area": "north"}})}])
     def test_states_as_reference(self, dialogs):
         data = {f"D{k}": dialog for k, dialog in enumerate(dialogs)}
         with tempfile.TemporaryDirectory() as tmp:
@@ -1135,9 +1138,20 @@ def _sgd_outcome(load, dialogs):
     return [[list(t.state.items()) for t in dialog.user_turns()] for dialog in loaded]
 
 
+def _reordered_sgd_dialog():
+    """A dialog whose second user turn restates the first one's frame with
+    its slots in another order."""
+    frames = [{"city": ["a"], "date": ["b"]}, {"date": ["b"], "city": ["a"]}]
+    return {"dialogue_id": "S1", "turns": [
+        turn for sv in frames
+        for turn in (sgd_turn("USER", "u", [sgd_user_frame("Hotels_1", sv)]),
+                     sgd_turn("SYSTEM", "s"))]}
+
+
 class TestSgdFrameMemo:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_repeating_sgd_dialog(), min_size=1, max_size=2))
+    @example([_reordered_sgd_dialog()])
     def test_states_and_errors_as_reference(self, dialogs):
         # key order and alternate order included
         assert _sgd_outcome(_sgd_dialog, dialogs) == _sgd_outcome(reference_sgd_dialog, dialogs)
@@ -1150,12 +1164,7 @@ class TestSgdFrameMemo:
                         == _sgd_outcome(reference_sgd_dialog, dialogs)), (path, junk)
 
     def test_reordered_frame_loads_in_its_order(self):
-        frames = [{"city": ["a"], "date": ["b"]}, {"date": ["b"], "city": ["a"]}]
-        raw = {"dialogue_id": "S1", "turns": [
-            turn for sv in frames
-            for turn in (sgd_turn("USER", "u", [sgd_user_frame("Hotels_1", sv)]),
-                         sgd_turn("SYSTEM", "s"))]}
-        dialog = _sgd_dialog(raw, Path("d.json"), _SGD_MEMO_SCHEMAS, {})
+        dialog = _sgd_dialog(_reordered_sgd_dialog(), Path("d.json"), _SGD_MEMO_SCHEMAS, {})
         assert [[slot for _, slot in t.state] for t in dialog.user_turns()] == [
             ["city", "date"], ["date", "city"]]
 

@@ -100,8 +100,8 @@ class TestValueSemantics:
             hash(turn)
 
     def test_pickled_dialog_keeps_a_shared_state_shared(self):
-        # SGD turns whose frames changed nothing share one state; this is
-        # what a spawned analyze pool sends each worker
+        # SGD turns whose frames changed nothing share one state; a spawned
+        # analyze helper receives its share of the dialogs in one pickle
         dialog = Dialog("d", (Turn(0, Speaker.USER, "north", STATE),
                               Turn(1, Speaker.AGENT, "ok"),
                               Turn(2, Speaker.USER, "yes", STATE)), ("hotels",))
@@ -112,7 +112,7 @@ class TestValueSemantics:
 
     def test_pickled_dialogs_keep_a_shared_tree_shared(self, smcalflow_repeated_path):
         # turns with equal programs share one tree, within and across dialogs;
-        # a spawned analyze pool sends each worker the dialogs in one pickle
+        # a spawned analyze helper receives its share of the dialogs in one pickle
         dialogs = load_smcalflow(smcalflow_repeated_path).dialogs
         copy = pickle.loads(pickle.dumps(dialogs))
         assert copy == dialogs
