@@ -218,30 +218,23 @@ def _loads(text: str, path):
         raise InputError(f"malformed JSON in {path}: {exc}")
 
 
-def _read_json(path: Path):
-    return _loads(_read_text(path), path)
-
-
 _json_space = json.decoder.WHITESPACE.match
 _json_value = json.JSONDecoder().raw_decode
 
 
-def _json_members(text: str, path, kind: type = dict,
-                  what: Optional[str] = None) -> Iterator[object]:
+def _json_members(text: str, path, kind: type, what: str) -> Iterator[object]:
     """The members of the JSON document `text`, a `kind`, in document order:
     (key, value) of each member of an object, a repeated key included, or
     each element of a list. Each value is decoded only when it is reached,
-    so the whole document never exists at once. A document of another type
-    has no members, or, when `what` names it, raises the InputError
-    `_check` gives; malformed text raises, once its fault is reached, the
+    so the whole document never exists at once, and a caller that checks
+    each member as it comes stops at the first fault in document order. A
+    document of another type raises the InputError `_check` gives for
+    `what`; malformed text raises, once its fault is reached, the
     InputError json.loads would give."""
     opener, closer = ("{", "}") if kind is dict else ("[", "]")
     end = _json_space(text).end()
     if text[end:end + 1] != opener:
-        document = _loads(text, path)  # another type, or malformed
-        if what is not None:
-            raise _type_error(what, kind, document, path)
-        return
+        raise _type_error(what, kind, _loads(text, path), path)  # or malformed
     end = _json_space(text, end + 1).end()
     try:
         if text[end:end + 1] != closer:
@@ -276,9 +269,14 @@ def _json_members(text: str, path, kind: type = dict,
 def text_lines(path) -> Iterator[Tuple[int, str]]:
     """(line number, line) for each line of the UTF-8 text file `path`,
     split only at newlines. A missing file, or bytes that are not UTF-8,
-    raise an InputError naming the file."""
+    raise an InputError naming the file, and a leading byte order mark one
+    naming its line 1: it would stick to the first line's text."""
     with _text_file(path) as f:
-        yield from enumerate(f, start=1)
+        for lineno, line in enumerate(f, start=1):
+            if lineno == 1 and line.startswith("\ufeff"):
+                raise InputError(f"{path}:1: starts with a UTF-8 byte order mark; "
+                                 "save the file without one")
+            yield lineno, line
 
 
 def json_lines(path) -> Iterator[Tuple[int, object]]:
@@ -483,21 +481,15 @@ def load_multiwoz(path, split: str = "all") -> Corpus:
     path = Path(path)
     wanted, excluded = None, set()
     if path.is_dir():
+        wanted, excluded = _multiwoz_split_ids(path, split)
         path = path / "data.json"
-        text = _read_text(path)
-        try:
-            wanted, excluded = _multiwoz_split_ids(path.parent, split)
-        except InputError:
-            _loads(text, path)  # malformed JSON is reported first
-            raise
-    else:
-        text = _read_text(path)
+    text = _read_text(path)
 
     frames: _FrameMemo = {}
     values: _ValueMemo = {}
     dialogs: Dict[str, Dialog] = {}
     found = False
-    for dialog_id, raw in _json_members(text, path):
+    for dialog_id, raw in _json_members(text, path, dict, "data file"):
         found = True
         if (wanted is None or dialog_id in wanted) and dialog_id not in excluded:
             _add_dialog(dialogs, _multiwoz_dialog(dialog_id, raw, path, frames, values), path)
@@ -519,7 +511,7 @@ _SlotMemo = Dict[tuple, Tuple[Tuple[str, str], Tuple[str, ...]]]
 
 def _sgd_schemas(path: Path) -> Dict[str, str]:
     schemas = {}
-    for k, svc in enumerate(_check(_read_json(path), list, "schema", path)):
+    for k, svc in enumerate(_json_members(_read_text(path), path, list, "schema")):
         where = f"service {k}"
         _check(svc, dict, where, path)
         if "service_name" not in svc:
@@ -630,9 +622,7 @@ def load_sgd(path, split: str = "test") -> Corpus:
     `path` is the dataset root containing per-split subdirectories, or the
     split directory itself; that one is taken only when `split` is "all"
     or its directory name. Each dialog is built as soon as its JSON is
-    decoded, so no dialogues file exists whole as decoded JSON; a JSON
-    syntax error anywhere in a file is still reported before the fault of
-    any dialog it holds.
+    decoded, so no dialogues file exists whole as decoded JSON.
     """
     root = Path(path)
     if (root / split).is_dir():
@@ -650,13 +640,8 @@ def load_sgd(path, split: str = "test") -> Corpus:
     memo: _SlotMemo = {}
     dialogs: Dict[str, Dialog] = {}
     for file in dialog_files:
-        text = _read_text(file)
-        for raw in _json_members(text, file, list, "dialogues file"):
-            try:
-                _add_dialog(dialogs, _sgd_dialog(raw, file, schemas, memo), file)
-            except InputError:
-                _loads(text, file)  # malformed JSON is reported first
-                raise
+        for raw in _json_members(_read_text(file), file, list, "dialogues file"):
+            _add_dialog(dialogs, _sgd_dialog(raw, file, schemas, memo), file)
     if not dialogs:
         raise InputError(f"no dialogs found under {split_dir}")
     return Corpus(DatasetKind.SGD, split, tuple(dialogs.values()), schemas=schemas)

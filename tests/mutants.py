@@ -45,6 +45,7 @@ SHORT_PAIRS = f"{T_NORMALIZE}::TestDamerauLevenshtein::test_every_short_pair_as_
 SHARED_AFFIXES = f"{T_NORMALIZE}::TestDamerauLevenshtein::test_shared_affixes_as_reference"
 CANONICAL_SLOT = "tests/test_corpus.py::TestCanonicalSlot"
 SGD_ELEMENTS = "tests/test_corpus.py::TestSgdElementDecoding"
+FIRST_FAULT = "tests/test_corpus.py::TestFirstFaultInDocumentOrder"
 MULTIWOZ_FRAME_MEMO = "tests/test_corpus.py::TestMultiwozFrameMemo::test_states_as_reference"
 SGD_FRAME_MEMO = "tests/test_corpus.py::TestSgdFrameMemo::test_states_and_errors_as_reference"
 GOLDEN = "tests/test_golden.py::test_outputs_match_recorded_digests"
@@ -118,11 +119,12 @@ MUTANTS = (
            'key.replace("_", " ").replace("-", " ").split()',
            'key.replace("_", " ").split()',
            (CANONICAL_SLOT,)),
-    # corpus: the streaming JSON reader, and the order of a loader's checks
-    Mutant("sgd-fault-reported-before-malformed-json", CORPUS,
-           "                _loads(text, file)  # malformed JSON is reported first\n",
-           "",
-           (SGD_ELEMENTS,)),
+    # corpus: the streaming JSON reader, the line reader, and the order of a
+    # loader's checks
+    Mutant("members-decoded-syntax-first", CORPUS,
+           "    end = _json_space(text, end + 1).end()\n    try:\n",
+           "    _loads(text, path)\n    end = _json_space(text, end + 1).end()\n    try:\n",
+           (SGD_ELEMENTS, f"{FIRST_FAULT}::test_schema_service_fault_before_a_syntax_error")),
     Mutant("elements-without-a-comma", CORPUS,
            "                if text[end:end + 1] != \",\":\n"
            "                    break\n"
@@ -136,9 +138,13 @@ MUTANTS = (
            "if False:",
            (SGD_ELEMENTS,)),
     Mutant("sgd-object-top-level-accepted", CORPUS,
-           "        if what is not None:\n",
-           "        if False:\n",
+           "        raise _type_error(what, kind, _loads(text, path), path)",
+           "        return _loads(text, path)",
            (SGD_ELEMENTS,)),
+    Mutant("byte-order-mark-accepted", CORPUS,
+           'if lineno == 1 and line.startswith("\\ufeff"):',
+           "if False:",
+           ("tests/test_input_errors.py::TestByteOrderMark",)),
     # corpus: the frame memos' key-order tests, and a located error message
     Mutant("multiwoz-frame-memo-ignores-key-order", CORPUS,
            "len(hit[1]) < 2 or _same_key_order(hit[0], frame)",

@@ -427,6 +427,22 @@ class TestAnalyzeCorpus:
         assert sorted(pickled) == sorted(
             d.dialog_id for d in corpus.dialogs[1::3] + corpus.dialogs[2::3])
 
+    def test_spawned_helper_exception_reaches_the_caller(self, monkeypatch, spawned_pool):
+        # dialog 0 is this process's share; dialog 1, a hand-built turn with
+        # only the program text, fails in the helper
+        usable_cpus(monkeypatch, 2)
+        program = "(refer (x))"
+        corpus = Corpus(DatasetKind.SMCALFLOW, "test", (
+            Dialog("d0", (Turn(0, Speaker.USER, "hi", program=program, tree=parse(program)),)),
+            Dialog("d1", (Turn(0, Speaker.USER, "hi", program=program),))))
+        with pytest.raises(ValueError) as serial:
+            analyze_corpus(corpus, workers=1)
+        with pytest.raises(ValueError) as spawned:
+            analyze_corpus(corpus, workers=2)
+        assert str(spawned.value) == str(serial.value) == \
+            "dialog d1, turn 0: no parsed gold program"
+        assert spawned_pool == [1]
+
     def test_normalization_denominator_is_tracked_turns(self, planted, lexicon):
         corpus, _ = planted
         report = analyze_corpus(corpus, lexicon)

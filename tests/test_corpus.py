@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -137,7 +138,7 @@ class TestLoadMultiwoz:
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text("{}", "utf-8")
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=f"^no dialogs found in {re.escape(str(p))}$"):
             load_multiwoz(p)
 
     def test_missing_file(self, tmp_path):
@@ -956,7 +957,7 @@ def reference_load_document(path):
         data = json.loads(text)
     except ValueError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}")
-    if not isinstance(data, dict) or not data:
+    if not _check(data, dict, "data file", path):
         raise InputError(f"no dialogs found in {path}")
     return reference_load_multiwoz(data, path)
 
@@ -1180,22 +1181,29 @@ class TestSgdFrameMemo:
 # ---------------------------------------------------------------------------
 # reference whole-file SGD loader: json.loads of a dialogues file, then each
 # of its dialogs, frozen here so the loader's element-by-element decoding is
-# checked result for result and error for error
+# checked result for result and error for error. A malformed file stops at
+# its first fault in document order: a dialog it holds whole ahead of its
+# JSON syntax error, or else that error
 # ---------------------------------------------------------------------------
 
-def reference_load_sgd_file(path):
-    """The dialogs of a split whose one dialogues file is `path`."""
+def reference_load_sgd_file(path, whole):
+    """The dialogs of a split whose one dialogues file is `path`; `whole`
+    lists the dialogs a malformed `path` holds whole, in file order."""
     text = path.read_text("utf-8")
+    malformed = None
     try:
         data = json.loads(text)
     except ValueError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}")
+        malformed = InputError(f"malformed JSON in {path}: {exc}")
+        data = list(whole)
     memo, dialogs = {}, {}
     for raw in _check(data, list, "dialogues file", path):
         dialog = _sgd_dialog(raw, path, _SGD_MEMO_SCHEMAS, memo)
         if dialog.dialog_id in dialogs:
             raise InputError(f"{_where(path, dialog.dialog_id)}: duplicate dialog id")
         dialogs[dialog.dialog_id] = dialog
+    if malformed is not None:
+        raise malformed
     if not dialogs:
         raise InputError(f"no dialogs found under {path.parent}")
     return tuple(dialogs.values())
@@ -1217,7 +1225,8 @@ def _sgd_text(draw):
     whitespace, escapes and indentation, then maybe mutated: truncated at
     any offset, trailing data, a missing ',' between two elements, a
     leading UTF-8 BOM, a top level that is not a list, or a dialog that
-    fails a check ahead of a JSON syntax error further on."""
+    fails a check ahead of a JSON syntax error further on. Returns the text
+    and the dialogs it holds whole ahead of its first syntax error, if any."""
     # a valid file, and a missing ',', drawn twice as often as the others
     mutation = draw(st.sampled_from(
         [None, None, "truncate", "junk", "comma", "comma", "bom", "top-level", "fault-first"]))
@@ -1232,29 +1241,40 @@ def _sgd_text(draw):
     if mutation == "comma" and separators:
         i = draw(st.integers(0, len(separators) - 1))
         separators[i] = separators[i].replace(",", "")
-    body = "".join(sep + element for sep, element in zip(["", *separators], elements))
-    text = draw(_space) + "[" + draw(_space) + body + draw(_space) + "]" + draw(_space)
+    text = draw(_space) + "[" + draw(_space)
+    ends = []  # where each element ends in the text
+    for sep, element in zip(["", *separators], elements):
+        text += sep + element
+        ends.append(len(text))
+    text += draw(_space) + "]" + draw(_space)
+    whole = dialogs
     if mutation == "truncate":
         text = text[:draw(st.integers(0, len(text)))]
+        whole = [d for d, end in zip(dialogs, ends) if end <= len(text)]
+    elif mutation == "comma" and separators:
+        whole = dialogs[:i + 1]
     elif mutation == "junk":
         text += draw(st.sampled_from(["x", "[]", "]", "}", ",", " 1", '"', "\x00"]))
     elif mutation == "bom":
         text = "\ufeff" + text
+        whole = []
     elif mutation == "top-level":
         # the list under a key, a dialog alone, {} or a scalar
         text = draw(st.sampled_from(['{"d": %s}' % text, *elements[:1], "{}", "3", '"x"',
                                      "null", " "]))
+        whole = []
     elif mutation == "fault-first":
         # the syntax error after the faulty dialog: no closing bracket, or
         # trailing data
         text = draw(st.sampled_from([text.rstrip()[:-1], text + "]", text + "x"]))
-    return text
+    return text, whole
 
 
 class TestSgdElementDecoding:
     @settings(max_examples=300, deadline=None)
     @given(_sgd_text())
-    def test_as_whole_file_reference(self, text):
+    def test_as_whole_file_reference(self, drawn):
+        text, whole = drawn
         with tempfile.TemporaryDirectory() as tmp:
             write_layout(Path(tmp), {"test/schema.json": SGD_SCHEMA})
             path = Path(tmp) / "test" / "dialogues_001.json"
@@ -1264,7 +1284,7 @@ class TestSgdElementDecoding:
             except InputError as exc:
                 new = exc
             try:
-                ref = reference_load_sgd_file(path)
+                ref = reference_load_sgd_file(path, whole)
             except InputError as exc:
                 ref = exc
         if isinstance(ref, InputError):
@@ -1279,8 +1299,9 @@ class TestSgdElementDecoding:
         (f"[{_SGD_S1}, {_SGD_S2}]", None),
         (f"[{_SGD_S1}] x", "malformed JSON in {path}: Extra data"),
         (f"[{_SGD_S1} {_SGD_S2}]", "malformed JSON in {path}: Expecting ',' delimiter"),
-        # a dialog that fails a check, then the file ends inside the list
-        (f"[3, {_SGD_S1}", "malformed JSON in {path}: Expecting ',' delimiter"),
+        # a dialog that fails a check, then the file ends inside the list:
+        # the first fault in document order
+        (f"[3, {_SGD_S1}", "{path}: dialog must be a JSON object, got int"),
     ])
     def test_fault_messages(self, tmp_path, text, message):
         write_layout(tmp_path, {"test/schema.json": SGD_SCHEMA,
@@ -1292,3 +1313,34 @@ class TestSgdElementDecoding:
         with pytest.raises(InputError) as exc:
             load_sgd(tmp_path, "test")
         assert str(exc.value).startswith(message.format(dir=path.parent, path=path))
+
+
+class TestFirstFaultInDocumentOrder:
+    """Every loader stops at the first fault in document order, whether a
+    member breaks a check or the JSON syntax does, and reads a directory's
+    files one after another in a fixed order."""
+
+    def test_schema_service_fault_before_a_syntax_error(self, tmp_path):
+        write_layout(tmp_path, {"test/schema.json": b'[3, {"service_name": "S"}',
+                                "test/dialogues_001.json": b"[]"})
+        with pytest.raises(InputError) as exc:
+            load_sgd(tmp_path, "test")
+        assert str(exc.value) == f"{tmp_path / 'test' / 'schema.json'}: service 0 " \
+            "must be a JSON object, got int"
+
+    def test_multiwoz_split_list_before_a_malformed_data_file(self, tmp_path):
+        write_layout(tmp_path, {"data.json": b'{"D1": {"log": ['})
+        with pytest.raises(InputError) as exc:
+            load_multiwoz(tmp_path, "test")
+        assert str(exc.value) == f"missing split list file for 'test' under {tmp_path}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "{path}: data file must be a JSON object, got list"),
+        ('"D1"', "{path}: data file must be a JSON object, got str"),
+    ])
+    def test_multiwoz_top_level(self, tmp_path, text, message):
+        path = tmp_path / "data.json"
+        path.write_text(text, "utf-8")
+        with pytest.raises(InputError) as exc:
+            load_multiwoz(path)
+        assert str(exc.value) == message.format(path=path)

@@ -110,6 +110,43 @@ class TestMultiwozDuplicateId:
             EXIT_FAILURE, "", f"error: {path}: dialog D1: duplicate dialog id\n")
 
 
+class TestByteOrderMark:
+    """A line file saved with a UTF-8 byte order mark stops at its line 1,
+    since the mark would stick to the first line's text."""
+
+    @staticmethod
+    def saved_with_a_mark(path, text):
+        path.write_text("\ufeff" + text, "utf-8")
+        return f"{path}:1: starts with a UTF-8 byte order mark; save the file without one"
+
+    def test_split_list(self, tmp_path, mwz_path):
+        # the first listed dialog would leave the split for train
+        (tmp_path / "data.json").write_bytes(mwz_path.read_bytes())
+        message = self.saved_with_a_mark(tmp_path / "testListFile.txt",
+                                         "SNG0073.json\nMUL0635.json\n")
+        with pytest.raises(InputError) as exc:
+            load_multiwoz(tmp_path, "test")
+        assert str(exc.value) == message
+
+    def test_overrides(self, tmp_path):
+        # the header line would not be a comment
+        path = tmp_path / "overrides.tsv"
+        message = self.saved_with_a_mark(
+            path, "# dialog\tturn\tdomain\tslot\tdelta_c\tcategory\tcontext\n"
+                  "D1\t0\thotel\tarea\t1\tother\t-\n")
+        with pytest.raises(InputError) as exc:
+            apply_overrides(path)
+        assert str(exc.value) == message
+
+    def test_lexicon(self, tmp_path):
+        # the first rule's key would start with the mark
+        path = tmp_path / "lexicon.txt"
+        message = self.saved_with_a_mark(path, "pricerange/cheap: on a budget\n")
+        with pytest.raises(InputError) as exc:
+            load_lexicon(path)
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the three line readers on any text: they return, or raise an InputError
 # that starts with the path, and `path:line:` for an error in a line
